@@ -111,11 +111,11 @@ writeCsv(const Config &config, const std::string &name,
         return;
     const std::string path = dir + "/" + name + ".csv";
     std::ofstream out(path);
-    if (!out) {
-        warn("cannot write ", path);
-        return;
-    }
+    if (!out)
+        fatal("cannot write ", path);
     table.printCsv(out);
+    if (!out.flush())
+        fatal("error writing ", path);
     std::cout << "[csv] " << path << '\n';
 }
 
@@ -224,10 +224,8 @@ writePerfJson(const Config &config, const std::string &bench,
     if (path.empty())
         return;
     std::ofstream out(path);
-    if (!out) {
-        warn("cannot write ", path);
-        return;
-    }
+    if (!out)
+        fatal("cannot write ", path);
     const HostFingerprint &host = hostFingerprint();
     out << "{\n  \"bench\": \"" << bench << "\",\n"
         << "  \"host\": {\"cpu\": \"" << jsonEscape(host.cpu)
@@ -269,6 +267,8 @@ writePerfJson(const Config &config, const std::string &bench,
         out << "}" << (i + 1 < records.size() ? "," : "") << '\n';
     }
     out << "  ]\n}\n";
+    if (!out.flush())
+        fatal("error writing ", path);
     std::cout << "[perf] " << path << '\n';
 }
 

@@ -79,7 +79,8 @@ const HostFingerprint &hostFingerprint();
  * If `perf_json=<path>` is configured, write the simulator
  * performance records (wall-clock seconds, simulated cycles, and
  * derived cycles/second) as a JSON document at that path — the
- * artifact CI uploads from the bench-smoke step.
+ * artifact CI uploads from the bench-smoke step. A path that cannot
+ * be written is fatal (exit 1): a gate must never read a stale file.
  */
 void writePerfJson(const Config &config, const std::string &bench,
                    const std::vector<PerfRecord> &records);
@@ -92,8 +93,8 @@ void printHeader(const std::string &title, const Config &config);
 
 /**
  * If `csv_dir=<path>` is configured, write @p table to
- * `<path>/<name>.csv` (directory must exist) for plot scripts
- * (scripts/plot_figures.py consumes these).
+ * `<path>/<name>.csv` (directory must exist; an unwritable path is
+ * fatal) for plot scripts (scripts/plot_figures.py consumes these).
  */
 void writeCsv(const Config &config, const std::string &name,
               const Table &table);

@@ -224,6 +224,8 @@ Config::getStringList(const std::string &key) const
         if (!tok.empty())
             out.push_back(tok);
     }
+    if (out.empty())
+        fatal("config key '", key, "' is an empty list");
     return out;
 }
 

@@ -56,7 +56,8 @@ class Config
     /** Parse a comma-separated list of doubles. */
     std::vector<double> getDoubleList(const std::string &key) const;
 
-    /** Parse a comma-separated list of strings. */
+    /** Parse a comma-separated list of strings (empty iff the key is
+     *  absent; `key=` with no elements is a fatal config error). */
     std::vector<std::string> getStringList(const std::string &key) const;
 
     /** Keys that were set but never read (likely typos). */

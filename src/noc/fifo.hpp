@@ -21,8 +21,9 @@ namespace nox {
  * overflow here is a simulator bug, not a recoverable condition.
  *
  * Storage is a flat ring buffer sized once at construction — like the
- * SRAM it models — so push/pop on the per-cycle hot path are a slot
- * move plus an increment-wrap, with no allocator traffic.
+ * SRAM it models — so stage/pop on the per-cycle hot path are a slot
+ * move plus an increment-wrap, with no allocator traffic. An arrival
+ * is staged straight into the slot it will be read from.
  */
 class FlitFifo
 {
@@ -42,17 +43,49 @@ class FlitFifo
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
 
+    /** Append @p f at once (stage() then publish()). */
     void
     push(WireFlit &&f)
     {
+        stage(std::move(f));
+        publish();
+    }
+
+    /** Move an arriving value into the free slot behind the tail,
+     *  unseen by empty()/size()/front()/pop() until publish(). Credit
+     *  flow keeps that slot free; one value is staged at a time. */
+    void
+    stage(WireFlit &&f)
+    {
         NOX_ASSERT(!full(), "input FIFO overflow (credit protocol bug)");
+        NOX_ASSERT(!staged_, "two flits staged at one input in one cycle");
         slots_[tail_] = std::move(f);
+        staged_ = true;
+    }
+
+    /** True while a staged value awaits publish(). */
+    bool staged() const { return staged_; }
+
+    /** Make the staged value the new tail entry. */
+    void
+    publish()
+    {
+        NOX_ASSERT(staged_, "publish() with nothing staged");
+        staged_ = false;
         tail_ = next(tail_);
         size_ += 1;
     }
 
     const WireFlit &
     front() const
+    {
+        NOX_ASSERT(!empty(), "front() on empty FIFO");
+        return slots_[head_];
+    }
+
+    /** Mutable head: a traversal moves it on in place, then drop()s. */
+    WireFlit &
+    front()
     {
         NOX_ASSERT(!empty(), "front() on empty FIFO");
         return slots_[head_];
@@ -73,11 +106,18 @@ class FlitFifo
     WireFlit
     pop()
     {
-        NOX_ASSERT(!empty(), "pop() on empty FIFO");
-        WireFlit f = std::move(slots_[head_]);
+        WireFlit f = std::move(front());
+        drop();
+        return f;
+    }
+
+    /** Remove the head without moving it out (moved on, or unused). */
+    void
+    drop()
+    {
+        NOX_ASSERT(!empty(), "drop() on empty FIFO");
         head_ = next(head_);
         size_ -= 1;
-        return f;
     }
 
   private:
@@ -91,6 +131,7 @@ class FlitFifo
     std::size_t head_ = 0;
     std::size_t tail_ = 0;
     std::size_t size_ = 0;
+    bool staged_ = false; ///< slots_[tail_] holds an unpublished value
 };
 
 } // namespace nox

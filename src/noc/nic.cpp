@@ -207,10 +207,9 @@ Nic::deliver(const FlitDesc &flit, Cycle now)
 void
 Nic::commit()
 {
-    if (stagedSinkFlit_) {
+    if (sinkFifo_.staged()) {
         energy_.bufferWrites += 1;
-        sinkFifo_.push(std::move(*stagedSinkFlit_));
-        stagedSinkFlit_.reset();
+        sinkFifo_.publish();
     }
     for (std::size_t v = 0; v < injectCredits_.size(); ++v) {
         injectCredits_[v] += stagedInjectCredits_[v];
@@ -232,9 +231,7 @@ Nic::enqueuePacket(const std::vector<FlitDesc> &flits)
 void
 Nic::stageSinkFlit(WireFlit &&flit)
 {
-    NOX_ASSERT(!stagedSinkFlit_,
-               "two flits staged at one sink in one cycle");
-    stagedSinkFlit_ = std::move(flit);
+    sinkFifo_.stage(std::move(flit));
     wake();
 }
 
@@ -254,7 +251,7 @@ Nic::killAttached(std::vector<FlitDesc> &lost)
     if (dead_)
         return;
     dead_ = true;
-    NOX_ASSERT(!stagedSinkFlit_, "hard fault applied mid-cycle");
+    NOX_ASSERT(!sinkFifo_.staged(), "hard fault applied mid-cycle");
     for (auto &q : injectQueue_) {
         for (const FlitDesc &d : q)
             lost.push_back(d);
@@ -282,7 +279,7 @@ Nic::purgeCondemned(const Router::FlitCondemned &condemned,
 {
     if (dead_)
         return;
-    NOX_ASSERT(!stagedSinkFlit_, "hard-fault purge ran mid-cycle");
+    NOX_ASSERT(!sinkFifo_.staged(), "hard-fault purge ran mid-cycle");
 
     // Source queues: drop condemned flits in place (they never left
     // the NIC, so no credits are involved).
@@ -393,14 +390,14 @@ Nic::quiescent() const
         if (staged != 0)
             return false;
     }
-    return sinkFifo_.empty() && !stagedSinkFlit_ &&
+    return sinkFifo_.empty() && !sinkFifo_.staged() &&
            !decoder_.registerValid();
 }
 
 void
 Nic::serialize(snap::Writer &w, snap::Scope scope) const
 {
-    NOX_ASSERT(!stagedSinkFlit_, "serialize with a staged sink flit");
+    NOX_ASSERT(!sinkFifo_.staged(), "serialize with a staged sink flit");
     for (int staged : stagedInjectCredits_)
         NOX_ASSERT(staged == 0, "serialize with staged credits");
     snap::tag(w, snap::fourcc("NIC_"));
@@ -438,7 +435,7 @@ Nic::serialize(snap::Writer &w, snap::Scope scope) const
 void
 Nic::restore(snap::Reader &r)
 {
-    NOX_ASSERT(!stagedSinkFlit_, "restore with a staged sink flit");
+    NOX_ASSERT(!sinkFifo_.staged(), "restore with a staged sink flit");
     snap::checkTag(r, snap::fourcc("NIC_"));
     if (r.i32() != node_)
         r.fail("NIC node id mismatch (stream desync)");

@@ -15,7 +15,6 @@
 
 #include <deque>
 #include <vector>
-#include <optional>
 #include <unordered_map>
 
 #include "noc/energy_events.hpp"
@@ -211,8 +210,7 @@ class Nic
     int injectRr_ = 0; ///< round-robin pointer across VC queues
 
     // Ejection side.
-    FlitFifo sinkFifo_;
-    std::optional<WireFlit> stagedSinkFlit_;
+    FlitFifo sinkFifo_; ///< a routed flit is staged straight in
     XorDecoder decoder_;
 
     struct Arrival

@@ -19,7 +19,6 @@ Router::Router(NodeId id, const Mesh &mesh, const RoutingTable &table,
     in_.reserve(static_cast<std::size_t>(params.numPorts));
     for (int p = 0; p < params.numPorts; ++p)
         in_.emplace_back(static_cast<std::size_t>(params.bufferDepth));
-    stagedIn_.resize(static_cast<std::size_t>(params.numPorts));
     stagedCredits_.assign(static_cast<std::size_t>(params.numPorts), 0);
     credits_.assign(static_cast<std::size_t>(params.numPorts), 0);
     outTarget_.resize(static_cast<std::size_t>(params.numPorts));
@@ -35,7 +34,7 @@ Router::commit()
         const int p = std::countr_zero(staged);
         staged &= staged - 1;
         energy_.bufferWrites += 1;
-        in_[p].push(std::move(stagedIn_[p]));
+        in_[p].publish();
     }
     RequestMask credited = stagedCreditMask_;
     stagedCreditMask_ = 0;
@@ -216,7 +215,7 @@ Router::stageFlit(int in_port, WireFlit &&flit)
     NOX_ASSERT(!stagedAt(in_port),
                "two flits staged at one input in one cycle (router ",
                id_, " port ", portName(in_port), ")");
-    stagedIn_[in_port] = std::move(flit);
+    arrivalFifo(in_port, flit).stage(std::move(flit));
     stagedInMask_ |= maskBit(in_port);
     wake();
 }
@@ -327,6 +326,33 @@ Router::returnCredit(int in_port)
         t.nic->stageInjectCredit();
 }
 
+void
+Router::traverseWormhole(int in_port, int out_port, int &lock_owner,
+                         PacketId &lock_packet)
+{
+    WireFlit &w = in_[in_port].front();
+    const FlitDesc &d = w.parts.front();
+    energy_.bufferReads += 1;
+    energy_.xbarInputDrives += 1;
+    returnCredit(in_port);
+
+    if (d.isHead() && !d.isTail()) {
+        lock_owner = in_port;
+        lock_packet = d.packet;
+    } else if (d.isTail() &&
+               (lock_owner < 0 || lock_packet == d.packet)) {
+        // The packet-match guard only matters in degraded mode, where
+        // a lock-free tail must not clear another packet's lock.
+        lock_owner = -1;
+        lock_packet = kInvalidPacket;
+    }
+
+    // One move per hop: the head goes straight into the receiver's
+    // FIFO slot, then its old slot is released.
+    sendFlit(out_port, std::move(w));
+    in_[in_port].drop();
+}
+
 int
 Router::routeOf(const FlitDesc &flit) const
 {
@@ -364,12 +390,8 @@ Router::killOutput(int out_port, std::vector<FlitDesc> &lost)
 void
 Router::killInput(int in_port, std::vector<FlitDesc> &lost)
 {
-    if (stagedAt(in_port)) {
-        for (const FlitDesc &d : stagedIn_[in_port].parts)
-            lost.push_back(d);
-        stagedIn_[in_port] = WireFlit{}; // returns any spill block
-        stagedInMask_ &= ~maskBit(in_port);
-    }
+    (void)lost; // buffered flits are condemned by the purge instead
+    NOX_ASSERT(!stagedAt(in_port), "hard fault applied mid-cycle");
     creditTarget_[in_port] = CreditTarget{};
 }
 
@@ -443,18 +465,6 @@ void
 Router::onTableRebuild()
 {
     degraded_ = true;
-}
-
-std::optional<FlitDesc>
-Router::plainHead(int port) const
-{
-    const FlitFifo &fifo = in_[port];
-    if (fifo.empty())
-        return std::nullopt;
-    const WireFlit &head = fifo.front();
-    NOX_ASSERT(!head.encoded,
-               "encoded flit reached a non-decoding input port");
-    return head.parts.front();
 }
 
 std::unique_ptr<Arbiter>

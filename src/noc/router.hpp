@@ -10,8 +10,10 @@
  *
  * Two-phase update discipline: during evaluate() a router reads only
  * its own committed state and *stages* flits/credits into neighbours;
- * commit() latches staged arrivals. The network may therefore evaluate
- * routers in any order with identical results.
+ * commit() publishes staged arrivals. A staged flit already sits in
+ * its FIFO, behind the tail (FlitFifo::stage) and invisible until
+ * commit, so the network may evaluate routers in any order with
+ * identical results.
  */
 
 #ifndef NOX_NOC_ROUTER_HPP
@@ -112,7 +114,7 @@ class Router
      */
     virtual void evaluateLink(Cycle now);
 
-    /** Latch staged flit/credit arrivals (phase 2). */
+    /** Publish staged flit/credit arrivals (phase 2). */
     virtual void commit();
 
     /**
@@ -192,8 +194,9 @@ class Router
     virtual void killOutput(int out_port, std::vector<FlitDesc> &lost);
 
     /** Sever input @p in_port (the matching credit wire is gone).
-     *  Flits already buffered in the input FIFO arrived intact and
-     *  are rerouted or purged by condemnation, not dropped here. */
+     *  Hard faults apply between steps, so nothing is staged; flits
+     *  already buffered in the input FIFO arrived intact and are
+     *  rerouted or purged by condemnation, not dropped here. */
     virtual void killInput(int in_port, std::vector<FlitDesc> &lost);
 
     /**
@@ -350,6 +353,12 @@ class Router
     /** Return a freed input-buffer slot to the upstream sender. */
     void returnCredit(int in_port);
 
+    /** Move input @p in_port's head across the switch to @p out_port
+     *  (buffer read, upstream credit, send), opening or closing the
+     *  output's wormhole lock at a multi-flit head or tail. */
+    void traverseWormhole(int in_port, int out_port, int &lock_owner,
+                          PacketId &lock_packet);
+
     /** Output port for a flit at this router (lookahead table read;
      *  DOR-identical while the mesh is fault-free). */
     int routeOf(const FlitDesc &flit) const;
@@ -373,12 +382,6 @@ class Router
         (void)flit;
         credits_[out_port] += 1;
     }
-
-    /**
-     * Head flit of input @p port, asserting it is uncoded — valid in
-     * every architecture except NoX, whose ports decode instead.
-     */
-    std::optional<FlitDesc> plainHead(int port) const;
 
     /** Construct the configured arbiter flavour. */
     std::unique_ptr<Arbiter> makeArbiter() const;
@@ -429,15 +432,16 @@ class Router
 
     std::vector<FlitFifo> in_;
 
-    /**
-     * Staged (next-cycle) arrivals, struct-of-arrays style: the flit
-     * payloads live in a dense vector and occupancy lives in one
-     * port-indexed bitmask, so commit() walks set bits instead of
-     * probing an optional per port and quiescent() is a single
-     * compare. stagedIn_[p] is meaningful only while bit p of
-     * stagedInMask_ is set.
-     */
-    std::vector<WireFlit> stagedIn_;
+    /** FIFO an arrival at @p in_port is staged into: the port's input
+     *  FIFO (the VC router picks the lane the wire's VC tag names). */
+    virtual FlitFifo &arrivalFifo(int in_port, const WireFlit &)
+    {
+        return in_[in_port];
+    }
+
+    /** Input ports holding a staged arrival (already in its FIFO):
+     *  commit() walks set bits to publish them and quiescent() is a
+     *  single compare. */
     RequestMask stagedInMask_ = 0;
 
     /** True iff a flit is staged at input @p port this cycle. */

@@ -77,7 +77,7 @@ XorDecoder::accept(FlitFifo &fifo)
     }
     NOX_ASSERT(!fifo.empty() && !fifo.front().encoded,
                "accept on invalid decoder state");
-    fifo.pop();
+    fifo.drop();
     return true;
 }
 

@@ -40,9 +40,10 @@ struct DecodeView
      * (nullptr when nothing can be presented). Points into the
      * port's FIFO head or the decoder's scratch slot — NOT owned by
      * the view. Valid until the decoder or its FIFO next mutates
-     * (accept/latch/pop/push); copy the FlitDesc before committing
-     * anything. A FlitDesc copy per port per cycle is measurable in
-     * the always-tick kernel, which is why this is not a value.
+     * (accept/latch/pop/push; a neighbour's stage() behind the tail
+     * does not count); copy the FlitDesc before committing anything.
+     * A FlitDesc copy per port per cycle is measurable in the
+     * always-tick kernel, which is why this is not a value.
      */
     const FlitDesc *presented = nullptr;
 

@@ -1,6 +1,7 @@
 #include "routers/nonspec_router.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hpp"
 #include "snapshot/io.hpp"
@@ -18,41 +19,47 @@ NonSpecRouter::NonSpecRouter(NodeId id, const Mesh &mesh,
     lockPacket_.assign(ports, kInvalidPacket);
     for (auto &a : arb_)
         a = makeArbiter();
+    scratchHead_.resize(ports);
+    scratchRequests_.resize(ports);
 }
 
 void
 NonSpecRouter::evaluate(Cycle now)
 {
     // Combinational request gathering: each input's (uncoded) head
-    // flit requests exactly one output via lookahead DOR.
+    // flit requests exactly one output via lookahead DOR. Heads are
+    // read in place: head[p] is valid until input p is popped (so
+    // provSend() runs before the traversal), and an idle port's stale
+    // head[p] is never read because no request mask names it.
     const int ports = numPorts();
-    // Member scratch: evaluate() runs once per active router per
-    // cycle, so per-call vector allocation dominates the idle-path
-    // cost; reuse the buffers instead.
+    LatencyProvenance *const prov = prov_;
     auto &head = scratchHead_;
-    auto &out_of = scratchOut_;
-    head.assign(static_cast<std::size_t>(ports), std::nullopt);
-    out_of.assign(static_cast<std::size_t>(ports), -1);
+    auto &requests_for = scratchRequests_;
+    for (int o = 0; o < ports; ++o)
+        requests_for[static_cast<std::size_t>(o)] = 0;
     for (int p = 0; p < ports; ++p) {
-        head[p] = plainHead(p);
-        out_of[p] = head[p] ? routeOf(*head[p]) : -1;
+        if (in_[p].empty())
+            continue;
+        const WireFlit &w = in_[p].front();
+        NOX_ASSERT(!w.encoded,
+                   "encoded flit reached a non-decoding input port");
+        head[p] = &w.parts.front();
+        requests_for[routeOf(*head[p])] |= maskBit(p);
     }
 
-    for (int o = 0; o < ports; ++o) {
-        if (!outputConnected(o))
-            continue;
+    for (RequestMask cm = connectedOutputs(); cm; cm &= cm - 1) {
+        const int o = std::countr_zero(cm);
+        const RequestMask requests = requests_for[o];
         if (!haveCredit(o) || linkBusy(o, now)) {
-            if (prov_) {
+            if (prov) {
                 // Everyone presenting for this output waits on the
                 // downstream buffer (or on the link-retry protocol
                 // holding the wire).
                 const LatencyComponent c =
                     linkBusy(o, now) ? LatencyComponent::Retransmit
                                      : LatencyComponent::CreditStall;
-                for (int p = 0; p < ports; ++p) {
-                    if (out_of[p] == o)
-                        provStall(*head[p], c, now);
-                }
+                for (RequestMask m = requests; m; m &= m - 1)
+                    provStall(*head[std::countr_zero(m)], c, now);
             }
             continue;
         }
@@ -61,9 +68,9 @@ NonSpecRouter::evaluate(Cycle now)
             // Wormhole: output reserved for an in-flight packet; body
             // flits pass without re-arbitration.
             const int p = lockOwner_[o];
+            const bool owner_ready = (requests & maskBit(p)) != 0;
             if (degraded_ &&
-                !(head[p] && out_of[p] == o &&
-                  head[p]->packet == lockPacket_[o])) {
+                !(owner_ready && head[p]->packet == lockPacket_[o])) {
                 // After a mid-run table rebuild the locked packet may
                 // have been purged, rerouted to a different input, or
                 // had foreign flits interleaved into its stream.
@@ -73,36 +80,28 @@ NonSpecRouter::evaluate(Cycle now)
                 // packets still complete).
                 lockOwner_[o] = -1;
                 lockPacket_[o] = kInvalidPacket;
-                if (prov_) {
-                    for (int q = 0; q < ports; ++q) {
-                        if (out_of[q] == o)
-                            provStall(*head[q],
-                                      LatencyComponent::Reroute, now);
-                    }
+                if (prov) {
+                    for (RequestMask m = requests; m; m &= m - 1)
+                        provStall(*head[std::countr_zero(m)],
+                                  LatencyComponent::Reroute, now);
                 }
                 continue;
             }
-            if (prov_) {
-                for (int q = 0; q < ports; ++q) {
-                    if (q != p && out_of[q] == o)
-                        provStall(*head[q],
-                                  LatencyComponent::ArbLoss, now);
-                }
+            if (prov) {
+                for (RequestMask m = requests & ~maskBit(p); m;
+                     m &= m - 1)
+                    provStall(*head[std::countr_zero(m)],
+                              LatencyComponent::ArbLoss, now);
             }
-            if (head[p] && out_of[p] == o) {
+            if (owner_ready) {
                 NOX_ASSERT(head[p]->packet == lockPacket_[o],
                            "foreign flit inside locked wormhole");
-                traverse(p, o);
                 provSend(*head[p], o, now);
+                traverseWormhole(p, o, lockOwner_[o], lockPacket_[o]);
             }
             continue;
         }
 
-        RequestMask requests = 0;
-        for (int p = 0; p < ports; ++p) {
-            if (out_of[p] == o)
-                requests |= maskBit(p);
-        }
         if (!requests)
             continue;
 
@@ -112,15 +111,14 @@ NonSpecRouter::evaluate(Cycle now)
         trace(TraceEventKind::Arbitrate, o,
               static_cast<std::uint64_t>(winner),
               static_cast<std::uint32_t>(requests));
-        if (prov_) {
-            for (int p = 0; p < ports; ++p) {
-                if (p != winner && (requests & maskBit(p)))
-                    provStall(*head[p], LatencyComponent::ArbLoss,
-                              now);
-            }
+        if (prov) {
+            for (RequestMask m = requests & ~maskBit(winner); m;
+                 m &= m - 1)
+                provStall(*head[std::countr_zero(m)],
+                          LatencyComponent::ArbLoss, now);
         }
-        traverse(winner, o);
         provSend(*head[winner], o, now);
+        traverseWormhole(winner, o, lockOwner_[o], lockPacket_[o]);
     }
 }
 
@@ -134,30 +132,6 @@ NonSpecRouter::quiescent() const
             return false; // multi-flit transfer in progress
     }
     return true;
-}
-
-void
-NonSpecRouter::traverse(int in_port, int out_port)
-{
-    WireFlit w = in_[in_port].pop();
-    const FlitDesc &d = w.parts.front();
-    energy_.bufferReads += 1;
-    energy_.xbarInputDrives += 1;
-    returnCredit(in_port);
-
-    if (d.isHead() && !d.isTail()) {
-        lockOwner_[out_port] = in_port;
-        lockPacket_[out_port] = d.packet;
-    } else if (d.isTail() &&
-               (lockOwner_[out_port] < 0 ||
-                lockPacket_[out_port] == d.packet)) {
-        // The packet-match guard only matters in degraded mode, where
-        // a lock-free tail must not clear another packet's lock.
-        lockOwner_[out_port] = -1;
-        lockPacket_[out_port] = kInvalidPacket;
-    }
-
-    sendFlit(out_port, std::move(w));
 }
 
 void

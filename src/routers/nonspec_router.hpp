@@ -51,15 +51,13 @@ class NonSpecRouter : public Router
     void debugPerturb() override;
 
   private:
-    void traverse(int in_port, int out_port);
-
     std::vector<std::unique_ptr<Arbiter>> arb_;
     std::vector<int> lockOwner_;
     std::vector<PacketId> lockPacket_;
 
-    // Per-evaluate scratch (reused across cycles, see evaluate()).
-    std::vector<std::optional<FlitDesc>> scratchHead_;
-    std::vector<int> scratchOut_;
+    // Per-evaluate scratch, sized once (see evaluate()).
+    std::vector<const FlitDesc *> scratchHead_;   ///< in-place heads
+    std::vector<RequestMask> scratchRequests_;    ///< per-output
 };
 
 } // namespace nox

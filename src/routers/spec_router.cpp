@@ -21,25 +21,34 @@ SpecRouter::SpecRouter(NodeId id, const Mesh &mesh,
     prevHeadPacket_.assign(ports, kInvalidPacket);
     for (auto &a : arb_)
         a = makeArbiter();
+    scratchHead_.resize(ports);
+    scratchRequests_.resize(ports);
 }
 
 void
 SpecRouter::evaluate(Cycle now)
 {
+    // Heads are read in place, as in NonSpecRouter::evaluate().
     const int ports = numPorts();
-    // Member scratch — per-call allocation would dominate evaluate().
+    LatencyProvenance *const prov = prov_;
     auto &head = scratchHead_;
-    auto &out_of = scratchOut_;
-    auto &head_packet_at_start = scratchHeadPacket_;
-    head.assign(static_cast<std::size_t>(ports), std::nullopt);
-    out_of.assign(static_cast<std::size_t>(ports), -1);
-    head_packet_at_start.assign(static_cast<std::size_t>(ports),
-                                kInvalidPacket);
+    auto &requests_for = scratchRequests_;
+    for (int o = 0; o < ports; ++o)
+        requests_for[static_cast<std::size_t>(o)] = 0;
     for (int p = 0; p < ports; ++p) {
-        head[p] = plainHead(p);
-        out_of[p] = head[p] ? routeOf(*head[p]) : -1;
-        head_packet_at_start[p] = head[p] ? head[p]->packet
-                                          : kInvalidPacket;
+        // prevHeadPacket_ is updated in place to this cycle's head.
+        const PacketId prev = prevHeadPacket_[p];
+        if (in_[p].empty()) {
+            prevHeadPacket_[p] = kInvalidPacket;
+            continue;
+        }
+        const WireFlit &w = in_[p].front();
+        NOX_ASSERT(!w.encoded,
+                   "encoded flit reached a non-decoding input port");
+        const FlitDesc &d = w.parts.front();
+        head[p] = &d;
+        prevHeadPacket_[p] = d.packet;
+        const int o = routeOf(d);
 
         // Spec-Fast fairness rule (§3.1.2): a packet newly exposed
         // behind a departing packet on the same input may not request
@@ -47,28 +56,19 @@ SpecRouter::evaluate(Cycle now)
         // still carry the predecessor's state, so it neither rides
         // the stale reservation nor reaches the allocator. (A flit
         // arriving into an empty input registers normally.)
-        if (variant_ == Variant::Fast && head[p]) {
-            const bool newly_exposed =
-                prevHeadPacket_[p] != kInvalidPacket &&
-                prevHeadPacket_[p] != head[p]->packet;
-            if (newly_exposed) {
-                out_of[p] = -1;
-                // Fairness-rule blanking costs the new head one
-                // arbitration cycle.
-                provStall(*head[p], LatencyComponent::ArbLoss, now);
-            }
+        if (variant_ == Variant::Fast && prev != kInvalidPacket &&
+            prev != d.packet) {
+            // Fairness-rule blanking costs the new head one
+            // arbitration cycle.
+            provStall(d, LatencyComponent::ArbLoss, now);
+            continue;
         }
+        requests_for[o] |= maskBit(p);
     }
 
-    for (int o = 0; o < ports; ++o) {
-        if (!outputConnected(o))
-            continue;
-
-        RequestMask requests = 0;
-        for (int p = 0; p < ports; ++p) {
-            if (out_of[p] == o)
-                requests |= maskBit(p);
-        }
+    for (RequestMask cm = connectedOutputs(); cm; cm &= cm - 1) {
+        const int o = std::countr_zero(cm);
+        const RequestMask requests = requests_for[o];
 
         if (!haveCredit(o) || linkBusy(o, now)) {
             // Switch requests are gated by credits (and by the link-
@@ -80,14 +80,12 @@ SpecRouter::evaluate(Cycle now)
             // capture the output indefinitely under stop-and-go
             // credit flow — defeating the fairness the §3.1.2 rules
             // exist to protect.
-            if (prov_) {
+            if (prov) {
                 const LatencyComponent c =
                     linkBusy(o, now) ? LatencyComponent::Retransmit
                                      : LatencyComponent::CreditStall;
-                for (int p = 0; p < ports; ++p) {
-                    if (out_of[p] == o)
-                        provStall(*head[p], c, now);
-                }
+                for (RequestMask m = requests; m; m &= m - 1)
+                    provStall(*head[std::countr_zero(m)], c, now);
             }
             reserved_[o] = -1;
             continue;
@@ -100,7 +98,7 @@ SpecRouter::evaluate(Cycle now)
             // cycle, abandon the lock and let the remaining flits flow
             // flit-wise (delivery is count-based).
             const int p = lockOwner_[o];
-            if (!(head[p] && out_of[p] == o &&
+            if (!((requests & maskBit(p)) &&
                   head[p]->packet == lockPacket_[o])) {
                 lockOwner_[o] = -1;
                 lockPacket_[o] = kInvalidPacket;
@@ -121,18 +119,15 @@ SpecRouter::evaluate(Cycle now)
         const RequestMask drivers = requests & fast_mask;
         const int fanin = std::popcount(drivers);
 
-        if (prov_) {
+        if (prov) {
             // Requests outside the Switch-Fast mask lost to the lock
             // or reservation holder; on misspeculation every driver
             // loses the cycle too.
-            for (int p = 0; p < ports; ++p) {
-                const RequestMask bit = maskBit(p);
-                if ((requests & bit) &&
-                    (!(fast_mask & bit) ||
-                     (fanin > 1 && (drivers & bit))))
-                    provStall(*head[p], LatencyComponent::ArbLoss,
-                              now);
-            }
+            const RequestMask losers =
+                (requests & ~fast_mask) | (fanin > 1 ? drivers : 0);
+            for (RequestMask m = losers; m; m &= m - 1)
+                provStall(*head[std::countr_zero(m)],
+                          LatencyComponent::ArbLoss, now);
         }
 
         int success = -1;
@@ -142,8 +137,8 @@ SpecRouter::evaluate(Cycle now)
                 NOX_ASSERT(head[success]->packet == lockPacket_[o],
                            "foreign flit inside locked wormhole");
             }
-            traverse(success, o);
             provSend(*head[success], o, now);
+            traverseWormhole(success, o, lockOwner_[o], lockPacket_[o]);
         } else if (fanin > 1) {
             // Misspeculation: the switch drives the XOR^W an
             // indeterminate value; the cycle and link energy are lost.
@@ -188,8 +183,6 @@ SpecRouter::evaluate(Cycle now)
                   static_cast<std::uint32_t>(next_requests));
         }
     }
-
-    prevHeadPacket_ = head_packet_at_start;
 }
 
 bool
@@ -210,30 +203,6 @@ SpecRouter::quiescent() const
             return false;
     }
     return true;
-}
-
-void
-SpecRouter::traverse(int in_port, int out_port)
-{
-    WireFlit w = in_[in_port].pop();
-    const FlitDesc &d = w.parts.front();
-    energy_.bufferReads += 1;
-    energy_.xbarInputDrives += 1;
-    returnCredit(in_port);
-
-    if (d.isHead() && !d.isTail()) {
-        lockOwner_[out_port] = in_port;
-        lockPacket_[out_port] = d.packet;
-    } else if (d.isTail() &&
-               (lockOwner_[out_port] < 0 ||
-                lockPacket_[out_port] == d.packet)) {
-        // The packet-match guard only matters in degraded mode, where
-        // a lock-free tail must not clear another packet's lock.
-        lockOwner_[out_port] = -1;
-        lockPacket_[out_port] = kInvalidPacket;
-    }
-
-    sendFlit(out_port, std::move(w));
 }
 
 void

@@ -76,8 +76,6 @@ class SpecRouter : public Router
     void debugPerturb() override;
 
   private:
-    void traverse(int in_port, int out_port);
-
     Variant variant_;
     std::vector<std::unique_ptr<Arbiter>> arb_;
 
@@ -92,10 +90,9 @@ class SpecRouter : public Router
      *  (0 = FIFO was empty) — drives the newly-exposed rule. */
     std::vector<PacketId> prevHeadPacket_;
 
-    // Per-evaluate scratch (reused across cycles, see evaluate()).
-    std::vector<std::optional<FlitDesc>> scratchHead_;
-    std::vector<int> scratchOut_;
-    std::vector<PacketId> scratchHeadPacket_;
+    // Per-evaluate scratch, sized once (see evaluate()).
+    std::vector<const FlitDesc *> scratchHead_;   ///< in-place heads
+    std::vector<RequestMask> scratchRequests_;    ///< per-output
 };
 
 } // namespace nox

@@ -1,7 +1,6 @@
 #include "routers/vc_router.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/log.hpp"
 #include "noc/fault_injector.hpp"
@@ -43,17 +42,14 @@ void
 VcRouter::commit()
 {
     const int ports = numPorts();
-    RequestMask staged = stagedInMask_;
-    stagedInMask_ = 0;
-    while (staged) {
-        const int p = std::countr_zero(staged);
-        staged &= staged - 1;
-        energy_.bufferWrites += 1;
-        WireFlit f = std::move(stagedIn_[p]);
-        NOX_ASSERT(f.vc < vcs_, "flit VC ", int(f.vc),
-                   " out of range");
-        vcIn_[index(p, f.vc)].push(std::move(f));
+    // Arrivals were staged straight into their lanes.
+    for (FlitFifo &fifo : vcIn_) {
+        if (fifo.staged()) {
+            energy_.bufferWrites += 1;
+            fifo.publish();
+        }
     }
+    stagedInMask_ = 0;
     stagedCreditMask_ = 0;
     for (int p = 0; p < ports; ++p) {
         // Plain per-port credits are unused by this router, but the
@@ -332,7 +328,7 @@ void
 VcRouter::traverse(int in_port, int vc, int out_port, Cycle now)
 {
     FlitFifo &fifo = vcIn_[index(in_port, vc)];
-    WireFlit w = fifo.pop();
+    WireFlit &w = fifo.front(); // moved on in place, then dropped
     const FlitDesc &d = w.parts.front();
     provSend(d, out_port, now);
     energy_.bufferReads += 1;
@@ -358,6 +354,7 @@ VcRouter::traverse(int in_port, int vc, int out_port, Cycle now)
     NOX_ASSERT(vcCredits_[lane] > 0, "VC credit underflow");
     --vcCredits_[lane];
     dispatchFlit(out_port, std::move(w));
+    fifo.drop();
 }
 
 void

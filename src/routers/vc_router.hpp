@@ -102,6 +102,14 @@ class VcRouter : public Router
     void debugPerturb() override;
 
   protected:
+    /** Arrivals are staged into the lane their VC tag names. */
+    FlitFifo &arrivalFifo(int in_port, const WireFlit &flit) override
+    {
+        NOX_ASSERT(flit.vc < vcs_, "flit VC ", int(flit.vc),
+                   " out of range");
+        return vcIn_[index(in_port, flit.vc)];
+    }
+
     /** A flushed retry entry refunds the credit of its own VC lane. */
     void refundRetryCredit(int out_port, const WireFlit &flit) override
     {

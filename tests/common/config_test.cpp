@@ -134,6 +134,23 @@ TEST(ConfigDeathTest, BadIntegerDies)
                 "not an integer");
 }
 
+TEST(ConfigDeathTest, ExplicitEmptyListDies)
+{
+    // An explicit empty list must not silently run the default set.
+    for (const char *v : {"", " ", ",", " , "}) {
+        Config c;
+        c.set("loads", std::string(v));
+        EXPECT_EXIT((void)c.getDoubleList("loads"),
+                    ::testing::ExitedWithCode(1),
+                    "'loads' is an empty list")
+            << '"' << v << '"';
+        EXPECT_EXIT((void)c.getStringList("loads"),
+                    ::testing::ExitedWithCode(1),
+                    "'loads' is an empty list")
+            << '"' << v << '"';
+    }
+}
+
 TEST(ConfigDeathTest, BadBoolDies)
 {
     Config c;

@@ -202,13 +202,17 @@ TEST_P(RecoverySweep, ExactlyOnceDeliveryUnderRateFaults)
     EXPECT_TRUE(report.partialPackets.empty());
 }
 
+// Static storage: the struct's padding bytes are zero, so the
+// parameter gtest prints into each test name is the same in every
+// build (temporaries left stack garbage in it).
+const RecoveryCase kRecoveryCases[] = {
+    {RouterArch::NonSpeculative, 1}, {RouterArch::SpecFast, 1},
+    {RouterArch::SpecAccurate, 1},   {RouterArch::Nox, 1},
+    {RouterArch::NonSpeculative, 2},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    ArchesAndVc, RecoverySweep,
-    ::testing::Values(RecoveryCase{RouterArch::NonSpeculative, 1},
-                      RecoveryCase{RouterArch::SpecFast, 1},
-                      RecoveryCase{RouterArch::SpecAccurate, 1},
-                      RecoveryCase{RouterArch::Nox, 1},
-                      RecoveryCase{RouterArch::NonSpeculative, 2}),
+    ArchesAndVc, RecoverySweep, ::testing::ValuesIn(kRecoveryCases),
     [](const auto &info) {
         std::string n = archName(info.param.arch);
         std::erase(n, '-');

@@ -1,0 +1,276 @@
+/**
+ * @file
+ * Pinned trajectories: small seeded runs whose outcome is compared
+ * against constants, not against another run. The kernel-equivalence
+ * and observer-effect suites prove that two configurations of the
+ * *same* code agree; they cannot see a refactor that changes a
+ * decision identically in both. These constants can.
+ *
+ * Every router architecture (plus the two-VC exploration router) runs
+ * a 4x4 mesh of mixed single- and multi-flit request/reply traffic in
+ * three regimes chosen to reach paths the throughput benchmark never
+ * takes:
+ *   - plain: fault-free, observers off;
+ *   - provenance: latency provenance on under recoverable soft faults,
+ *     so every per-flit charge loop runs, including the link-retry
+ *     (Retransmit) charges;
+ *   - router kill: a router dies mid-run with provenance on, forcing a
+ *     routing-table rebuild, after which every architecture abandons
+ *     wormhole locks in degraded mode (NonSpec and NoX also bill
+ *     Reroute charges to the waiting flits).
+ *
+ * Each run drains and must reproduce the recorded final state-digest
+ * fold, packet counts, flit-hops, latency sum and per-component
+ * provenance totals exactly. A mismatch prints the whole measured row
+ * in table syntax; re-record only for a change that is *meant* to
+ * alter simulated behaviour, and say so in the change description.
+ */
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdio>
+#include <memory>
+#include <ostream>
+#include <string>
+
+#include "common/rng.hpp"
+#include "noc/network.hpp"
+#include "obs/digest.hpp"
+#include "obs/provenance.hpp"
+#include "routers/factory.hpp"
+
+namespace nox {
+namespace {
+
+constexpr int kSide = 4;
+constexpr Cycle kRun = 600;
+constexpr Cycle kKillCycle = 150;
+constexpr Cycle kDrainLimit = 200000;
+constexpr double kPacketRate = 0.16; ///< packets per node per cycle
+
+/** Every node injects single-flit or 4-flit packets to uniform random
+ *  destinations, alternating request and reply class at random (reply
+ *  packets ride VC 1 on a two-VC router). One object drives the whole
+ *  mesh from one seeded stream. */
+class MixedSource : public TrafficSource
+{
+  public:
+    MixedSource(int nodes, std::uint64_t seed)
+        : nodes_(nodes), rng_(seed)
+    {
+    }
+
+    void
+    tick(Cycle now, PacketInjector &inj) override
+    {
+        for (NodeId n = 0; n < nodes_; ++n) {
+            if (!rng_.nextBernoulli(kPacketRate))
+                continue;
+            auto dst = static_cast<NodeId>(
+                rng_.nextBounded(static_cast<std::uint64_t>(nodes_ - 1)));
+            if (dst >= n)
+                ++dst;
+            const int flits = rng_.nextBernoulli(0.5) ? 1 : 4;
+            const TrafficClass cls = rng_.nextBernoulli(0.5)
+                                         ? TrafficClass::Request
+                                         : TrafficClass::Reply;
+            inj.injectPacket(n, dst, flits, now, cls);
+        }
+    }
+
+  private:
+    int nodes_;
+    Rng rng_;
+};
+
+enum class Regime { Plain, Provenance, RouterKill };
+
+/** The recorded outcome of one run. */
+struct Pinned
+{
+    std::uint64_t fold = 0;
+    std::uint64_t injected = 0;
+    std::uint64_t ejected = 0;
+    std::uint64_t flitHops = 0;
+    double latencySum = 0.0;
+    /** Provenance total per LatencyComponent (all zero when off). */
+    std::array<std::uint64_t, kNumLatencyComponents> prov{};
+};
+
+struct Case
+{
+    const char *name;
+    RouterArch arch;
+    int vcCount;
+    Regime regime;
+    Pinned expected;
+};
+
+Pinned
+runCase(const Case &c)
+{
+    NetworkParams params;
+    params.width = kSide;
+    params.height = kSide;
+    params.schedulingMode = SchedulingMode::ActivityDriven;
+    params.router.vcCount = c.vcCount;
+    if (c.regime != Regime::Plain) {
+        params.obs.prov.enabled = true;
+        params.faults.enabled = true;
+        params.faults.seed = 0x5EED5;
+    }
+    if (c.regime == Regime::Provenance) {
+        params.faults.bitflipRate = 0.01;
+        params.faults.dropRate = 0.005;
+    }
+    if (c.regime == Regime::RouterKill) {
+        params.faults.hardRouterFaults = 1;
+        params.faults.hardFaultCycle = kKillCycle;
+    }
+    auto net = makeNetwork(params, c.arch);
+    net->addSource(std::make_unique<MixedSource>(net->numNodes(),
+                                                 0x7A1C0DE));
+    net->run(kRun);
+    net->setSourcesEnabled(false);
+    EXPECT_TRUE(net->drain(kDrainLimit))
+        << c.name << ": " << net->lastDrainReport().summary();
+
+    Pinned got;
+    const NetworkStats &s = net->stats();
+    const EnergyEvents ev = net->totalEnergyEvents();
+    got.fold = net->computeDigestStride().fold();
+    got.injected = s.packetsInjected;
+    got.ejected = s.packetsEjected;
+    got.flitHops = ev.linkFlits + ev.localLinkFlits;
+    got.latencySum = s.latency.sum();
+    if (const LatencyProvenance *prov = net->provenance())
+        got.prov = prov->total().comp;
+    return got;
+}
+
+/** @p p as a row of the table below (for re-recording). */
+std::string
+row(const Pinned &p)
+{
+    char buf[512];
+    int n = std::snprintf(
+        buf, sizeof buf, "{0x%016llxULL, %llu, %llu, %llu, %.17g, {",
+        static_cast<unsigned long long>(p.fold),
+        static_cast<unsigned long long>(p.injected),
+        static_cast<unsigned long long>(p.ejected),
+        static_cast<unsigned long long>(p.flitHops), p.latencySum);
+    for (std::size_t i = 0; i < p.prov.size(); ++i) {
+        n += std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n),
+                           "%s%llu", i ? ", " : "",
+                           static_cast<unsigned long long>(p.prov[i]));
+    }
+    std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n), "}}");
+    return buf;
+}
+
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class PinnedTrajectory : public ::testing::TestWithParam<Case>
+{
+};
+
+TEST_P(PinnedTrajectory, MatchesRecordedRun)
+{
+    const Case &c = GetParam();
+    const Pinned got = runCase(c);
+    const Pinned &want = c.expected;
+    EXPECT_EQ(got.fold, want.fold);
+    EXPECT_EQ(got.injected, want.injected);
+    EXPECT_EQ(got.ejected, want.ejected);
+    EXPECT_EQ(got.flitHops, want.flitHops);
+    EXPECT_EQ(got.latencySum, want.latencySum);
+    for (std::size_t i = 0; i < kNumLatencyComponents; ++i) {
+        EXPECT_EQ(got.prov[i], want.prov[i])
+            << latencyComponentName(static_cast<LatencyComponent>(i));
+    }
+    if (::testing::Test::HasFailure())
+        ADD_FAILURE() << c.name << " measured " << row(got);
+    // The regimes really reach the paths they exist for.
+    EXPECT_GT(got.ejected, 0u);
+    const auto charged = [&](LatencyComponent lc) {
+        return got.prov[static_cast<std::size_t>(lc)];
+    };
+    if (c.regime != Regime::Plain) {
+        EXPECT_GT(charged(LatencyComponent::ArbLoss), 0u);
+        EXPECT_GT(charged(LatencyComponent::CreditStall), 0u);
+    }
+    if (c.regime == Regime::Provenance) {
+        EXPECT_GT(charged(LatencyComponent::Retransmit), 0u);
+    }
+    if (c.regime == Regime::RouterKill) {
+        EXPECT_LT(got.ejected, got.injected);
+    }
+}
+
+// Recorded from the reference implementation; see the file comment
+// before touching any of these.
+const Case kCases[] = {
+    {"nonspec_plain", RouterArch::NonSpeculative, 1, Regime::Plain,
+     {0xbb207f2109d162a1ULL, 1584, 1584, 18073, 19054,
+      {0, 0, 0, 0, 0, 0, 0, 0}}},
+    {"nonspec_provenance", RouterArch::NonSpeculative, 1, Regime::Provenance,
+     {0x17cb02a4e62a06b8ULL, 1584, 1584, 18235, 27629.000000000051,
+      {8975, 9001, 6629, 1027, 1551, 0, 446, 0}}},
+    {"nonspec_router_kill", RouterArch::NonSpeculative, 1, Regime::RouterKill,
+     {0xfc7bdcdd728a3efdULL, 1435, 1430, 16382, 65508.000000000036,
+      {41725, 8177, 11233, 2523, 1848, 0, 0, 2}}},
+    {"specfast_plain", RouterArch::SpecFast, 1, Regime::Plain,
+     {0xb0243bf6b0b915b4ULL, 1584, 1584, 18073, 110427.99999999997,
+      {0, 0, 0, 0, 0, 0, 0, 0}}},
+    {"specfast_provenance", RouterArch::SpecFast, 1, Regime::Provenance,
+     {0x825dca75a6ce0bfbULL, 1584, 1584, 18223, 117621.00000000006,
+      {83891, 9001, 16801, 2906, 4632, 0, 390, 0}}},
+    {"specfast_router_kill", RouterArch::SpecFast, 1, Regime::RouterKill,
+     {0x2465a228f0c22d7fULL, 1435, 1419, 16283, 293811.99999999994,
+      {250690, 8122, 23538, 6361, 5101, 0, 0, 0}}},
+    {"specaccurate_plain", RouterArch::SpecAccurate, 1, Regime::Plain,
+     {0xdc2391630cb02d47ULL, 1584, 1584, 18073, 29534.999999999996,
+      {0, 0, 0, 0, 0, 0, 0, 0}}},
+    {"specaccurate_provenance", RouterArch::SpecAccurate, 1,
+     Regime::Provenance,
+     {0x7ebc67da17f43781ULL, 1584, 1584, 18217, 44824.000000000051,
+      {20795, 9001, 10288, 1801, 2447, 0, 492, 0}}},
+    {"specaccurate_router_kill", RouterArch::SpecAccurate, 1,
+     Regime::RouterKill,
+     {0x1e5d9aa96ed3e7deULL, 1435, 1426, 16336, 129880,
+      {98755, 8153, 15729, 4139, 3104, 0, 0, 0}}},
+    {"nox_plain", RouterArch::Nox, 1, Regime::Plain,
+     {0x4036f68d3bd60158ULL, 1584, 1584, 18073, 21751.000000000004,
+      {0, 0, 0, 0, 0, 0, 0, 0}}},
+    {"nox_provenance", RouterArch::Nox, 1, Regime::Provenance,
+     {0x301ad1216b51e4b8ULL, 1584, 1584, 18224, 31590.999999999967,
+      {11644, 9001, 7724, 1083, 1427, 246, 466, 0}}},
+    {"nox_router_kill", RouterArch::Nox, 1, Regime::RouterKill,
+     {0x85b035310e0e8166ULL, 1435, 1431, 16382, 73546.999999999956,
+      {48207, 8183, 12242, 2889, 1817, 205, 0, 4}}},
+    {"nonspec_vc2_plain", RouterArch::NonSpeculative, 2, Regime::Plain,
+     {0x90e2226fc8d132fcULL, 1584, 1584, 18073, 18471.000000000015,
+      {0, 0, 0, 0, 0, 0, 0, 0}}},
+    {"nonspec_vc2_provenance", RouterArch::NonSpeculative, 2,
+     Regime::Provenance,
+     {0xdf4684aad98601ffULL, 1584, 1584, 18222, 21671.999999999993,
+      {4271, 9001, 5137, 446, 2358, 0, 459, 0}}},
+    {"nonspec_vc2_router_kill", RouterArch::NonSpeculative, 2,
+     Regime::RouterKill,
+     {0xa158a923ef6de3f7ULL, 1435, 1431, 16398, 52918.000000000065,
+      {21890, 8187, 15552, 3286, 4003, 0, 0, 0}}},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRouters, PinnedTrajectory, ::testing::ValuesIn(kCases),
+    [](const ::testing::TestParamInfo<Case> &info) {
+        return std::string(info.param.name);
+    });
+
+} // namespace
+} // namespace nox

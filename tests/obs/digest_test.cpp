@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/digest.hpp"
 
 namespace nox {
@@ -155,7 +157,14 @@ class DigestLedgerFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = fs::temp_directory_path() / "nox-digest-test";
+        // One directory per test and process: ctest -j runs these
+        // tests concurrently, and each TearDown removes its own.
+        dir_ = fs::temp_directory_path() /
+               ("nox-digest-" +
+                std::string(::testing::UnitTest::GetInstance()
+                                ->current_test_info()
+                                ->name()) +
+                "-" + std::to_string(::getpid()));
         fs::create_directories(dir_);
         path_ = (dir_ / "ledger.jsonl").string();
         std::remove(path_.c_str());

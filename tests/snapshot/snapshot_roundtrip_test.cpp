@@ -25,6 +25,8 @@
 #include <tuple>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "obs/digest.hpp"
@@ -361,8 +363,12 @@ TEST(SnapshotRoundtripExtra, ObservabilityStateRoundtrips)
 TEST(SnapshotRoundtripExtra, FileLayerRotatesAndRestores)
 {
     namespace fs = std::filesystem;
+    // Per-process directory: concurrent test processes must not
+    // share (and delete) each other's checkpoint files.
     const fs::path dir =
-        fs::temp_directory_path() / "nox-snapshot-test";
+        fs::temp_directory_path() /
+        ("nox-snapshot-FileLayerRotatesAndRestores-" +
+         std::to_string(::getpid()));
     fs::create_directories(dir);
     const std::string path = (dir / "ckpt.snap").string();
     std::remove(path.c_str());
