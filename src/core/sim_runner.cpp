@@ -76,8 +76,7 @@ parseSyntheticConfig(const Config &config)
     c.resumePath = config.getString("resume");
 
     c.perturbCycle = config.getUint("perturb_cycle", 0);
-    c.perturbRouter = static_cast<NodeId>(
-        config.getInt("perturb_router", 0));
+    c.perturbRouter = config.getInt("perturb_router", 0);
     return c;
 }
 

@@ -74,7 +74,7 @@ struct SyntheticConfig
      *  this router at the end of this cycle (0 = off). Seeds a known
      *  divergence for the digest ledger / trace_tool bisect flow. */
     Cycle perturbCycle = 0;
-    NodeId perturbRouter = 0;
+    std::int64_t perturbRouter = 0; ///< range-checked by Network
 };
 
 /** Result of one measurement point. */

@@ -13,8 +13,8 @@
  * a hash-keyed stream rather than a sequential one. Because link
  * events themselves are identical across scheduling kernels, the same
  * seed therefore produces the same fault schedule — and bit-identical
- * NetworkStats — under alwaystick, activity and equivalence
- * scheduling, regardless of which components happen to be evaluated.
+ * NetworkStats — under alwaystick and activity scheduling,
+ * regardless of which components happen to be evaluated.
  * The stream is independent of every traffic RNG.
  */
 

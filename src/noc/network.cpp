@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <sstream>
 #include <string_view>
@@ -10,6 +11,62 @@
 #include "noc/snapshot_codec.hpp"
 
 namespace nox {
+
+namespace {
+
+// Active sets are bitsets: member id is bit id%64 of word id/64.
+
+bool
+isMember(const std::vector<std::uint64_t> &set, NodeId id)
+{
+    return (set[static_cast<std::size_t>(id) / 64] >> (id % 64)) & 1;
+}
+
+void
+setMember(std::vector<std::uint64_t> &set, NodeId id, bool member)
+{
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    std::uint64_t &word = set[static_cast<std::size_t>(id) / 64];
+    word = member ? word | bit : word & ~bit;
+}
+
+int
+countMembers(const std::vector<std::uint64_t> &set)
+{
+    int n = 0;
+    for (std::uint64_t word : set)
+        n += std::popcount(word);
+    return n;
+}
+
+/**
+ * Visit the members of @p set in ascending id order, re-reading each
+ * word after every visit: a member woken mid-walk above the current
+ * id is visited too, as by a loop over per-component flags.
+ */
+template <typename Visit>
+void
+forEachMember(const std::vector<std::uint64_t> &set, Visit &&visit)
+{
+    const std::uint64_t *const words = set.data(); // never reallocated
+    for (std::size_t w = 0; w < set.size(); ++w) {
+        const auto base = static_cast<NodeId>(w * 64);
+        if (words[w] == ~std::uint64_t{0}) {
+            // A full word gains no member mid-walk, and a visit only
+            // ever retires itself: every id, in order.
+            for (NodeId id = base; id < base + 64; ++id)
+                visit(id);
+            continue;
+        }
+        for (std::uint64_t bits = words[w]; bits != 0;) {
+            const int b = std::countr_zero(bits);
+            visit(base + b);
+            bits = words[w] & (~std::uint64_t{1} << b); // ids above b
+        }
+    }
+}
+
+} // namespace
 
 std::string
 DrainReport::summary() const
@@ -52,29 +109,18 @@ DrainReport::summary() const
 const char *
 schedulingModeName(SchedulingMode mode)
 {
-    switch (mode) {
-      case SchedulingMode::AlwaysTick:
-        return "alwaystick";
-      case SchedulingMode::ActivityDriven:
-        return "activity";
-      case SchedulingMode::EquivalenceCheck:
-        return "equivalence";
-    }
-    panic("unknown scheduling mode");
+    return mode == SchedulingMode::AlwaysTick ? "alwaystick" : "activity";
 }
 
 SchedulingMode
 parseSchedulingMode(const char *name)
 {
     const std::string_view n(name);
-    if (n == "alwaystick" || n == "always")
+    if (n == "alwaystick")
         return SchedulingMode::AlwaysTick;
-    if (n == "activity" || n == "scheduled")
+    if (n == "activity")
         return SchedulingMode::ActivityDriven;
-    if (n == "equivalence" || n == "check")
-        return SchedulingMode::EquivalenceCheck;
-    fatal("unknown scheduling mode '", n,
-          "' (alwaystick | activity | equivalence)");
+    fatal("unknown scheduling mode '", n, "' (alwaystick | activity)");
 }
 
 Network::Network(const NetworkParams &params, RouterFactory factory)
@@ -91,6 +137,10 @@ Network::Network(const NetworkParams &params, RouterFactory factory)
 
     const int nr = mesh_.numRouters();
     const int nn = mesh_.numNodes();
+    if (params.debugPerturbRouter < 0 || params.debugPerturbRouter >= nr) {
+        fatal("perturb_router=", params.debugPerturbRouter,
+              " is out of range (valid: 0..", nr - 1, ")");
+    }
     routers_.reserve(static_cast<std::size_t>(nr));
     nics_.reserve(static_cast<std::size_t>(nn));
 
@@ -158,17 +208,22 @@ Network::Network(const NetworkParams &params, RouterFactory factory)
         }
     }
 
-    // Active-set bookkeeping: everything starts armed (the first
-    // cycles retire whatever is genuinely idle). The flag vectors are
-    // sized once here and never reallocated, so the bound pointers
-    // stay valid for the network's lifetime.
-    routerActive_.assign(static_cast<std::size_t>(nr), 1);
-    nicActive_.assign(static_cast<std::size_t>(nn), 1);
-    scratchRouters_.reserve(static_cast<std::size_t>(nr));
-    for (NodeId r = 0; r < nr; ++r)
-        routers_[r]->bindActivity(&routerActive_[r]);
-    for (NodeId node = 0; node < nn; ++node)
-        nics_[node]->bindActivity(&nicActive_[node]);
+    // Active sets start full (the first cycles retire whatever is
+    // idle) and never reallocate, so bound wake pointers stay valid.
+    // Only the gating kernel binds wakes: always-tick retires nothing.
+    const bool gating =
+        params_.schedulingMode == SchedulingMode::ActivityDriven;
+    const auto arm = [gating](std::vector<std::uint64_t> &set, auto &parts) {
+        set.resize((parts.size() + 63) / 64);
+        for (std::size_t id = 0; id < parts.size(); ++id) {
+            setMember(set, static_cast<NodeId>(id), true);
+            if (gating)
+                parts[id]->bindActivity(&set[id / 64], 1ULL << (id % 64));
+        }
+    };
+    arm(routerActive_, routers_);
+    arm(nicActive_, nics_);
+    evalRouters_ = routerActive_;
 
     // Observability: the recorder and sampler are passive observers —
     // they read committed state and counters but never mutate router,
@@ -487,154 +542,16 @@ Network::addSource(std::unique_ptr<TrafficSource> source)
 void
 Network::step()
 {
-    if (profiler_)
-        profiler_->beginStep();
-    switch (params_.schedulingMode) {
-      case SchedulingMode::AlwaysTick:
-        stepAlwaysTick();
-        break;
-      case SchedulingMode::ActivityDriven:
-        stepScheduled(false);
-        break;
-      case SchedulingMode::EquivalenceCheck:
-        stepScheduled(true);
-        break;
-      default:
-        panic("unknown scheduling mode");
-    }
-    // Deliberate-divergence knob (test/debug only): fires after the
-    // kernel committed the step ending at now_, before the digest
-    // stride below — so the first differing stride carries exactly
-    // this cycle (see NetworkParams::debugPerturbCycle).
-    if (params_.debugPerturbCycle != 0 &&
-        now_ == params_.debugPerturbCycle) {
-        routers_[static_cast<std::size_t>(params_.debugPerturbRouter)]
-            ->debugPerturb();
-    }
-    if (digest_ && digest_->due(now_)) {
-        ProfScope ps(profiler_.get(), SimPhase::ObsFlush);
-        digest_->record(computeDigestStride(digest_->scratch()));
-    }
-    if (telemetry_ && telemetry_->due(now_)) {
-        ProfScope ps(profiler_.get(), SimPhase::ObsFlush);
-        emitTelemetry();
-    }
-    if (profiler_)
-        profiler_->endStep();
-}
-
-void
-Network::stepAlwaysTick()
-{
     PhaseProfiler *const prof = profiler_.get();
-
-    // 0. Fault-injection clock: draws during this cycle key off now_.
-    if (faults_) {
-        ProfScope ps(prof, SimPhase::Scheduler);
-        faults_->beginCycle(now_);
-        if (faults_->hardFaultsPending())
-            applyDueHardFaults(/*at_construction=*/false);
-        if (faults_->params().packetAgeLimit > 0)
-            checkPacketAges();
-        if (transport_)
-            transport_->sweep(now_, *this);
-    }
-    if (tracer_) {
-        ProfScope ps(prof, SimPhase::ObsFlush);
-        tracer_->beginCycle(now_);
-    }
-
-    // 1. Traffic generation for this cycle.
-    if (sourcesEnabled_) {
-        ProfScope ps(prof, SimPhase::TrafficInject);
-        for (auto &src : sources_)
-            src->tick(now_, *this);
-    }
-
-    // 1b. Link-layer maintenance (retransmissions, credit watchdog)
-    // runs before any router reads its committed state, so a
-    // retransmitted flit is staged exactly like a first transmission.
-    if (faults_) {
-        ProfScope ps(prof, SimPhase::LinkRetry);
-        for (auto &r : routers_)
-            r->evaluateLink(now_);
-    }
-
-    // 2. NIC injection (stages flits into router local inputs).
-    {
-        ProfScope ps(prof, SimPhase::TrafficInject);
-        for (auto &nic : nics_)
-            nic->evaluateInject(now_);
-    }
-
-    // 3. Router evaluation (order-independent; staged effects only).
-    {
-        ProfScope ps(prof, SimPhase::RouterEvaluate);
-        for (auto &r : routers_)
-            r->evaluate(now_);
-    }
     if (prof)
-        prof->countEvalsAll();
+        prof->beginStep();
+    // The one mode-dependent decision: does a quiescent component
+    // retire from its active set at commit?
+    const bool gating =
+        params_.schedulingMode == SchedulingMode::ActivityDriven;
 
-    // 4. NIC sinks drain their committed FIFOs.
-    {
-        ProfScope ps(prof, SimPhase::NicEject);
-        for (auto &nic : nics_)
-            nic->evaluateSink(now_);
-    }
-
-    // 5. Commit staged arrivals and credits everywhere.
-    {
-        ProfScope ps(prof, SimPhase::Scheduler);
-        for (auto &r : routers_) {
-            r->energy().cycles += 1;
-            r->commit();
-        }
-        for (NodeId n = 0; n < numNodes(); ++n) {
-            nics_[n]->commit();
-            sampleSourceQueue(n);
-        }
-        ++now_;
-    }
-    if (metrics_ && metrics_->windowEnds(now_)) {
-        ProfScope ps(prof, SimPhase::ObsFlush);
-        sampleMetricsWindow();
-    }
-    if (checkpointInterval_ != 0 && now_ % checkpointInterval_ == 0 &&
-        checkpointHook_) {
-        ProfScope ps(prof, SimPhase::Checkpoint);
-        checkpointHook_(*this);
-        if (telemetry_)
-            telemetry_->noteCheckpoint(now_);
-    }
-}
-
-void
-Network::stepScheduled(bool check)
-{
-    PhaseProfiler *const prof = profiler_.get();
-    const int nr = numRouters();
-    const int nn = numNodes();
-
-    // Equivalence mode: every retired component must still honour the
-    // quiescence contract at the start of the cycle. Because a
-    // retired component's flag is only re-set by staging, this also
-    // proves (inductively) that ticking it last cycle was a no-op.
-    if (check) {
-        ProfScope ps(prof, SimPhase::Scheduler);
-        for (NodeId r = 0; r < nr; ++r) {
-            NOX_ASSERT(routerActive_[r] || routers_[r]->quiescent(),
-                       "retired router ", r, " is not quiescent");
-        }
-        for (NodeId n = 0; n < nn; ++n) {
-            NOX_ASSERT(nicActive_[n] || nics_[n]->quiescent(),
-                       "retired NIC ", n, " is not quiescent");
-        }
-    }
-
-    // 0. Fault-injection clock (see stepAlwaysTick). Hard faults and
-    // the age sweep run identically under every kernel — they read
-    // and mutate committed state only, before any evaluation.
+    // 0. Fault-injection clock (draws this cycle key off now_); hard
+    // faults and sweeps touch committed state only.
     if (faults_) {
         ProfScope ps(prof, SimPhase::Scheduler);
         faults_->beginCycle(now_);
@@ -651,99 +568,79 @@ Network::stepScheduled(bool check)
         traceWakes();
     }
 
-    // 1. Traffic generation always runs: sources draw from their RNG
-    // every cycle regardless of kernel, so both kernels see the same
-    // injection sequence. injectPacket() re-arms the target NIC.
+    // 1. Traffic generation: sources draw from their RNG every cycle,
+    // so both modes see the same traffic. Injection re-arms the NIC.
     if (sourcesEnabled_) {
         ProfScope ps(prof, SimPhase::TrafficInject);
         for (auto &src : sources_)
             src->tick(now_, *this);
     }
 
-    // 1b. Link-layer maintenance over the active set. Retired routers
-    // are guaranteed a no-op here (quiescent() covers retry entries
-    // and owed watchdog credits), so skipping them is exact.
+    // 1b. Link-layer maintenance (retransmissions, credit watchdog)
+    // precedes evaluation, so a retransmitted flit is staged like a
+    // first transmission. quiescent() covers retries and owed credits.
     if (faults_) {
         ProfScope ps(prof, SimPhase::LinkRetry);
-        for (NodeId r = 0; r < nr; ++r) {
-            if (routerActive_[r] || check)
-                routers_[r]->evaluateLink(now_);
-        }
+        forEachMember(routerActive_, [&](NodeId r) {
+            routers_[r]->evaluateLink(now_);
+        });
     }
 
-    // 2. NIC injection for the active set (live flags: a NIC armed by
-    // this cycle's traffic injects this cycle, as in always-tick).
+    // 2. NIC injection into router local inputs.
     {
         ProfScope ps(prof, SimPhase::TrafficInject);
-        for (NodeId n = 0; n < nn; ++n) {
-            if (nicActive_[n] || check)
-                nics_[n]->evaluateInject(now_);
-        }
+        forEachMember(nicActive_, [&](NodeId n) {
+            nics_[n]->evaluateInject(now_);
+        });
     }
 
-    // 3. Router evaluation over a snapshot of the active set: a
-    // router woken mid-phase by a staged flit starts evaluating next
-    // cycle — its staged arrival is latched by this cycle's commit,
-    // exactly as under always-tick where evaluation reads committed
-    // state only.
+    // 3. Router evaluation over a copy of the active set: evaluation
+    // reads committed state only, so a router woken by a flit staged
+    // in this phase starts evaluating next cycle.
     {
         ProfScope ps(prof, SimPhase::RouterEvaluate);
-        scratchRouters_.clear();
-        for (NodeId r = 0; r < nr; ++r) {
-            if (routerActive_[r] || check)
-                scratchRouters_.push_back(r);
-        }
-        for (NodeId r : scratchRouters_)
-            routers_[r]->evaluate(now_);
+        std::copy(routerActive_.begin(), routerActive_.end(),
+                  evalRouters_.begin());
+        forEachMember(evalRouters_,
+                      [&](NodeId r) { routers_[r]->evaluate(now_); });
     }
-    if (prof) {
-        for (NodeId r : scratchRouters_)
-            prof->countEval(r);
-    }
+    if (prof)
+        forEachMember(evalRouters_, [&](NodeId r) { prof->countEval(r); });
 
-    // 4. NIC sinks (live flags; a sink woken this cycle has an empty
-    // committed FIFO, so evaluating it is the same no-op as under
-    // always-tick).
+    // 4. NIC sinks drain their committed FIFOs.
     {
         ProfScope ps(prof, SimPhase::NicEject);
-        for (NodeId n = 0; n < nn; ++n) {
-            if (nicActive_[n] || check)
-                nics_[n]->evaluateSink(now_);
-        }
+        forEachMember(nicActive_, [&](NodeId n) {
+            nics_[n]->evaluateSink(now_);
+        });
     }
 
-    // 5. Commit every component that is (or became) active this
-    // cycle, then retire those that report quiescent. Clock energy is
-    // only charged to committed routers — retired routers are clock
-    // gated (equivalence mode charges everyone, like always-tick).
+    // 5. Commit every active component; when gating, retire the
+    // quiescent ones. Only committed routers are clocked.
     {
         ProfScope ps(prof, SimPhase::Scheduler);
-        for (NodeId r = 0; r < nr; ++r) {
-            if (!(routerActive_[r] || check))
-                continue;
-            routers_[r]->energy().cycles += 1;
-            routers_[r]->commit();
-            if (routerActive_[r] && routers_[r]->quiescent()) {
-                routerActive_[r] = 0;
-                if (tracer_) {
-                    tracer_->record(TraceEventKind::SchedRetire, r,
-                                    -1, 0);
-                }
+        forEachMember(routerActive_, [&](NodeId r) {
+            Router &router = *routers_[r];
+            router.energy().cycles += 1;
+            router.commit();
+            if (gating && router.quiescent()) {
+                setMember(routerActive_, r, false);
+                if (tracer_)
+                    tracer_->record(TraceEventKind::SchedRetire, r, -1, 0);
             }
-        }
-        for (NodeId n = 0; n < nn; ++n) {
-            if (!(nicActive_[n] || check))
-                continue;
-            nics_[n]->commit();
+        });
+        forEachMember(nicActive_, [&](NodeId n) {
+            Nic &nic = *nics_[n];
+            nic.commit();
             sampleSourceQueue(n);
-            if (nicActive_[n] && nics_[n]->quiescent()) {
-                nicActive_[n] = 0;
+            if (gating && nic.quiescent()) {
+                setMember(nicActive_, n, false);
                 if (tracer_) {
-                    tracer_->record(TraceEventKind::SchedRetire, n,
-                                    -1, 0, 0, true);
+                    tracer_->record(TraceEventKind::SchedRetire, n, -1,
+                                    0, 0, true);
                 }
             }
-        }
+        });
         ++now_;
     }
     if (metrics_ && metrics_->windowEnds(now_)) {
@@ -757,25 +654,48 @@ Network::stepScheduled(bool check)
         if (telemetry_)
             telemetry_->noteCheckpoint(now_);
     }
+
+    // Deliberate-divergence knob (test/debug only): fires after the
+    // kernel committed the step ending at now_, before the digest
+    // stride below — so the first differing stride carries exactly
+    // this cycle (see NetworkParams::debugPerturbCycle).
+    if (params_.debugPerturbCycle != 0 &&
+        now_ == params_.debugPerturbCycle) {
+        routers_[static_cast<std::size_t>(params_.debugPerturbRouter)]
+            ->debugPerturb();
+    }
+    if (digest_ && digest_->due(now_)) {
+        ProfScope ps(prof, SimPhase::ObsFlush);
+        digest_->record(computeDigestStride(digest_->scratch()));
+    }
+    if (telemetry_ && telemetry_->due(now_)) {
+        ProfScope ps(prof, SimPhase::ObsFlush);
+        emitTelemetry();
+    }
+    if (prof)
+        prof->endStep();
 }
 
 void
 Network::traceWakes()
 {
-    // A component whose flag went 0 -> 1 since the last cycle's edge
-    // scan was woken by some staging (or fresh traffic); record the
-    // edge against the cycle it first gets evaluated as active.
-    for (NodeId r = 0; r < numRouters(); ++r) {
-        if (routerActive_[r] && !prevRouterActive_[r])
-            tracer_->record(TraceEventKind::SchedWake, r, -1, 0);
-        prevRouterActive_[r] = routerActive_[r];
-    }
-    for (NodeId n = 0; n < numNodes(); ++n) {
-        if (nicActive_[n] && !prevNicActive_[n])
-            tracer_->record(TraceEventKind::SchedWake, n, -1, 0, 0,
-                            true);
-        prevNicActive_[n] = nicActive_[n];
-    }
+    // A bit that went 0 -> 1 since the last scan is a wake (staging or
+    // fresh traffic), recorded against the cycle it first evaluates.
+    const auto edges = [this](const std::vector<std::uint64_t> &active,
+                              std::vector<std::uint64_t> &prev, bool nic) {
+        for (std::size_t w = 0; w < active.size(); ++w) {
+            for (std::uint64_t woken = active[w] & ~prev[w]; woken != 0;
+                 woken &= woken - 1) {
+                const auto id =
+                    static_cast<NodeId>(w * 64 + std::countr_zero(woken));
+                tracer_->record(TraceEventKind::SchedWake, id, -1, 0, 0,
+                                nic);
+            }
+            prev[w] = active[w];
+        }
+    };
+    edges(routerActive_, prevRouterActive_, false);
+    edges(nicActive_, prevNicActive_, true);
 }
 
 void
@@ -796,7 +716,7 @@ Network::sampleMetricsWindow()
         lastLinkFlits_[r] = link;
         lastCollisions_[r] = coll;
         s.retryPending = router.retryPending();
-        s.active = routerActive_[r] != 0;
+        s.active = isMember(routerActive_, r);
         samples.push_back(s);
     }
     metrics_->recordWindow(now_, std::move(samples), activeRouters(),
@@ -878,19 +798,13 @@ Network::emitTelemetry()
 int
 Network::activeRouters() const
 {
-    if (params_.schedulingMode == SchedulingMode::AlwaysTick)
-        return numRouters();
-    return static_cast<int>(std::count(routerActive_.begin(),
-                                       routerActive_.end(), 1));
+    return countMembers(routerActive_);
 }
 
 int
 Network::activeNics() const
 {
-    if (params_.schedulingMode == SchedulingMode::AlwaysTick)
-        return numNodes();
-    return static_cast<int>(
-        std::count(nicActive_.begin(), nicActive_.end(), 1));
+    return countMembers(nicActive_);
 }
 
 void
@@ -1163,7 +1077,7 @@ Network::fingerprint() const
 }
 
 void
-Network::serialize(snap::Writer &w) const
+Network::serialize(snap::Writer &w, snap::Scope scope) const
 {
     snap::tag(w, snap::fourcc("NETW"));
     w.u64(now_);
@@ -1217,17 +1131,21 @@ Network::serialize(snap::Writer &w) const
     w.u64(aged.size());
     for (PacketId p : aged)
         w.u64(p);
-    w.boolean(ageDumpLatched_);
+    if (scope == snap::Scope::Digest)
+        return; // the rest is kernel/observer bookkeeping + components
 
-    for (std::uint8_t f : routerActive_)
-        w.boolean(f != 0);
-    for (std::uint8_t f : nicActive_)
-        w.boolean(f != 0);
+    w.boolean(ageDumpLatched_);
+    // Active sets: one boolean per component, in id order.
+    const auto writeSet = [&w](const std::vector<std::uint64_t> &set,
+                               int members) {
+        for (NodeId id = 0; id < members && !set.empty(); ++id)
+            w.boolean(isMember(set, id));
+    };
+    writeSet(routerActive_, numRouters());
+    writeSet(nicActive_, numNodes());
     w.boolean(!prevRouterActive_.empty());
-    for (std::uint8_t f : prevRouterActive_)
-        w.boolean(f != 0);
-    for (std::uint8_t f : prevNicActive_)
-        w.boolean(f != 0);
+    writeSet(prevRouterActive_, numRouters());
+    writeSet(prevNicActive_, numNodes());
     w.boolean(!lastLinkFlits_.empty());
     for (std::uint64_t v : lastLinkFlits_)
         w.u64(v);
@@ -1258,58 +1176,6 @@ Network::serialize(snap::Writer &w) const
         transport_->serialize(w);
 }
 
-void
-Network::serializeDigestGlobals(snap::Writer &w) const
-{
-    // The Snapshot-scope prefix of Network::serialize, minus the
-    // kernel/observer-owned fields (see the header declaration). Keep
-    // the two walks in lockstep when adding global state.
-    snap::tag(w, snap::fourcc("NETW"));
-    w.u64(now_);
-    w.u64(nextPacket_);
-    w.boolean(sourcesEnabled_);
-    snap::writeNetworkStats(w, stats_);
-    const std::vector<NodeId> deadRouters = faultMap_.deadRouters();
-    w.u64(deadRouters.size());
-    for (NodeId r : deadRouters)
-        w.i32(r);
-    const std::vector<std::pair<NodeId, int>> deadLinks =
-        faultMap_.explicitDeadLinks();
-    w.u64(deadLinks.size());
-    for (const auto &[r, port] : deadLinks) {
-        w.i32(r);
-        w.i32(port);
-    }
-    w.u64(table_.rebuilds());
-    const auto writeFlowMap =
-        [&w](const std::unordered_map<std::uint64_t, std::uint32_t>
-                 &m) {
-            std::vector<std::uint64_t> keys;
-            keys.reserve(m.size());
-            for (const auto &[k, v] : m)
-                keys.push_back(k);
-            std::sort(keys.begin(), keys.end());
-            w.u64(keys.size());
-            for (std::uint64_t k : keys) {
-                w.u64(k);
-                w.u32(m.at(k));
-            }
-        };
-    writeFlowMap(flowNextSeq_);
-    writeFlowMap(flowMaxDone_);
-    w.u64(ageQueue_.size());
-    for (const auto &[packet, created] : ageQueue_) {
-        w.u64(packet);
-        w.u64(created);
-    }
-    std::vector<PacketId> aged(ageInFlight_.begin(),
-                               ageInFlight_.end());
-    std::sort(aged.begin(), aged.end());
-    w.u64(aged.size());
-    for (PacketId p : aged)
-        w.u64(p);
-}
-
 DigestStride
 Network::computeDigestStride(snap::Writer &scratch) const
 {
@@ -1324,7 +1190,7 @@ Network::computeDigestStride(snap::Writer &scratch) const
     s.cycle = now_;
     scratch.clear();
 
-    serializeDigestGlobals(scratch);
+    serialize(scratch, snap::Scope::Digest);
     s.global = hash();
 
     for (const auto &src : sources_)
@@ -1443,17 +1309,26 @@ Network::restore(snap::Reader &r)
         ageInFlight_.insert(r.u64());
     ageDumpLatched_ = r.boolean();
 
-    for (std::uint8_t &f : routerActive_)
-        f = r.boolean() ? 1 : 0;
-    for (std::uint8_t &f : nicActive_)
-        f = r.boolean() ? 1 : 0;
+    // Always-tick retires nothing, and nothing would re-arm a cleared
+    // member (wakes are bound only when gating): reject such a set.
+    const bool gating =
+        params_.schedulingMode == SchedulingMode::ActivityDriven;
+    const auto readSet = [&r](std::vector<std::uint64_t> &set,
+                              int members, bool full) {
+        for (NodeId id = 0; id < members && !set.empty(); ++id) {
+            const bool member = r.boolean();
+            if (full && !member)
+                r.fail("retired component under the always-tick kernel");
+            setMember(set, id, member);
+        }
+    };
+    readSet(routerActive_, numRouters(), !gating);
+    readSet(nicActive_, numNodes(), !gating);
     if (r.boolean() != !prevRouterActive_.empty())
         r.fail("trace-activity state presence mismatch (wrong "
                "config)");
-    for (std::uint8_t &f : prevRouterActive_)
-        f = r.boolean() ? 1 : 0;
-    for (std::uint8_t &f : prevNicActive_)
-        f = r.boolean() ? 1 : 0;
+    readSet(prevRouterActive_, numRouters(), false);
+    readSet(prevNicActive_, numNodes(), false);
     if (r.boolean() != !lastLinkFlits_.empty())
         r.fail("metrics window-counter presence mismatch (wrong "
                "config)");

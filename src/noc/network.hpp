@@ -38,25 +38,23 @@ using RouterFactory = std::function<std::unique_ptr<Router>(
     NodeId, const Mesh &, const RoutingTable &, const RouterParams &)>;
 
 /**
- * How Network::step() schedules component evaluation.
+ * How Network::step() schedules component evaluation. There is one
+ * kernel: every phase walks the active sets of routers and NICs, and
+ * the mode only decides whether a quiescent component retires.
  *
- * AlwaysTick is the classic kernel: every router and NIC is evaluated
- * and committed every cycle. ActivityDriven maintains an active set —
- * components are re-armed when a flit or credit is staged to them and
- * retired once they report quiescent() at commit — so an idle mesh
- * region costs nothing (and, as clock gating, accrues no clock
- * energy). EquivalenceCheck runs the always-tick kernel while
- * maintaining the active set and asserts, every cycle, that each
- * retired component is genuinely quiescent — the in-situ validation
- * mode for the activity kernel's contract.
+ * AlwaysTick retires nothing, so every router and NIC is evaluated,
+ * committed and clocked every cycle — the reference kernel.
+ * ActivityDriven retires a component once it reports quiescent() at
+ * commit and re-arms it when a flit or credit is staged to it, so an
+ * idle mesh region costs nothing (and, as clock gating, accrues no
+ * clock energy).
  */
 enum class SchedulingMode : std::uint8_t {
     AlwaysTick = 0,
     ActivityDriven = 1,
-    EquivalenceCheck = 2,
 };
 
-/** Display name ("alwaystick", "activity", "equivalence"). */
+/** Display name ("alwaystick", "activity"). */
 const char *schedulingModeName(SchedulingMode mode);
 
 /** Parse a scheduling-mode name (fatal on unknown names). */
@@ -83,10 +81,13 @@ struct NetworkParams
      * exercising the digest ledger and `trace_tool bisect`; 0 =
      * disabled. Applied after the kernel commits and before the
      * digest stride is captured, so the first differing stride is
-     * labeled with exactly this cycle.
+     * labeled with exactly this cycle. The router id must name a
+     * router of the mesh (fatal at construction otherwise); it is
+     * 64-bit so an out-of-range config value reaches that check
+     * unnarrowed.
      */
     Cycle debugPerturbCycle = 0;
-    NodeId debugPerturbRouter = 0;
+    std::int64_t debugPerturbRouter = 0;
 };
 
 /**
@@ -174,7 +175,8 @@ class Network : public PacketInjector,
     }
 
     /** Routers currently in the active set (all of them under the
-     *  always-tick kernel; introspection for tests and benches). */
+     *  always-tick kernel, which retires nothing; introspection for
+     *  tests and benches). */
     int activeRouters() const;
 
     /** NICs currently in the active set. */
@@ -282,8 +284,16 @@ class Network : public PacketInjector,
      * parameters (enforced upstream via fingerprint()); it replays
      * the snapshot's hard-fault topology onto this network before
      * overwriting any component state.
+     *
+     * In snap::Scope::Digest only the network-global trajectory state
+     * is written — the Snapshot-scope prefix minus the age-dump latch
+     * (set only when a tracer is attached), the active and
+     * previous-active sets (kernel bookkeeping) and the metrics
+     * window baselines (observer-owned). computeDigestStride() hashes
+     * every component separately with its own Digest-scope visitor.
      */
-    void serialize(snap::Writer &w) const;
+    void serialize(snap::Writer &w,
+                   snap::Scope scope = snap::Scope::Snapshot) const;
     void restore(snap::Reader &r);
 
     // -- PacketInjector --
@@ -306,15 +316,8 @@ class Network : public PacketInjector,
     const E2eTransport *transport() const { return transport_.get(); }
 
   private:
-    /** The classic kernel: evaluate and commit everything. */
-    void stepAlwaysTick();
-
-    /** The activity kernel; @p check adds the equivalence-mode
-     *  full evaluation and per-cycle quiescence asserts. */
-    void stepScheduled(bool check);
-
     /** Emit SchedWake for components that (re)entered the active set
-     *  since the previous cycle (tracing + scheduled kernels only). */
+     *  since the previous cycle (tracing only). */
     void traceWakes();
 
     /** Close the metrics window ending at the current cycle. */
@@ -322,16 +325,6 @@ class Network : public PacketInjector,
 
     /** Gather a telemetry sample and beat the heartbeat. */
     void emitTelemetry();
-
-    /**
-     * Digest-scope serialize of the network-global trajectory state:
-     * the subset of the Snapshot-scope globals that is deterministic
-     * across kernels and observer configurations. Deliberately
-     * excluded: active-set and previous-active flags (kernel
-     * bookkeeping), metrics window baselines (observer-owned) and the
-     * age-dump latch (only ever set when a tracer is attached).
-     */
-    void serializeDigestGlobals(snap::Writer &w) const;
 
     /**
      * Apply every hard fault due at the current cycle: kill the
@@ -415,17 +408,22 @@ class Network : public PacketInjector,
     std::vector<std::uint64_t> lastLinkFlits_;
     std::vector<std::uint64_t> lastCollisions_;
 
-    /** Previous-cycle active flags (SchedWake edge detection; only
-     *  maintained when tracing a scheduled kernel). */
-    std::vector<std::uint8_t> prevRouterActive_;
-    std::vector<std::uint8_t> prevNicActive_;
+    /** Active sets: bit id%64 of word id/64 per router / node id,
+     *  sized once at construction and never reallocated. Under the
+     *  activity kernel routers and NICs hold a pointer to their word
+     *  (bindActivity) and set their bit on any staging; step() clears
+     *  it on quiescent retirement. Under always-tick every bit stays
+     *  set. */
+    std::vector<std::uint64_t> routerActive_;
+    std::vector<std::uint64_t> nicActive_;
+    /** Router evaluation walks a per-cycle copy of routerActive_: a
+     *  router woken mid-phase starts evaluating next cycle. */
+    std::vector<std::uint64_t> evalRouters_;
 
-    /** Active-set flags, indexed by router / node id. Routers and
-     *  NICs hold pointers into these (bindActivity) and set them on
-     *  any staging; step() clears them on quiescent retirement. */
-    std::vector<std::uint8_t> routerActive_;
-    std::vector<std::uint8_t> nicActive_;
-    std::vector<NodeId> scratchRouters_; ///< per-cycle snapshot
+    /** Previous-cycle active sets (SchedWake edge detection; only
+     *  maintained when tracing). */
+    std::vector<std::uint64_t> prevRouterActive_;
+    std::vector<std::uint64_t> prevNicActive_;
     std::vector<FlitDesc> scratchInjectFlits_; ///< injectPacket() reuse
 
     NetworkStats stats_;

@@ -99,8 +99,13 @@ class Nic
      */
     bool quiescent() const;
 
-    /** Bind the network's active-set flag (see Router::bindActivity). */
-    void bindActivity(std::uint8_t *flag) { activityFlag_ = flag; }
+    /** Bind the network's active-set bit (see Router::bindActivity). */
+    void
+    bindActivity(std::uint64_t *word, std::uint64_t bit)
+    {
+        activityWord_ = word;
+        activityBit_ = bit;
+    }
 
     // -- traffic-generator side --
     /** Queue all flits of a packet for injection (FIFO order). The
@@ -177,8 +182,8 @@ class Nic
 
     void wake()
     {
-        if (activityFlag_)
-            *activityFlag_ = 1;
+        if (activityWord_)
+            *activityWord_ |= activityBit_;
     }
 
     /** Record a NIC-side trace event (no-op when tracing is off). */
@@ -189,7 +194,8 @@ class Nic
             tracer_->record(kind, node_, localPort_, id, arg, true);
     }
 
-    std::uint8_t *activityFlag_ = nullptr;
+    std::uint64_t *activityWord_ = nullptr;
+    std::uint64_t activityBit_ = 0;
     NodeId node_;
     bool dead_ = false; ///< attached router was hard-killed
     Router *router_ = nullptr;

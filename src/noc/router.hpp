@@ -132,11 +132,18 @@ class Router
     virtual bool quiescent() const;
 
     /**
-     * Bind the network's active-set flag for this router. Staging a
-     * flit or credit to the router sets the flag (re-arming it in the
-     * scheduled kernel). Standalone routers (tests) leave it unbound.
+     * Bind this router's bit in the network's active set: staging a
+     * flit or credit to the router ORs @p bit into @p word, re-arming
+     * it after a retirement. Only the gating (activity) kernel binds;
+     * under always-tick, and for standalone routers in tests, wake()
+     * is a no-op.
      */
-    void bindActivity(std::uint8_t *flag) { activityFlag_ = flag; }
+    void
+    bindActivity(std::uint64_t *word, std::uint64_t bit)
+    {
+        activityWord_ = word;
+        activityBit_ = bit;
+    }
 
     /** Virtual channels per input port (1 for the paper's wormhole
      *  designs; >1 only for the §2.8 exploration router). */
@@ -389,8 +396,8 @@ class Router
     /** Mark this router active (called on every staging into it). */
     void wake()
     {
-        if (activityFlag_)
-            *activityFlag_ = 1;
+        if (activityWord_)
+            *activityWord_ |= activityBit_;
     }
 
     /** Record a trace event against this router (no-op when tracing
@@ -482,7 +489,8 @@ class Router
     EnergyEvents energy_;
 
   private:
-    std::uint8_t *activityFlag_ = nullptr;
+    std::uint64_t *activityWord_ = nullptr;
+    std::uint64_t activityBit_ = 0;
 };
 
 } // namespace nox

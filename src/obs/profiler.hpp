@@ -180,14 +180,6 @@ class PhaseProfiler
         evals_[static_cast<std::size_t>(router)] += 1;
     }
 
-    /** Always-tick kernel: every router evaluated this cycle. */
-    void
-    countEvalsAll()
-    {
-        for (std::uint64_t &e : evals_)
-            e += 1;
-    }
-
     // -- reporting --
 
     std::uint64_t steps() const { return steps_; }

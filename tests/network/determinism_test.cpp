@@ -5,9 +5,9 @@
  * The guardrail for the activity-driven kernel: for every router
  * architecture and a representative pattern set, a seeded fig-8-style
  * run must produce bit-identical NetworkStats (a) across repeated
- * runs, (b) across scheduling kernels stepped in lockstep, and
- * (c) under the self-checking equivalence kernel, whose per-cycle
- * asserts verify every retired component is genuinely quiescent.
+ * runs and (b) across scheduling kernels stepped in per-cycle digest
+ * lockstep (tests/support/kernel_lockstep.hpp), which names the first
+ * component whose retirement broke its quiescence contract.
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +15,13 @@
 #include <cctype>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "noc/flit_arena.hpp"
 #include "noc/network.hpp"
-#include "obs/digest.hpp"
 #include "routers/factory.hpp"
-#include "snapshot/io.hpp"
+#include "support/kernel_lockstep.hpp"
 #include "traffic/bernoulli_source.hpp"
 #include "traffic/patterns.hpp"
 
@@ -36,9 +36,9 @@ constexpr std::uint64_t kSeed = 0xF1683;
 std::unique_ptr<Network>
 buildNetwork(RouterArch arch, PatternKind pattern, SchedulingMode mode,
              double load, int packet_flits,
-             const FaultParams &faults = {})
+             const FaultParams &faults = {},
+             NetworkParams params = {})
 {
-    NetworkParams params;
     params.width = 8;
     params.height = 8;
     params.schedulingMode = mode;
@@ -111,29 +111,12 @@ TEST_P(SchedulingEquivalence, KernelsBitIdenticalInLockstep)
     // covers buffers, arbiter pointers, credits and source RNGs, so
     // a kernel bug that corrupts state without (yet) moving a
     // counter is caught at the first corrupt cycle.
-    snap::Writer scratchTick, scratchActivity;
-    for (Cycle t = 0; t < kWarmup + kMeasure; ++t) {
-        tick->step();
-        activity->step();
-        ASSERT_TRUE(identicalStats(tick->stats(), activity->stats()))
-            << archName(arch) << ": kernels diverged at cycle " << t;
-        const DigestStride a =
-            tick->computeDigestStride(scratchTick);
-        const DigestStride b =
-            activity->computeDigestStride(scratchActivity);
-        ASSERT_EQ(a.fold(), b.fold())
-            << archName(arch) << ": kernel state digests diverged at "
-            << "cycle " << t << " in "
-            << ::testing::PrintToString(divergentComponents(a, b));
-    }
-    EXPECT_TRUE(tick->drain(kDrainLimit));
-    EXPECT_TRUE(activity->drain(kDrainLimit));
-    EXPECT_EQ(tick->now(), activity->now())
-        << "kernels drained in different cycle counts";
-    EXPECT_TRUE(identicalStats(tick->stats(), activity->stats()));
-    EXPECT_EQ(tick->computeDigestStride().fold(),
-              activity->computeDigestStride().fold())
-        << archName(arch) << ": kernels diverged in drained state";
+    test::KernelLockstep lockstep(*tick, *activity);
+    const auto run = lockstep.run(kWarmup + kMeasure);
+    ASSERT_FALSE(run) << archName(arch) << ": " << *run;
+    const auto drained = lockstep.drain(kDrainLimit);
+    ASSERT_FALSE(drained) << archName(arch) << ": " << *drained;
+    EXPECT_TRUE(activity->lastDrainReport().drained);
 }
 
 TEST_P(SchedulingEquivalence, MultiFlitKernelsBitIdentical)
@@ -150,19 +133,6 @@ TEST_P(SchedulingEquivalence, MultiFlitKernelsBitIdentical)
                                    0.08, 5);
     EXPECT_TRUE(identicalStats(a, b))
         << archName(arch) << ": multi-flit kernels diverged";
-}
-
-TEST_P(SchedulingEquivalence, EquivalenceModeSelfChecksClean)
-{
-    // The equivalence kernel asserts per cycle that retired
-    // components are quiescent, and must reproduce always-tick stats.
-    const auto [arch, pattern] = GetParam();
-    const NetworkStats always = runOnce(arch, pattern,
-                                        SchedulingMode::AlwaysTick);
-    const NetworkStats checked =
-        runOnce(arch, pattern, SchedulingMode::EquivalenceCheck);
-    EXPECT_TRUE(identicalStats(always, checked))
-        << archName(arch) << ": equivalence mode diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -187,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-NetworkStats
-runOnceFaulty(RouterArch arch, SchedulingMode mode)
+FaultParams
+softFaults()
 {
     FaultParams faults;
     faults.enabled = true;
@@ -196,12 +166,53 @@ runOnceFaulty(RouterArch arch, SchedulingMode mode)
     faults.dropRate = 0.001;
     faults.creditLossRate = 0.001;
     faults.seed = 0xD15EA5E;
+    return faults;
+}
+
+FaultParams
+hardFaults()
+{
+    FaultParams faults;
+    faults.enabled = true;
+    faults.hardLinkFaults = 3;
+    faults.hardRouterFaults = 1;
+    faults.hardFaultCycle = kWarmup + kMeasure / 2;
+    faults.seed = 0xD15EA5E;
+    return faults;
+}
+
+NetworkStats
+runOnceFaulty(RouterArch arch, SchedulingMode mode,
+              const FaultParams &faults)
+{
     auto net = buildNetwork(arch, PatternKind::UniformRandom, mode,
                             0.05, 3, faults);
     net->run(kWarmup + kMeasure);
     EXPECT_TRUE(net->drain(kDrainLimit))
         << net->lastDrainReport().summary();
     return net->stats();
+}
+
+/** Run and drain an activity network against its always-tick twin in
+ *  per-cycle digest lockstep; returns the activity network's stats. */
+NetworkStats
+runLockstepFaulty(RouterArch arch, const FaultParams &faults)
+{
+    auto tick = buildNetwork(arch, PatternKind::UniformRandom,
+                             SchedulingMode::AlwaysTick, 0.05, 3, faults);
+    auto activity =
+        buildNetwork(arch, PatternKind::UniformRandom,
+                     SchedulingMode::ActivityDriven, 0.05, 3, faults);
+    test::KernelLockstep lockstep(*tick, *activity);
+    const auto run = lockstep.run(kWarmup + kMeasure);
+    EXPECT_FALSE(run) << archName(arch) << ": " << *run;
+    if (!run) {
+        const auto drained = lockstep.drain(kDrainLimit);
+        EXPECT_FALSE(drained) << archName(arch) << ": " << *drained;
+        EXPECT_TRUE(activity->lastDrainReport().drained)
+            << activity->lastDrainReport().summary();
+    }
+    return activity->stats();
 }
 
 class FaultDeterminism : public ::testing::TestWithParam<RouterArch>
@@ -213,18 +224,15 @@ TEST_P(FaultDeterminism, SameFaultSeedBitIdenticalAcrossKernels)
     // The fault schedule is keyed by event identity, not draw order,
     // so the same seed must yield bit-identical NetworkStats —
     // including every fault counter — whichever scheduling kernel
-    // evaluates the mesh, and the equivalence kernel's per-cycle
-    // quiescence asserts must stay clean while faults and recovery
+    // evaluates the mesh, and the two kernels must agree on the full
+    // state digest at every cycle while faults and recovery
     // (retries, watchdog resyncs) are in flight.
     const RouterArch arch = GetParam();
     const NetworkStats always =
-        runOnceFaulty(arch, SchedulingMode::AlwaysTick);
+        runOnceFaulty(arch, SchedulingMode::AlwaysTick, softFaults());
     const NetworkStats repeat =
-        runOnceFaulty(arch, SchedulingMode::AlwaysTick);
-    const NetworkStats activity =
-        runOnceFaulty(arch, SchedulingMode::ActivityDriven);
-    const NetworkStats checked =
-        runOnceFaulty(arch, SchedulingMode::EquivalenceCheck);
+        runOnceFaulty(arch, SchedulingMode::AlwaysTick, softFaults());
+    const NetworkStats activity = runLockstepFaulty(arch, softFaults());
 
     EXPECT_GT(always.faults.faultsInjected, 0u);
     EXPECT_TRUE(identicalStats(always, repeat))
@@ -232,26 +240,6 @@ TEST_P(FaultDeterminism, SameFaultSeedBitIdenticalAcrossKernels)
     EXPECT_TRUE(identicalStats(always, activity))
         << archName(arch)
         << ": fault schedule diverged under activity scheduling";
-    EXPECT_TRUE(identicalStats(always, checked))
-        << archName(arch)
-        << ": fault schedule diverged under equivalence checking";
-}
-
-NetworkStats
-runOnceHardFaulty(RouterArch arch, SchedulingMode mode)
-{
-    FaultParams faults;
-    faults.enabled = true;
-    faults.hardLinkFaults = 3;
-    faults.hardRouterFaults = 1;
-    faults.hardFaultCycle = kWarmup + kMeasure / 2;
-    faults.seed = 0xD15EA5E;
-    auto net = buildNetwork(arch, PatternKind::UniformRandom, mode,
-                            0.05, 3, faults);
-    net->run(kWarmup + kMeasure);
-    EXPECT_TRUE(net->drain(kDrainLimit))
-        << net->lastDrainReport().summary();
-    return net->stats();
 }
 
 TEST_P(FaultDeterminism, HardFaultScheduleBitIdenticalAcrossKernels)
@@ -259,17 +247,14 @@ TEST_P(FaultDeterminism, HardFaultScheduleBitIdenticalAcrossKernels)
     // Fail-stop kills are planned from the fault seed and applied at
     // a fixed cycle, so a mid-run degradation — dead router, dead
     // links, write-offs, table rebuild, purge — must replay bit-
-    // identically under every scheduling kernel, and the equivalence
-    // kernel's quiescence asserts must stay clean throughout.
+    // identically under every scheduling kernel, in per-cycle digest
+    // lockstep throughout.
     const RouterArch arch = GetParam();
     const NetworkStats always =
-        runOnceHardFaulty(arch, SchedulingMode::AlwaysTick);
+        runOnceFaulty(arch, SchedulingMode::AlwaysTick, hardFaults());
     const NetworkStats repeat =
-        runOnceHardFaulty(arch, SchedulingMode::AlwaysTick);
-    const NetworkStats activity =
-        runOnceHardFaulty(arch, SchedulingMode::ActivityDriven);
-    const NetworkStats checked =
-        runOnceHardFaulty(arch, SchedulingMode::EquivalenceCheck);
+        runOnceFaulty(arch, SchedulingMode::AlwaysTick, hardFaults());
+    const NetworkStats activity = runLockstepFaulty(arch, hardFaults());
 
     EXPECT_EQ(always.faults.hardLinkFaults, 3u);
     EXPECT_EQ(always.faults.hardRouterFaults, 1u);
@@ -283,10 +268,6 @@ TEST_P(FaultDeterminism, HardFaultScheduleBitIdenticalAcrossKernels)
         << archName(arch)
         << ": hard-fault degradation diverged under activity "
            "scheduling";
-    EXPECT_TRUE(identicalStats(always, checked))
-        << archName(arch)
-        << ": hard-fault degradation diverged under equivalence "
-           "checking";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -326,6 +307,33 @@ TEST(ArenaGrowthPath, CollisionSpillBitIdenticalAcrossKernels)
                 SchedulingMode::ActivityDriven, 0.30, 1);
     EXPECT_TRUE(identicalStats(always, activity))
         << "kernels diverged on the arena-growth path";
+}
+
+TEST(KernelLockstep, NamesSeededPerturbation)
+{
+    // The lockstep helper's own contract: a twin built with a
+    // deliberate arbiter perturbation must be reported at exactly the
+    // perturbed cycle, in exactly the perturbed router.
+    constexpr Cycle kPerturbCycle = 437;
+    constexpr NodeId kPerturbRouter = 21;
+    NetworkParams perturbed;
+    perturbed.debugPerturbCycle = kPerturbCycle;
+    perturbed.debugPerturbRouter = kPerturbRouter;
+    auto tick = buildNetwork(RouterArch::Nox, PatternKind::UniformRandom,
+                             SchedulingMode::AlwaysTick, 0.05, 1, {},
+                             perturbed);
+    auto activity =
+        buildNetwork(RouterArch::Nox, PatternKind::UniformRandom,
+                     SchedulingMode::ActivityDriven, 0.05, 1);
+
+    test::KernelLockstep lockstep(*tick, *activity);
+    const auto d = lockstep.run(kWarmup + kMeasure);
+    ASSERT_TRUE(d) << "the perturbation went unnoticed";
+    EXPECT_EQ(d->cycle, kPerturbCycle) << *d;
+    EXPECT_EQ(d->components,
+              std::vector<std::string>{"router:" +
+                                       std::to_string(kPerturbRouter)})
+        << *d;
 }
 
 TEST(ActivityKernel, IdleNetworkRetiresEverything)

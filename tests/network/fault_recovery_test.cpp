@@ -7,8 +7,9 @@
  * retransmission for drops, watchdog resync for lost credits — and
  * rate-driven sweeps verify the composition: with recovery on, every
  * packet is delivered exactly once with an intact payload under all
- * four router architectures (plus the VC configuration), under the
- * self-checking equivalence scheduling kernel. With recovery off, the
+ * four router architectures (plus the VC configuration), with the
+ * activity kernel in per-cycle digest lockstep against an always-tick
+ * twin. With recovery off, the
  * fabric is raw: corruption must be *accounted* (decode mismatches and
  * corrupted-delivery escapes cover every upset) and stranded packets
  * must be *diagnosable* via the structured drain report.
@@ -16,11 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "routers/factory.hpp"
+#include "support/kernel_lockstep.hpp"
 
 namespace nox {
 namespace {
@@ -54,31 +57,40 @@ oneShotOnly()
     return p;
 }
 
-/** Drive random traffic from every node (both traffic classes, so VC
- *  configurations exercise both lanes). */
+/** Inject one cycle of random traffic from every node (both traffic
+ *  classes, so VC configurations exercise both lanes), the same
+ *  packets into each of @p nets. */
+void
+injectRandom(Rng &rng, double rate, std::initializer_list<Network *> nets)
+{
+    const int nodes = (*nets.begin())->numNodes();
+    for (NodeId s = 0; s < nodes; ++s) {
+        if (!rng.nextBernoulli(rate))
+            continue;
+        NodeId d = s;
+        while (d == s) {
+            d = static_cast<NodeId>(
+                rng.nextBounded(static_cast<std::uint64_t>(nodes)));
+        }
+        const int flits = rng.nextBernoulli(0.3)
+                              ? 3 + static_cast<int>(rng.nextBounded(4))
+                              : 1;
+        const TrafficClass cls = rng.nextBernoulli(0.5)
+                                     ? TrafficClass::Reply
+                                     : TrafficClass::Synthetic;
+        for (Network *net : nets)
+            net->injectPacket(s, d, flits, net->now(), cls);
+    }
+}
+
+/** Drive random traffic into @p net for @p cycles. */
 void
 driveTraffic(Network &net, Cycle cycles, double rate,
              std::uint64_t seed)
 {
     Rng rng(seed);
     for (Cycle t = 0; t < cycles; ++t) {
-        for (NodeId s = 0; s < net.numNodes(); ++s) {
-            if (!rng.nextBernoulli(rate))
-                continue;
-            NodeId d = s;
-            while (d == s) {
-                d = static_cast<NodeId>(rng.nextBounded(
-                    static_cast<std::uint64_t>(net.numNodes())));
-            }
-            const int flits =
-                rng.nextBernoulli(0.3)
-                    ? 3 + static_cast<int>(rng.nextBounded(4))
-                    : 1;
-            const TrafficClass cls = rng.nextBernoulli(0.5)
-                                         ? TrafficClass::Reply
-                                         : TrafficClass::Synthetic;
-            net.injectPacket(s, d, flits, net.now(), cls);
-        }
+        injectRandom(rng, rate, {&net});
         net.step();
     }
 }
@@ -173,14 +185,24 @@ TEST_P(RecoverySweep, ExactlyOnceDeliveryUnderRateFaults)
     faults.dropRate = 0.005;
     faults.creditLossRate = 0.005;
 
-    // Equivalence scheduling self-checks, per cycle, that every
-    // component retired from the active set is genuinely quiescent —
-    // so this sweep also proves the link layer's quiescence contracts
-    // (pending retries, lost credits) hold under fault load.
+    // The activity kernel runs in per-cycle digest lockstep with an
+    // always-tick twin on identical traffic, so this sweep also
+    // proves the link layer's quiescence contracts (pending retries,
+    // lost credits) hold under fault load.
+    auto twin = buildFaultNet(c.arch, faults, c.vcCount,
+                              SchedulingMode::AlwaysTick);
     auto net = buildFaultNet(c.arch, faults, c.vcCount,
-                             SchedulingMode::EquivalenceCheck);
-    driveTraffic(*net, 1500, 0.05, 0xFA117 + c.vcCount);
-    ASSERT_TRUE(net->drain(200000)) << net->lastDrainReport().summary();
+                             SchedulingMode::ActivityDriven);
+    Rng rng(0xFA117 + c.vcCount);
+    test::KernelLockstep lockstep(*twin, *net);
+    const auto run = lockstep.run(1500, [&] {
+        injectRandom(rng, 0.05, {twin.get(), net.get()});
+    });
+    ASSERT_FALSE(run) << *run;
+    const auto drained = lockstep.drain(200000);
+    ASSERT_FALSE(drained) << *drained;
+    ASSERT_TRUE(net->lastDrainReport().drained)
+        << net->lastDrainReport().summary();
 
     const NetworkStats &s = net->stats();
     EXPECT_GT(s.faults.faultsInjected, 50u);

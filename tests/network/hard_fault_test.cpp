@@ -9,8 +9,9 @@
  * explicitly written off (in flight on dying hardware) — and every
  * injection toward an unreachable destination is refused and counted
  * at the boundary. No silent losses, no drain timeouts, and the whole
- * fault schedule is a pure function of the fault seed, so all three
- * scheduling kernels produce bit-identical NetworkStats.
+ * fault schedule is a pure function of the fault seed, so both
+ * scheduling kernels produce bit-identical NetworkStats — and agree
+ * on the full state digest at every cycle when stepped in lockstep.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "routers/factory.hpp"
+#include "support/kernel_lockstep.hpp"
 #include "traffic/bernoulli_source.hpp"
 #include "traffic/patterns.hpp"
 
@@ -104,7 +106,8 @@ TEST_P(HardFaults, ConfigTimeLinkKillsKernelsBitIdentical)
 {
     // Four links die before any traffic: the acceptance scenario.
     // Nothing is ever in flight on dying hardware, so zero packets
-    // are written off — and all three kernels agree bit for bit.
+    // are written off — and the kernels agree bit for bit, cycle by
+    // cycle.
     const RouterArch arch = GetParam();
     const FaultParams f = hardFaults(4, 0, 0);
     const NetworkStats tick =
@@ -114,14 +117,15 @@ TEST_P(HardFaults, ConfigTimeLinkKillsKernelsBitIdentical)
     EXPECT_EQ(tick.faults.packetsLostHard, 0u);
     EXPECT_GT(tick.packetsEjected, 0u);
 
-    const NetworkStats activity =
-        runChecked(arch, SchedulingMode::ActivityDriven, f);
-    const NetworkStats checked =
-        runChecked(arch, SchedulingMode::EquivalenceCheck, f);
-    EXPECT_TRUE(identicalStats(tick, activity))
+    auto twin = buildNetwork(arch, SchedulingMode::AlwaysTick, f);
+    auto net = buildNetwork(arch, SchedulingMode::ActivityDriven, f);
+    test::KernelLockstep lockstep(*twin, *net);
+    const auto run = lockstep.run(kRun);
+    ASSERT_FALSE(run) << archName(arch) << ": " << *run;
+    const auto drained = lockstep.drain(kDrainLimit);
+    ASSERT_FALSE(drained) << archName(arch) << ": " << *drained;
+    EXPECT_TRUE(identicalStats(tick, net->stats()))
         << archName(arch) << ": kernels diverged under hard faults";
-    EXPECT_TRUE(identicalStats(tick, checked))
-        << archName(arch) << ": equivalence kernel diverged";
 }
 
 TEST_P(HardFaults, MidRunKillsDegradeGracefully)

@@ -137,8 +137,7 @@ TEST_P(QueuePeakSampling, CycleLoopCapturesStalledQueue)
 INSTANTIATE_TEST_SUITE_P(
     Modes, QueuePeakSampling,
     ::testing::Values(SchedulingMode::AlwaysTick,
-                      SchedulingMode::ActivityDriven,
-                      SchedulingMode::EquivalenceCheck),
+                      SchedulingMode::ActivityDriven),
     [](const ::testing::TestParamInfo<SchedulingMode> &info) {
         return std::string(schedulingModeName(info.param));
     });

@@ -183,5 +183,18 @@ TEST(NetworkDeathTest, SelfAddressedPacketRejected)
                  "self-addressed");
 }
 
+TEST(NetworkDeathTest, PerturbRouterOutOfRangeRejected)
+{
+    // smallParams() is a 4x4 mesh: routers 0..15.
+    for (const std::int64_t bad : {std::int64_t{16}, std::int64_t{-1}}) {
+        NetworkParams params = smallParams();
+        params.debugPerturbCycle = 10;
+        params.debugPerturbRouter = bad;
+        EXPECT_DEATH(makeNetwork(params, RouterArch::Nox),
+                     "perturb_router=" + std::to_string(bad) +
+                         " is out of range \\(valid: 0\\.\\.15\\)");
+    }
+}
+
 } // namespace
 } // namespace nox

@@ -19,11 +19,15 @@
  *     wormhole locks in degraded mode (NonSpec and NoX also bill
  *     Reroute charges to the waiting flits).
  *
- * Each run drains and must reproduce the recorded final state-digest
- * fold, packet counts, flit-hops, latency sum and per-component
- * provenance totals exactly. A mismatch prints the whole measured row
- * in table syntax; re-record only for a change that is *meant* to
- * alter simulated behaviour, and say so in the change description.
+ * Every case runs under both scheduling kernels. Each run drains and
+ * must reproduce the recorded final state-digest fold, packet counts,
+ * flit-hops, latency sum and per-component provenance totals exactly,
+ * whichever kernel ran it. Clock energy is the one output that
+ * depends on the kernel (the digest leaves it out: gated routers
+ * accrue none), so each kernel has its own recorded network-wide
+ * clock total. A mismatch prints the whole measured row in table
+ * syntax; re-record only for a change that is *meant* to alter
+ * simulated behaviour, and say so in the change description.
  */
 
 #include <gtest/gtest.h>
@@ -96,6 +100,10 @@ struct Pinned
     double latencySum = 0.0;
     /** Provenance total per LatencyComponent (all zero when off). */
     std::array<std::uint64_t, kNumLatencyComponents> prov{};
+    /** Network-wide clock total, totalEnergyEvents().cycles, under the
+     *  activity and the always-tick kernel. */
+    std::uint64_t clockActivity = 0;
+    std::uint64_t clockAlwaysTick = 0;
 };
 
 struct Case
@@ -107,13 +115,14 @@ struct Case
     Pinned expected;
 };
 
+/** Run @p c under @p mode; the clock total lands in @p mode's slot. */
 Pinned
-runCase(const Case &c)
+runCase(const Case &c, SchedulingMode mode)
 {
     NetworkParams params;
     params.width = kSide;
     params.height = kSide;
-    params.schedulingMode = SchedulingMode::ActivityDriven;
+    params.schedulingMode = mode;
     params.router.vcCount = c.vcCount;
     if (c.regime != Regime::Plain) {
         params.obs.prov.enabled = true;
@@ -146,6 +155,9 @@ runCase(const Case &c)
     got.latencySum = s.latency.sum();
     if (const LatencyProvenance *prov = net->provenance())
         got.prov = prov->total().comp;
+    (mode == SchedulingMode::ActivityDriven ? got.clockActivity
+                                            : got.clockAlwaysTick) =
+        ev.cycles;
     return got;
 }
 
@@ -165,8 +177,28 @@ row(const Pinned &p)
                            "%s%llu", i ? ", " : "",
                            static_cast<unsigned long long>(p.prov[i]));
     }
-    std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n), "}}");
+    std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n),
+                  "}, %llu, %llu}",
+                  static_cast<unsigned long long>(p.clockActivity),
+                  static_cast<unsigned long long>(p.clockAlwaysTick));
     return buf;
+}
+
+/** Expect @p got (one kernel's run) to match @p want on everything
+ *  but the clock totals. */
+void
+expectTrajectory(const Pinned &want, const Pinned &got, const char *kernel)
+{
+    EXPECT_EQ(got.fold, want.fold) << kernel;
+    EXPECT_EQ(got.injected, want.injected) << kernel;
+    EXPECT_EQ(got.ejected, want.ejected) << kernel;
+    EXPECT_EQ(got.flitHops, want.flitHops) << kernel;
+    EXPECT_EQ(got.latencySum, want.latencySum) << kernel;
+    for (std::size_t i = 0; i < kNumLatencyComponents; ++i) {
+        EXPECT_EQ(got.prov[i], want.prov[i])
+            << kernel << " "
+            << latencyComponentName(static_cast<LatencyComponent>(i));
+    }
 }
 
 void
@@ -182,17 +214,14 @@ class PinnedTrajectory : public ::testing::TestWithParam<Case>
 TEST_P(PinnedTrajectory, MatchesRecordedRun)
 {
     const Case &c = GetParam();
-    const Pinned got = runCase(c);
     const Pinned &want = c.expected;
-    EXPECT_EQ(got.fold, want.fold);
-    EXPECT_EQ(got.injected, want.injected);
-    EXPECT_EQ(got.ejected, want.ejected);
-    EXPECT_EQ(got.flitHops, want.flitHops);
-    EXPECT_EQ(got.latencySum, want.latencySum);
-    for (std::size_t i = 0; i < kNumLatencyComponents; ++i) {
-        EXPECT_EQ(got.prov[i], want.prov[i])
-            << latencyComponentName(static_cast<LatencyComponent>(i));
-    }
+    Pinned got = runCase(c, SchedulingMode::ActivityDriven);
+    const Pinned ticked = runCase(c, SchedulingMode::AlwaysTick);
+    got.clockAlwaysTick = ticked.clockAlwaysTick;
+    expectTrajectory(want, got, "activity");
+    expectTrajectory(want, ticked, "alwaystick");
+    EXPECT_EQ(got.clockActivity, want.clockActivity);
+    EXPECT_EQ(got.clockAlwaysTick, want.clockAlwaysTick);
     if (::testing::Test::HasFailure())
         ADD_FAILURE() << c.name << " measured " << row(got);
     // The regimes really reach the paths they exist for.
@@ -217,53 +246,53 @@ TEST_P(PinnedTrajectory, MatchesRecordedRun)
 const Case kCases[] = {
     {"nonspec_plain", RouterArch::NonSpeculative, 1, Regime::Plain,
      {0xbb207f2109d162a1ULL, 1584, 1584, 18073, 19054,
-      {0, 0, 0, 0, 0, 0, 0, 0}}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 9447, 9872}},
     {"nonspec_provenance", RouterArch::NonSpeculative, 1, Regime::Provenance,
      {0x17cb02a4e62a06b8ULL, 1584, 1584, 18235, 27629.000000000051,
-      {8975, 9001, 6629, 1027, 1551, 0, 446, 0}}},
+      {8975, 9001, 6629, 1027, 1551, 0, 446, 0}, 9608, 9984}},
     {"nonspec_router_kill", RouterArch::NonSpeculative, 1, Regime::RouterKill,
      {0xfc7bdcdd728a3efdULL, 1435, 1430, 16382, 65508.000000000036,
-      {41725, 8177, 11233, 2523, 1848, 0, 0, 2}}},
+      {41725, 8177, 11233, 2523, 1848, 0, 0, 2}, 10512, 12064}},
     {"specfast_plain", RouterArch::SpecFast, 1, Regime::Plain,
      {0xb0243bf6b0b915b4ULL, 1584, 1584, 18073, 110427.99999999997,
-      {0, 0, 0, 0, 0, 0, 0, 0}}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 11911, 12768}},
     {"specfast_provenance", RouterArch::SpecFast, 1, Regime::Provenance,
      {0x825dca75a6ce0bfbULL, 1584, 1584, 18223, 117621.00000000006,
-      {83891, 9001, 16801, 2906, 4632, 0, 390, 0}}},
+      {83891, 9001, 16801, 2906, 4632, 0, 390, 0}, 12059, 12896}},
     {"specfast_router_kill", RouterArch::SpecFast, 1, Regime::RouterKill,
      {0x2465a228f0c22d7fULL, 1435, 1419, 16283, 293811.99999999994,
-      {250690, 8122, 23538, 6361, 5101, 0, 0, 0}}},
+      {250690, 8122, 23538, 6361, 5101, 0, 0, 0}, 16367, 18880}},
     {"specaccurate_plain", RouterArch::SpecAccurate, 1, Regime::Plain,
      {0xdc2391630cb02d47ULL, 1584, 1584, 18073, 29534.999999999996,
-      {0, 0, 0, 0, 0, 0, 0, 0}}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 9595, 9888}},
     {"specaccurate_provenance", RouterArch::SpecAccurate, 1,
      Regime::Provenance,
      {0x7ebc67da17f43781ULL, 1584, 1584, 18217, 44824.000000000051,
-      {20795, 9001, 10288, 1801, 2447, 0, 492, 0}}},
+      {20795, 9001, 10288, 1801, 2447, 0, 492, 0}, 9926, 10560}},
     {"specaccurate_router_kill", RouterArch::SpecAccurate, 1,
      Regime::RouterKill,
      {0x1e5d9aa96ed3e7deULL, 1435, 1426, 16336, 129880,
-      {98755, 8153, 15729, 4139, 3104, 0, 0, 0}}},
+      {98755, 8153, 15729, 4139, 3104, 0, 0, 0}, 12390, 14336}},
     {"nox_plain", RouterArch::Nox, 1, Regime::Plain,
      {0x4036f68d3bd60158ULL, 1584, 1584, 18073, 21751.000000000004,
-      {0, 0, 0, 0, 0, 0, 0, 0}}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 9492, 9840}},
     {"nox_provenance", RouterArch::Nox, 1, Regime::Provenance,
      {0x301ad1216b51e4b8ULL, 1584, 1584, 18224, 31590.999999999967,
-      {11644, 9001, 7724, 1083, 1427, 246, 466, 0}}},
+      {11644, 9001, 7724, 1083, 1427, 246, 466, 0}, 9627, 10016}},
     {"nox_router_kill", RouterArch::Nox, 1, Regime::RouterKill,
      {0x85b035310e0e8166ULL, 1435, 1431, 16382, 73546.999999999956,
-      {48207, 8183, 12242, 2889, 1817, 205, 0, 4}}},
+      {48207, 8183, 12242, 2889, 1817, 205, 0, 4}, 10735, 12352}},
     {"nonspec_vc2_plain", RouterArch::NonSpeculative, 2, Regime::Plain,
      {0x90e2226fc8d132fcULL, 1584, 1584, 18073, 18471.000000000015,
-      {0, 0, 0, 0, 0, 0, 0, 0}}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 9469, 9840}},
     {"nonspec_vc2_provenance", RouterArch::NonSpeculative, 2,
      Regime::Provenance,
      {0xdf4684aad98601ffULL, 1584, 1584, 18222, 21671.999999999993,
-      {4271, 9001, 5137, 446, 2358, 0, 459, 0}}},
+      {4271, 9001, 5137, 446, 2358, 0, 459, 0}, 9541, 9888}},
     {"nonspec_vc2_router_kill", RouterArch::NonSpeculative, 2,
      Regime::RouterKill,
      {0xa158a923ef6de3f7ULL, 1435, 1431, 16398, 52918.000000000065,
-      {21890, 8187, 15552, 3286, 4003, 0, 0, 0}}},
+      {21890, 8187, 15552, 3286, 4003, 0, 0, 0}, 10329, 11568}},
 };
 
 INSTANTIATE_TEST_SUITE_P(

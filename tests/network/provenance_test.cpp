@@ -7,10 +7,10 @@
  * outlive a full drain, and the aggregated breakdown must itself
  * conserve and match NetworkStats' measured-packet count.
  *
- * The cross-kernel half extends the PR 4 `identicalStats` contract to
- * the observer: the aggregated LatencyBreakdown (total and per-class)
- * is bit-identical across the always-tick, activity-driven, and
- * equivalence-checking kernels.
+ * The cross-kernel half extends the `identicalStats` contract to the
+ * observer: the aggregated LatencyBreakdown (total and per-class) is
+ * bit-identical across the always-tick and activity-driven kernels,
+ * stepped in per-cycle digest lockstep.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "noc/network.hpp"
 #include "obs/provenance.hpp"
 #include "routers/factory.hpp"
+#include "support/kernel_lockstep.hpp"
 #include "traffic/bernoulli_source.hpp"
 #include "traffic/patterns.hpp"
 
@@ -60,14 +61,12 @@ buildNetwork(RouterArch arch, SchedulingMode mode,
     return net;
 }
 
-/** Run to quiescence and assert every provenance invariant. Returns
+/** Assert every provenance invariant of a drained @p net. Returns
  *  the aggregated breakdown for cross-run comparisons. */
 LatencyBreakdown
-runConserved(Network &net, const std::string &what)
+checkConserved(Network &net, const std::string &what)
 {
-    net.run(kWarmup + kMeasure);
-    net.setSourcesEnabled(false);
-    EXPECT_TRUE(net.drain(kDrainLimit))
+    EXPECT_TRUE(net.lastDrainReport().drained)
         << what << ": " << net.lastDrainReport().summary();
     net.finishObservability();
 
@@ -114,6 +113,16 @@ runConserved(Network &net, const std::string &what)
     EXPECT_GT(b.packets, 0u) << what;
     EXPECT_GE(b[LatencyComponent::RouterPipeline], b.packets) << what;
     return b;
+}
+
+/** Run to quiescence, then checkConserved(). */
+LatencyBreakdown
+runConserved(Network &net, const std::string &what)
+{
+    net.run(kWarmup + kMeasure);
+    net.setSourcesEnabled(false);
+    net.drain(kDrainLimit);
+    return checkConserved(net, what);
 }
 
 FaultParams
@@ -172,7 +181,7 @@ TEST_P(ProvenanceConservation, ComponentsSumExactly)
 TEST_P(ProvenanceConservation, BreakdownIdenticalAcrossKernels)
 {
     // The aggregated attribution is part of the deterministic
-    // observable state: all three scheduling kernels must produce a
+    // observable state: both scheduling kernels must produce a
     // bit-identical breakdown, not merely bit-identical NetworkStats.
     const auto [arch, regime] = GetParam();
     const FaultParams faults = faultsFor(regime);
@@ -181,23 +190,22 @@ TEST_P(ProvenanceConservation, BreakdownIdenticalAcrossKernels)
 
     auto tick =
         buildNetwork(arch, SchedulingMode::AlwaysTick, faults);
-    const LatencyBreakdown a =
-        runConserved(*tick, what + "/alwaystick");
     auto activity =
         buildNetwork(arch, SchedulingMode::ActivityDriven, faults);
+    test::KernelLockstep lockstep(*tick, *activity);
+    const auto run = lockstep.run(kWarmup + kMeasure);
+    ASSERT_FALSE(run) << what << ": " << *run;
+    const auto drained = lockstep.drain(kDrainLimit);
+    ASSERT_FALSE(drained) << what << ": " << *drained;
+    const LatencyBreakdown a =
+        checkConserved(*tick, what + "/alwaystick");
     const LatencyBreakdown b =
-        runConserved(*activity, what + "/activity");
-    auto equiv =
-        buildNetwork(arch, SchedulingMode::EquivalenceCheck, faults);
-    const LatencyBreakdown c =
-        runConserved(*equiv, what + "/equivalence");
+        checkConserved(*activity, what + "/activity");
 
     EXPECT_TRUE(identicalStats(tick->stats(), activity->stats()))
         << what;
     EXPECT_TRUE(a.identicalTo(b))
         << what << ": activity kernel changed the attribution";
-    EXPECT_TRUE(a.identicalTo(c))
-        << what << ": equivalence kernel changed the attribution";
     for (int cls = 0; cls < 3; ++cls) {
         const auto tc = static_cast<TrafficClass>(cls);
         EXPECT_TRUE(tick->provenance()->byClass(tc).identicalTo(

@@ -10,8 +10,8 @@
  * identity becomes `ejected + deliveryFailures == injected` with
  * `packetsLostHard == 0`, and when every fault heals within the
  * retry budget, `deliveryFailures == 0` too. All of it is a pure
- * function of the seeds, so every scheduling kernel produces
- * bit-identical NetworkStats.
+ * function of the seeds, so both scheduling kernels produce
+ * bit-identical NetworkStats, cycle by cycle.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "routers/factory.hpp"
+#include "support/kernel_lockstep.hpp"
 #include "traffic/bernoulli_source.hpp"
 #include "traffic/patterns.hpp"
 
@@ -186,9 +187,9 @@ TEST(E2eTransport, SoftFaultStormSuppressesDuplicates)
 TEST(E2eTransport, ChurnStatsBitIdenticalAcrossKernels)
 {
     // The transport sweep, the churn schedule and the heal replay are
-    // all clocked off committed state, so the three scheduling
-    // kernels must agree bit-for-bit even under kill+heal churn plus
-    // soft faults.
+    // all clocked off committed state, so the two scheduling kernels
+    // must agree bit-for-bit, at every cycle, even under kill+heal
+    // churn plus soft faults.
     FaultParams f = transportFaults();
     f.churnWaves = 2;
     f.churnStart = 300;
@@ -199,18 +200,18 @@ TEST(E2eTransport, ChurnStatsBitIdenticalAcrossKernels)
 
     auto reference = buildNetwork(RouterArch::Nox,
                                   SchedulingMode::AlwaysTick, f);
+    auto net = buildNetwork(RouterArch::Nox,
+                            SchedulingMode::ActivityDriven, f);
+    test::KernelLockstep lockstep(*reference, *net);
+    const auto run = lockstep.run(kRun);
+    ASSERT_FALSE(run) << *run;
+    const auto drained = lockstep.drain(kDrainLimit);
+    ASSERT_FALSE(drained) << *drained;
+
     const NetworkStats ref = finishChecked(*reference);
     EXPECT_GT(ref.faults.linkHeals + ref.faults.routerHeals, 0u);
-
-    for (const SchedulingMode mode :
-         {SchedulingMode::ActivityDriven,
-          SchedulingMode::EquivalenceCheck}) {
-        auto net = buildNetwork(RouterArch::Nox, mode, f);
-        const NetworkStats s = finishChecked(*net);
-        EXPECT_TRUE(identicalStats(ref, s))
-            << schedulingModeName(mode)
-            << " diverged from alwaystick under churn";
-    }
+    EXPECT_TRUE(identicalStats(ref, finishChecked(*net)))
+        << "activity diverged from alwaystick under churn";
 }
 
 TEST(E2eTransport, OffByDefaultKeepsHardWriteOffSemantics)

@@ -118,8 +118,9 @@ TEST(MetricsConservation, WindowSumsMatchNetworkStats)
     for (std::size_t i = 0; i < m.numWindows(); ++i) {
         const MetricsWindow &w = m.window(i);
         EXPECT_LT(w.start, w.end);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(w.start, m.window(i - 1).end);
+        }
         EXPECT_EQ(w.routers.size(),
                   static_cast<std::size_t>(net->numRouters()));
     }

@@ -92,8 +92,10 @@ TEST(PhaseProfilerDeathTest, OpenPhaseAcrossStepBoundaryPanics)
 TEST(PhaseProfiler, RouterWorkAccumulates)
 {
     PhaseProfiler prof({}, 3);
-    prof.countEvalsAll();
-    prof.countEvalsAll();
+    for (int cycle = 0; cycle < 2; ++cycle) {
+        for (NodeId r = 0; r < 3; ++r)
+            prof.countEval(r);
+    }
     prof.countEval(1);
     prof.recordRouterWork(1, 40, 7);
     EXPECT_EQ(prof.evaluations(0), 2u);

@@ -279,6 +279,44 @@ TEST(SnapshotRejectTransport, TransportPresenceMismatchRejected)
     }
 }
 
+TEST(SnapshotRejectActiveSet, RetiredComponentUnderAlwaysTickRejected)
+{
+    // The always-tick kernel retires nothing and binds no wakes, so a
+    // cleared active-set flag in an always-tick image would silently
+    // stop that router forever. Clear router 0's flag under a fresh
+    // CRC: its 16 router flags, 16 NIC flags and the two absent-
+    // observer markers sit just before the first router's ROUT tag.
+    auto donor = buildNetwork();
+    donor->run(200);
+    ASSERT_EQ(donor->schedulingMode(), SchedulingMode::AlwaysTick);
+    const std::vector<std::uint8_t> bytes = captureBytes(*donor);
+
+    snap::SnapshotFile file =
+        snap::decodeSnapshotFile(bytes.data(), bytes.size());
+    static const std::uint8_t kTag[4] = {'R', 'O', 'U', 'T'};
+    for (snap::Section &sec : file.sections) {
+        if (sec.tag != snap::kSectionNetwork)
+            continue;
+        const auto it = std::search(sec.payload.begin(),
+                                    sec.payload.end(), std::begin(kTag),
+                                    std::end(kTag));
+        ASSERT_NE(it, sec.payload.end());
+        const auto flag = static_cast<std::size_t>(
+            it - sec.payload.begin() - 2 - donor->numRouters() -
+            donor->numNodes());
+        ASSERT_EQ(sec.payload[flag], 1u);
+        sec.payload[flag] = 0;
+    }
+    try {
+        restoreFromBytes(snap::encodeSnapshotFile(file));
+        FAIL() << "always-tick image with a retired router restored";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("always-tick"),
+                  std::string::npos)
+            << "unexpected error: " << e.what();
+    }
+}
+
 TEST_F(SnapshotReject, FileIoErrorsAreStructured)
 {
     EXPECT_THROW(snap::loadSnapshotFile(

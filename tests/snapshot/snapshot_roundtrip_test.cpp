@@ -32,6 +32,7 @@
 #include "obs/digest.hpp"
 #include "routers/factory.hpp"
 #include "snapshot/snapshot.hpp"
+#include "support/kernel_lockstep.hpp"
 #include "traffic/bernoulli_source.hpp"
 #include "traffic/patterns.hpp"
 
@@ -233,8 +234,7 @@ INSTANTIATE_TEST_SUITE_P(
                           RouterArch::SpecFast,
                           RouterArch::SpecAccurate, RouterArch::Nox),
         ::testing::Values(SchedulingMode::AlwaysTick,
-                          SchedulingMode::ActivityDriven,
-                          SchedulingMode::EquivalenceCheck),
+                          SchedulingMode::ActivityDriven),
         ::testing::Values(Regime::Clean, Regime::Soft, Regime::Hard,
                           Regime::Churn)),
     [](const ::testing::TestParamInfo<RoundtripParam> &info) {
@@ -284,11 +284,17 @@ TEST(SnapshotRoundtripExtra, MidChurnCheckpointIsGenuinelyMidChurn)
     const FaultParams faults = faultsFor(Regime::Churn);
     const auto make = [&] {
         return buildNetwork(RouterArch::Nox,
-                            SchedulingMode::EquivalenceCheck, faults);
+                            SchedulingMode::ActivityDriven, faults);
     };
 
+    // The probe runs in per-cycle digest lockstep with an always-tick
+    // twin, so the churn regime also checks the quiescence contracts
+    // across kills, heals and transport retransmissions.
     auto probe = make();
-    probe->run(kMid);
+    auto twin = buildNetwork(RouterArch::Nox,
+                             SchedulingMode::AlwaysTick, faults);
+    const auto run = test::KernelLockstep(*twin, *probe).run(kMid);
+    ASSERT_FALSE(run) << *run;
     EXPECT_GT(probe->faultMap().deadRouterCount() +
                   probe->faultMap().explicitDeadLinkCount(),
               0)

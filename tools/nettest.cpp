@@ -16,12 +16,17 @@
  *
  *   nettest arch=nox seconds=10 [width=8 height=8 concentration=1]
  *           [seed=N] [buffer_depth=4]
- *           [scheduling=alwaystick|activity|equivalence]
  *
- * The default scheduling mode is `equivalence`: the always-tick
- * kernel plus per-cycle asserts that every component retired from
- * the active set is genuinely quiescent, so the soak also fuzzes the
- * activity-driven kernel's quiescence contracts.
+ * Every phase runs under both scheduling kernels on identical
+ * traffic: the activity kernel carries the invariant checkers, the
+ * observers and the checkpoints, and an always-tick twin is the
+ * reference. Both must drain at the same cycle into identical
+ * NetworkStats and state digests; any difference is fatal and names
+ * the divergent components, so the soak also fuzzes the activity
+ * kernel's quiescence contracts. (Per-cycle digest lockstep stays in
+ * the gtest suites: digesting every cycle costs ~70x.) A phase
+ * resumed from a checkpoint runs without its twin, because the
+ * checkpoint holds only the activity network.
  */
 
 #include <algorithm>
@@ -36,6 +41,7 @@
 #include "common/rng.hpp"
 #include "noc/flit_arena.hpp"
 #include "noc/network.hpp"
+#include "obs/digest.hpp"
 #include "obs/obs_params.hpp"
 #include "obs/telemetry.hpp"
 #include "routers/factory.hpp"
@@ -180,6 +186,30 @@ class DupChecker : public SinkListener
     std::unordered_map<std::uint64_t, Flow> flows_;
 };
 
+/**
+ * End-of-phase cross-kernel check: @p twin (always-tick) and @p net
+ * (activity), offered identical traffic, must have drained at the
+ * same cycle into identical NetworkStats and state digests.
+ */
+void
+checkKernelsAgree(const Network &twin, const Network &net, int phase)
+{
+    const DigestStride a = twin.computeDigestStride();
+    const DigestStride b = net.computeDigestStride();
+    const bool stats = identicalStats(twin.stats(), net.stats());
+    if (stats && a == b)
+        return;
+    std::string components;
+    for (const std::string &c : divergentComponents(a, b))
+        components += " " + c;
+    fatal("KERNEL DIVERGENCE in phase ", phase,
+          ": activity drained at cycle ", net.now(),
+          ", always-tick at cycle ", twin.now(),
+          stats ? "" : "; NetworkStats differ",
+          "; divergent components:",
+          components.empty() ? " none" : components);
+}
+
 } // namespace
 
 int
@@ -214,8 +244,7 @@ main(int argc, char **argv)
     params.router.vcCount =
         static_cast<int>(config.getInt("vc_count", 1));
     params.sinkBufferDepth = params.router.bufferDepth;
-    params.schedulingMode = parseSchedulingMode(
-        config.getString("scheduling", "equivalence").c_str());
+    params.schedulingMode = SchedulingMode::ActivityDriven;
     // Optional deterministic link-fault injection (fault_bitflip_rate=
     // etc.). With recovery enabled (the default) every invariant below
     // must still hold — the soak then fuzzes the CRC/retransmission
@@ -227,6 +256,10 @@ main(int argc, char **argv)
     // exports survive.
     params.obs = obsParamsFromConfig(config);
     config.requireAllUsed("nettest");
+    // The reference twin: always-tick, observers off.
+    NetworkParams twinParams = params;
+    twinParams.schedulingMode = SchedulingMode::AlwaysTick;
+    twinParams.obs = ObsParams{};
 
     Rng rng(seed);
     std::uint64_t total_packets = 0;
@@ -247,9 +280,10 @@ main(int argc, char **argv)
         std::chrono::steady_clock::now() +
         std::chrono::duration<double>(seconds);
 
-    // Execute (or, after --resume, finish) one soak phase on @p net.
-    const auto runOnePhase = [&](Network *net, PhaseState &st,
-                                 bool resumed) {
+    // Execute (or, after --resume, finish) one soak phase on @p net,
+    // offering the same traffic to @p twin when there is one.
+    const auto runOnePhase = [&](Network *net, Network *twin,
+                                 PhaseState &st, bool resumed) {
         const int phase = st.phase;
         const auto phaseWall0 = std::chrono::steady_clock::now();
         OrderChecker checker(net);
@@ -282,6 +316,8 @@ main(int argc, char **argv)
                 st.stage = 1;
                 st.pauseEnd = net->now() + pause;
                 net->run(pause);
+                if (twin)
+                    twin->run(pause);
             }
         };
 
@@ -336,8 +372,14 @@ main(int argc, char **argv)
                             : 1;
                     net->injectPacket(s, d, flits, net->now(),
                                       TrafficClass::Synthetic);
+                    if (twin) {
+                        twin->injectPacket(s, d, flits, twin->now(),
+                                           TrafficClass::Synthetic);
+                    }
                 }
                 net->step();
+                if (twin)
+                    twin->step();
                 maybePause();
             }
             st.stage = 2;
@@ -352,6 +394,10 @@ main(int argc, char **argv)
                   archName(arch), ", rate ", rate, ", max_flits ",
                   max_flits, ", seed ", seed, "): ",
                   net->lastDrainReport().summary());
+        }
+        if (twin) {
+            twin->drain(budget);
+            checkKernelsAgree(*twin, *net, phase);
         }
         // Conservation under hard faults: every injected packet is
         // either delivered, explicitly written off as lost to a
@@ -533,13 +579,14 @@ main(int argc, char **argv)
                   e.what());
         }
         phase = st.phase;
-        runOnePhase(net.get(), st, true);
+        runOnePhase(net.get(), nullptr, st, true);
     } else {
         while (maxPhases > 0
                    ? phase < maxPhases
                    : std::chrono::steady_clock::now() < deadline) {
             ++phase;
             auto net = makeNetwork(params, arch);
+            auto twin = makeNetwork(twinParams, arch);
             // Randomized phase parameters, recorded in PhaseState so
             // a checkpointed phase resumes without re-drawing them.
             PhaseState st;
@@ -571,7 +618,7 @@ main(int argc, char **argv)
                 // is bounded by the heal latency, not the backlog.
                 st.rate = 0.005 + rng.nextDouble() * 0.025;
             }
-            runOnePhase(net.get(), st, false);
+            runOnePhase(net.get(), twin.get(), st, false);
         }
     }
 
