@@ -446,9 +446,9 @@ FaultInjector::restore(snap::Reader &r)
     snap::checkTag(r, snap::fourcc("FINJ"));
     now_ = r.u64();
     oneShots_.clear();
-    const std::uint64_t nshot = r.u64();
-    oneShots_.reserve(static_cast<std::size_t>(nshot));
-    for (std::uint64_t i = 0; i < nshot; ++i) {
+    const std::size_t nshot = r.count(26); // bytes per one-shot
+    oneShots_.reserve(nshot);
+    for (std::size_t i = 0; i < nshot; ++i) {
         OneShot o;
         o.kind = static_cast<FaultKind>(r.u8());
         o.cycle = r.u64();
@@ -459,9 +459,9 @@ FaultInjector::restore(snap::Reader &r)
         oneShots_.push_back(o);
     }
     hardFaults_.clear();
-    const std::uint64_t nhard = r.u64();
-    hardFaults_.reserve(static_cast<std::size_t>(nhard));
-    for (std::uint64_t i = 0; i < nhard; ++i) {
+    const std::size_t nhard = r.count(17); // bytes per hard fault
+    hardFaults_.reserve(nhard);
+    for (std::size_t i = 0; i < nhard; ++i) {
         HardFault h;
         h.kind = static_cast<FaultKind>(r.u8());
         h.cycle = r.u64();
@@ -470,11 +470,11 @@ FaultInjector::restore(snap::Reader &r)
         hardFaults_.push_back(h);
     }
     log_.clear();
-    const std::uint64_t nlog = r.u64();
+    const std::size_t nlog = r.count(25); // bytes per log event
     if (nlog > kLogCap)
         r.fail("fault log exceeds its cap");
-    log_.reserve(static_cast<std::size_t>(nlog));
-    for (std::uint64_t i = 0; i < nlog; ++i) {
+    log_.reserve(nlog);
+    for (std::size_t i = 0; i < nlog; ++i) {
         FaultEvent e;
         e.cycle = r.u64();
         e.kind = static_cast<FaultKind>(r.u8());

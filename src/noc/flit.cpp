@@ -4,6 +4,7 @@
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "snapshot/io.hpp"
 
 namespace nox {
 
@@ -49,22 +50,17 @@ WireFlit::combine(const std::vector<FlitDesc> &inputs)
 std::uint32_t
 wireChecksum(const WireFlit &w)
 {
-    // CRC-32C (Castagnoli), bitwise over the 64-bit payload plus the
-    // link sideband bits (encoded marker, VC tag). Software speed is
-    // irrelevant here: the checksum is only computed on fault-
-    // protected links, never on the fault-free hot path.
-    constexpr std::uint32_t kPoly = 0x82F63B78u; // reflected 0x1EDC6F41
-    std::uint32_t crc = 0xFFFFFFFFu;
-    const auto feed = [&crc](std::uint8_t byte) {
-        crc ^= byte;
-        for (int b = 0; b < 8; ++b)
-            crc = (crc >> 1) ^ ((crc & 1u) ? kPoly : 0u);
-    };
+    // CRC-32C over the 10 bytes a link carries: the 64-bit payload in
+    // little-endian order, then the sideband encoded marker and VC
+    // tag. It runs twice per hop on every fault-protected link (stamp
+    // at dispatch, verify at receive), so it goes through the table-
+    // driven snap::crc32c shared with the snapshot file framing.
+    std::uint8_t bytes[10];
     for (int i = 0; i < 8; ++i)
-        feed(static_cast<std::uint8_t>(w.payload >> (8 * i)));
-    feed(static_cast<std::uint8_t>(w.encoded ? 1 : 0));
-    feed(w.vc);
-    return crc ^ 0xFFFFFFFFu;
+        bytes[i] = static_cast<std::uint8_t>(w.payload >> (8 * i));
+    bytes[8] = static_cast<std::uint8_t>(w.encoded ? 1 : 0);
+    bytes[9] = w.vc;
+    return snap::crc32c(bytes, sizeof(bytes));
 }
 
 DecodeResult

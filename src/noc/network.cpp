@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 
 #include "common/log.hpp"
 #include "noc/flit_arena.hpp"
@@ -126,7 +127,10 @@ parseSchedulingMode(const char *name)
 Network::Network(const NetworkParams &params, RouterFactory factory)
     : params_(params),
       mesh_(params.width, params.height, params.concentration),
-      table_(mesh_, params.routing), faultMap_(mesh_)
+      table_(mesh_, params.routing), faultMap_(mesh_),
+      // Per-flow tables are only touched with faults enabled.
+      flowNextSeq_(params.faults.enabled ? mesh_.numNodes() : 0),
+      flowMaxDone_(params.faults.enabled ? mesh_.numNodes() : 0)
 {
     NOX_ASSERT(factory, "router factory required");
 
@@ -201,8 +205,8 @@ Network::Network(const NetworkParams &params, RouterFactory factory)
         // the NICs plus destination-side duplicate suppression.
         if (params.faults.e2eTransport) {
             transport_ = std::make_unique<E2eTransport>(
-                params.faults.e2eTimeout, params.faults.e2eRetryLimit,
-                params.faults.e2eAckDelay);
+                nn, params.faults.e2eTimeout,
+                params.faults.e2eRetryLimit, params.faults.e2eAckDelay);
             for (auto &nic : nics_)
                 nic->attachTransport(transport_.get());
         }
@@ -941,10 +945,7 @@ Network::injectPacket(NodeId src, NodeId dst, int num_flits, Cycle now,
     const PacketId id = nextPacket_++;
     std::uint32_t flow_seq = 0;
     if (faults_) {
-        const std::uint64_t flow =
-            (static_cast<std::uint64_t>(src) << 32) |
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst));
-        flow_seq = flowNextSeq_[flow]++;
+        flow_seq = flowNextSeq_(src, dst)++;
         if (faults_->params().packetAgeLimit > 0) {
             ageQueue_.emplace_back(id, now);
             ageInFlight_.insert(id);
@@ -1103,22 +1104,11 @@ Network::serialize(snap::Writer &w, snap::Scope scope) const
     }
     w.u64(table_.rebuilds());
 
-    const auto writeFlowMap =
-        [&w](const std::unordered_map<std::uint64_t, std::uint32_t>
-                 &m) {
-            std::vector<std::uint64_t> keys;
-            keys.reserve(m.size());
-            for (const auto &[k, v] : m)
-                keys.push_back(k);
-            std::sort(keys.begin(), keys.end());
-            w.u64(keys.size());
-            for (std::uint64_t k : keys) {
-                w.u64(k);
-                w.u32(m.at(k));
-            }
-        };
-    writeFlowMap(flowNextSeq_);
-    writeFlowMap(flowMaxDone_);
+    const auto writeSeq = [](snap::Writer &out, std::uint32_t seq) {
+        out.u32(seq);
+    };
+    flowNextSeq_.serialize(w, writeSeq);
+    flowMaxDone_.serialize(w, writeSeq);
 
     w.u64(ageQueue_.size());
     for (const auto &[packet, created] : ageQueue_) {
@@ -1180,7 +1170,7 @@ DigestStride
 Network::computeDigestStride(snap::Writer &scratch) const
 {
     const auto hash = [&scratch]() {
-        const DigestHash h = digestBytes(scratch.data().data(),
+        const DigestHash h = digestBytes(scratch.data(),
                                          scratch.size());
         scratch.clear();
         return h;
@@ -1282,18 +1272,11 @@ Network::restore(snap::Reader &r)
         table_.rebuild(faultMap_);
     table_.setRebuildCount(r.u64());
 
-    const auto readFlowMap =
-        [&r](std::unordered_map<std::uint64_t, std::uint32_t> &m) {
-            m.clear();
-            const std::uint64_t n = r.u64();
-            m.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const std::uint64_t k = r.u64();
-                m[k] = r.u32();
-            }
-        };
-    readFlowMap(flowNextSeq_);
-    readFlowMap(flowMaxDone_);
+    const auto readSeq = [](snap::Reader &in, std::uint32_t &seq) {
+        seq = in.u32();
+    };
+    flowNextSeq_.restore(r, 4, readSeq);
+    flowMaxDone_.restore(r, 4, readSeq);
 
     ageQueue_.clear();
     const std::uint64_t nage = r.u64();
@@ -1303,9 +1286,9 @@ Network::restore(snap::Reader &r)
         ageQueue_.emplace_back(packet, created);
     }
     ageInFlight_.clear();
-    const std::uint64_t nin = r.u64();
-    ageInFlight_.reserve(static_cast<std::size_t>(nin));
-    for (std::uint64_t i = 0; i < nin; ++i)
+    const std::size_t nin = r.count(8);
+    ageInFlight_.reserve(nin);
+    for (std::size_t i = 0; i < nin; ++i)
         ageInFlight_.insert(r.u64());
     ageDumpLatched_ = r.boolean();
 
@@ -1471,18 +1454,13 @@ Network::onPacketCompleted(NodeId node, const FlitDesc &last_flit,
     if (faults_) {
         // Per-flow sequence check: adaptive rerouting after a mid-run
         // kill can legitimately reorder a flow; make it visible.
-        const std::uint64_t flow =
-            (static_cast<std::uint64_t>(last_flit.src) << 32) |
-            static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(last_flit.dest));
-        auto [it, fresh] = flowMaxDone_.emplace(flow,
-                                                last_flit.flowSeq);
-        if (!fresh) {
-            if (last_flit.flowSeq < it->second)
-                stats_.faults.flowReorders += 1;
-            else
-                it->second = last_flit.flowSeq;
-        }
+        const std::uint32_t *done =
+            flowMaxDone_.find(last_flit.src, last_flit.dest);
+        if (done && last_flit.flowSeq < *done)
+            stats_.faults.flowReorders += 1;
+        else
+            flowMaxDone_(last_flit.src, last_flit.dest) =
+                last_flit.flowSeq;
         ageInFlight_.erase(packet);
     }
     const Cycle created = last_flit.createCycle;

@@ -16,13 +16,13 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "noc/energy_events.hpp"
 #include "noc/fault_injector.hpp"
+#include "noc/flow_table.hpp"
 #include "noc/network_stats.hpp"
 #include "noc/nic.hpp"
 #include "noc/router.hpp"
@@ -437,8 +437,8 @@ class Network : public PacketInjector,
 
     /** Per-flow (src, dest) end-to-end sequence numbers, stamped at
      *  injection and checked at completion (faults enabled only). */
-    std::unordered_map<std::uint64_t, std::uint32_t> flowNextSeq_;
-    std::unordered_map<std::uint64_t, std::uint32_t> flowMaxDone_;
+    FlowTable<std::uint32_t> flowNextSeq_;
+    FlowTable<std::uint32_t> flowMaxDone_;
 
     /** Age-watchdog state (packetAgeLimit > 0 only). */
     std::deque<std::pair<PacketId, Cycle>> ageQueue_;

@@ -7,9 +7,10 @@
 
 namespace nox {
 
-E2eTransport::E2eTransport(Cycle timeout, std::uint32_t retry_limit,
-                           Cycle ack_delay)
-    : timeout_(timeout), retryLimit_(retry_limit), ackDelay_(ack_delay)
+E2eTransport::E2eTransport(int nodes, Cycle timeout,
+                           std::uint32_t retry_limit, Cycle ack_delay)
+    : nodes_(nodes), timeout_(timeout), retryLimit_(retry_limit),
+      ackDelay_(ack_delay), flows_(nodes)
 {
     NOX_ASSERT(timeout_ > 0, "E2E timeout must be positive");
 }
@@ -36,8 +37,8 @@ E2eTransport::onInject(const FlitDesc &head, Cycle now)
 bool
 E2eTransport::duplicateFlit(const FlitDesc &d) const
 {
-    const auto it = flows_.find(flowKey(d.src, d.dest));
-    return it != flows_.end() && it->second.contains(d.flowSeq);
+    const FlowFilter *f = flows_.find(d.src, d.dest);
+    return f != nullptr && f->contains(d.flowSeq);
 }
 
 bool
@@ -106,7 +107,7 @@ E2eTransport::sweep(Cycle now, TransportListener &listener)
 void
 E2eTransport::markFlowDone(const TransportEntry &e)
 {
-    flows_[flowKey(e.src, e.dest)].insert(e.flowSeq);
+    flows_(e.src, e.dest).insert(e.flowSeq);
 }
 
 void
@@ -145,23 +146,12 @@ E2eTransport::serialize(snap::Writer &w) const
         w.u64(base);
     }
 
-    std::vector<std::uint64_t> flowKeys;
-    flowKeys.reserve(flows_.size());
-    for (const auto &[key, filter] : flows_)
-        flowKeys.push_back(key);
-    std::sort(flowKeys.begin(), flowKeys.end());
-    w.u64(flowKeys.size());
-    for (const std::uint64_t key : flowKeys) {
-        const FlowFilter &f = flows_.at(key);
-        w.u64(key);
-        w.u32(f.watermark);
-        std::vector<std::uint32_t> above(f.above.begin(),
-                                         f.above.end());
-        std::sort(above.begin(), above.end());
-        w.u64(above.size());
-        for (const std::uint32_t seq : above)
-            w.u32(seq);
-    }
+    flows_.serialize(w, [](snap::Writer &out, const FlowFilter &f) {
+        out.u32(f.watermark);
+        out.u64(f.above.size());
+        for (const std::uint32_t seq : f.above)
+            out.u32(seq);
+    });
 }
 
 void
@@ -172,7 +162,6 @@ E2eTransport::restore(snap::Reader &r)
     window_.clear();
     timeouts_.clear();
     acks_.clear();
-    flows_.clear();
 
     const std::uint64_t nw = r.u64();
     for (std::uint64_t i = 0; i < nw; ++i) {
@@ -187,6 +176,9 @@ E2eTransport::restore(snap::Reader &r)
         e.attempt = r.u32();
         e.retries = r.u32();
         e.delivered = r.boolean();
+        if (e.src < 0 || e.src >= nodes_ || e.dest < 0 ||
+            e.dest >= nodes_)
+            r.fail("transport window entry names a node out of range");
         if (!window_.emplace(base, e).second)
             r.fail("duplicate transport window entry");
     }
@@ -208,22 +200,18 @@ E2eTransport::restore(snap::Reader &r)
         acks_.emplace_back(due, base);
     }
 
-    const std::uint64_t nf = r.u64();
-    for (std::uint64_t i = 0; i < nf; ++i) {
-        const std::uint64_t key = r.u64();
-        FlowFilter f;
-        f.watermark = r.u32();
-        const std::uint64_t ns = r.u64();
-        for (std::uint64_t s = 0; s < ns; ++s) {
-            const std::uint32_t seq = r.u32();
+    flows_.restore(r, 12, [](snap::Reader &in, FlowFilter &f) {
+        f.watermark = in.u32();
+        const std::size_t ns = in.count(4);
+        for (std::size_t s = 0; s < ns; ++s) {
+            const std::uint32_t seq = in.u32();
             if (seq < f.watermark)
-                r.fail("flow filter entry below its watermark");
-            if (!f.above.insert(seq).second)
-                r.fail("duplicate flow filter entry");
+                in.fail("flow filter entry below its watermark");
+            if (!f.above.empty() && seq <= f.above.back())
+                in.fail("flow filter entries not ascending");
+            f.above.push_back(seq);
         }
-        if (!flows_.emplace(key, std::move(f)).second)
-            r.fail("duplicate flow filter key");
-    }
+    });
 }
 
 } // namespace nox

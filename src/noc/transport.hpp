@@ -27,24 +27,26 @@
  * the timeout path already exercises.
  *
  * Duplicate suppression. The destination tracks delivered packets per
- * (src,dest) flow as a watermark plus a sparse set of out-of-order
- * flow sequence numbers — O(1) amortised and bounded by the window,
- * exactly like a hardware reorder filter. Every flit of an already-
- * delivered (or abandoned) logical packet is dropped at the NIC door
- * before it can touch arrival state, making a second completion
- * structurally impossible.
+ * (src,dest) flow as a watermark plus a short sorted list of
+ * out-of-order flow sequence numbers — bounded by the window, exactly
+ * like a hardware reorder filter — in a FlowTable slot found by
+ * index. Every flit of an already-delivered (or abandoned) logical
+ * packet is dropped at the NIC door before it can touch arrival
+ * state, making a second completion structurally impossible.
  */
 
 #ifndef NOX_NOC_TRANSPORT_HPP
 #define NOX_NOC_TRANSPORT_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "noc/flit.hpp"
+#include "noc/flow_table.hpp"
 #include "noc/types.hpp"
 #include "snapshot/io.hpp"
 
@@ -104,7 +106,8 @@ class TransportListener
 class E2eTransport
 {
   public:
-    E2eTransport(Cycle timeout, std::uint32_t retry_limit,
+    /** @p nodes sizes the per-flow duplicate filters. */
+    E2eTransport(int nodes, Cycle timeout, std::uint32_t retry_limit,
                  Cycle ack_delay);
 
     /** A new logical packet entered the network (attempt 0). */
@@ -133,30 +136,24 @@ class E2eTransport
     /** Logical packets currently held in the source window. */
     std::size_t windowSize() const { return window_.size(); }
 
-    /** Flow key as used by the network's ordering checks. */
-    static std::uint64_t
-    flowKey(NodeId src, NodeId dest)
-    {
-        return (static_cast<std::uint64_t>(src) << 32) |
-               static_cast<std::uint32_t>(dest);
-    }
-
     void serialize(snap::Writer &w) const;
     void restore(snap::Reader &r);
 
   private:
     /** Delivered-set for one (src,dest) flow: every flowSeq below the
      *  watermark is delivered; stragglers above it sit in `above`
-     *  until the watermark sweeps past them. */
+     *  (ascending, all above the watermark) until the watermark
+     *  sweeps past them. */
     struct FlowFilter
     {
         std::uint32_t watermark = 0;
-        std::unordered_set<std::uint32_t> above;
+        std::vector<std::uint32_t> above;
 
         bool
         contains(std::uint32_t seq) const
         {
-            return seq < watermark || above.count(seq) != 0;
+            return seq < watermark ||
+                   std::binary_search(above.begin(), above.end(), seq);
         }
 
         void
@@ -164,14 +161,22 @@ class E2eTransport
         {
             if (seq < watermark)
                 return;
-            above.insert(seq);
-            while (above.erase(watermark) != 0)
+            const auto at =
+                std::lower_bound(above.begin(), above.end(), seq);
+            if (at == above.end() || *at != seq)
+                above.insert(at, seq);
+            auto swept = above.begin();
+            while (swept != above.end() && *swept == watermark) {
+                ++swept;
                 ++watermark;
+            }
+            above.erase(above.begin(), swept);
         }
     };
 
     void markFlowDone(const TransportEntry &e);
 
+    int nodes_;
     Cycle timeout_;
     std::uint32_t retryLimit_;
     Cycle ackDelay_;
@@ -179,7 +184,7 @@ class E2eTransport
     std::unordered_map<PacketId, TransportEntry> window_;
     std::deque<std::pair<Cycle, PacketId>> timeouts_;
     std::deque<std::pair<Cycle, PacketId>> acks_;
-    std::unordered_map<std::uint64_t, FlowFilter> flows_;
+    FlowTable<FlowFilter> flows_;
 };
 
 } // namespace nox

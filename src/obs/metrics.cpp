@@ -158,9 +158,9 @@ MetricsSampler::restore(snap::Reader &r)
     openEjected_ = r.u64();
     openEjectedMeasured_ = r.u64();
     windows_.clear();
-    const std::uint64_t nwin = r.u64();
-    windows_.reserve(static_cast<std::size_t>(nwin));
-    for (std::uint64_t i = 0; i < nwin; ++i) {
+    const std::size_t nwin = r.count(48); // bytes per empty window
+    windows_.reserve(nwin);
+    for (std::size_t i = 0; i < nwin; ++i) {
         MetricsWindow win;
         win.start = r.u64();
         win.end = r.u64();
@@ -168,8 +168,7 @@ MetricsSampler::restore(snap::Reader &r)
         win.flitsEjectedMeasured = r.u64();
         win.activeRouters = r.i32();
         win.activeNics = r.i32();
-        const std::uint64_t nr = r.u64();
-        win.routers.resize(static_cast<std::size_t>(nr));
+        win.routers.resize(r.count(17)); // bytes per sample
         for (RouterWindowSample &s : win.routers) {
             s.bufferedFlits = r.u32();
             s.linkFlits = r.u32();

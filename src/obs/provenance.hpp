@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "noc/flit.hpp"
+#include "noc/flow_table.hpp"
 #include "noc/types.hpp"
 
 namespace nox {
@@ -232,20 +233,11 @@ class LatencyProvenance
         return byClass_[static_cast<std::size_t>(cls)];
     }
 
-    /** Per-(src,dest) flow aggregates, keyed src << 32 | dest. */
+    /** Per-(src,dest) flow aggregates, keyed by flowKey(). */
     const std::unordered_map<std::uint64_t, LatencyBreakdown> &
     byFlow() const
     {
         return byFlow_;
-    }
-
-    static std::uint64_t
-    flowKey(NodeId src, NodeId dest)
-    {
-        return (static_cast<std::uint64_t>(
-                    static_cast<std::uint32_t>(src))
-                << 32) |
-               static_cast<std::uint32_t>(dest);
     }
 
     /** Deliveries whose components failed to sum to the measured

@@ -67,9 +67,10 @@ decodeSnapshotFile(const std::uint8_t *data, std::size_t size)
             std::to_string(f.version) + " (this build reads version " +
             std::to_string(kSnapshotVersion) + ")");
     }
-    const std::uint32_t count = r.u32();
+    // A section frame is at least its tag, length and CRC.
+    const std::size_t count = r.count<std::uint32_t>(16);
     f.sections.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         Section s;
         s.tag = r.u32();
         const std::uint64_t len = r.u64();

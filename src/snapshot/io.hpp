@@ -18,6 +18,8 @@
 #ifndef NOX_SNAPSHOT_IO_HPP
 #define NOX_SNAPSHOT_IO_HPP
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -53,18 +55,70 @@ class SnapshotError : public std::runtime_error
     }
 };
 
-/**
- * CRC-32C (Castagnoli) over an arbitrary buffer — the same polynomial
- * and bit order as the link-level wireChecksum() in noc/flit.cpp, so
- * the snapshot integrity check reuses hardware-verified math.
- */
-std::uint32_t crc32c(const std::uint8_t *data, std::size_t len);
+namespace detail {
 
-/** Little-endian append-only byte sink. */
+/** CRC-32C lookup tables: kCrc32cTables[0][b] is the register after
+ *  shifting byte b through the reflected Castagnoli polynomial bit by
+ *  bit, and table k > 0 advances that by k more zero bytes, so eight
+ *  bytes fold in with eight independent lookups (slicing-by-8). */
+inline constexpr std::array<std::array<std::uint32_t, 256>, 8>
+    kCrc32cTables = [] {
+        constexpr std::uint32_t kPoly = 0x82F63B78u; // reflected 0x1EDC6F41
+        std::array<std::array<std::uint32_t, 256>, 8> t{};
+        for (std::uint32_t b = 0; b < 256; ++b) {
+            std::uint32_t c = b;
+            for (int i = 0; i < 8; ++i)
+                c = (c >> 1) ^ ((c & 1u) ? kPoly : 0u);
+            t[0][b] = c;
+        }
+        for (std::size_t k = 1; k < 8; ++k) {
+            for (std::size_t b = 0; b < 256; ++b)
+                t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFFu];
+        }
+        return t;
+    }();
+
+} // namespace detail
+
+/**
+ * CRC-32C (Castagnoli: reflected, init and final XOR 0xFFFFFFFF;
+ * check value 0xE3069283 over "123456789"), table-driven eight bytes
+ * per step with a byte-wise tail. The simulator's one CRC: it frames
+ * every snapshot section (file.hpp), and the link-level wireChecksum()
+ * in noc/flit.cpp feeds each flit's 10 wire bytes through it twice
+ * per hop on fault-protected links, so it is inline.
+ */
+inline std::uint32_t
+crc32c(const std::uint8_t *data, std::size_t len)
+{
+    const auto &t = detail::kCrc32cTables;
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (; len >= 8; data += 8, len -= 8) {
+        std::uint64_t x = crc;
+        for (int i = 0; i < 8; ++i)
+            x ^= static_cast<std::uint64_t>(data[i]) << (8 * i);
+        crc = t[7][x & 0xFFu] ^ t[6][(x >> 8) & 0xFFu] ^
+              t[5][(x >> 16) & 0xFFu] ^ t[4][(x >> 24) & 0xFFu] ^
+              t[3][(x >> 32) & 0xFFu] ^ t[2][(x >> 40) & 0xFFu] ^
+              t[1][(x >> 48) & 0xFFu] ^ t[0][x >> 56];
+    }
+    for (; len > 0; ++data, --len)
+        crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
+    return crc ^ 0xFFFFFFFFu;
+}
+
+/**
+ * Little-endian append-only byte sink. The stream is the first size()
+ * bytes of a buffer grown by doubling, so appending a field is one
+ * capacity check and one fixed-size copy: the digest ledger and every
+ * checkpoint serialize the whole network through here. (A byte-wise
+ * push_back costs a check per byte; vector::insert of a field costs
+ * an out-of-line call and measured slower still.)
+ */
 class Writer
 {
   public:
-    void u8(std::uint8_t v) { buf_.push_back(v); }
+    void u8(std::uint8_t v) { append(&v, 1); }
 
     void
     u16(std::uint16_t v)
@@ -108,33 +162,57 @@ class Writer
     str(const std::string &s)
     {
         u64(s.size());
-        buf_.insert(buf_.end(), s.begin(), s.end());
+        append(s.data(), s.size());
     }
 
     void
     bytes(const std::uint8_t *data, std::size_t len)
     {
-        buf_.insert(buf_.end(), data, data + len);
+        append(data, len);
     }
 
-    const std::vector<std::uint8_t> &data() const { return buf_; }
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
-    std::size_t size() const { return buf_.size(); }
+    const std::uint8_t *data() const { return buf_.data(); }
+    std::size_t size() const { return len_; }
+
+    std::vector<std::uint8_t>
+    take()
+    {
+        buf_.resize(len_);
+        std::vector<std::uint8_t> out = std::move(buf_);
+        buf_.clear();
+        len_ = 0;
+        return out;
+    }
 
     /** Drop the contents but keep the capacity — the digest ledger
      *  reuses one scratch Writer across components so the steady-state
      *  hash path never allocates. */
-    void clear() { buf_.clear(); }
+    void clear() { len_ = 0; }
 
   private:
     void
     le(std::uint64_t v, int nbytes)
     {
+        std::uint8_t b[8];
         for (int i = 0; i < nbytes; ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        append(b, static_cast<std::size_t>(nbytes));
     }
 
-    std::vector<std::uint8_t> buf_;
+    void
+    append(const void *src, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        if (buf_.size() - len_ < n)
+            buf_.resize(std::max({std::size_t{64}, 2 * buf_.size(),
+                                  len_ + n}));
+        std::memcpy(buf_.data() + len_, src, n);
+        len_ += n;
+    }
+
+    std::vector<std::uint8_t> buf_; ///< stream + spare room (size = room)
+    std::size_t len_ = 0;           ///< bytes of stream
 };
 
 /** Bounds-checked little-endian byte source over a borrowed buffer. */
@@ -216,6 +294,30 @@ class Reader
         need(len);
         std::memcpy(out, data_ + pos_, len);
         pos_ += len;
+    }
+
+    /**
+     * Read an element count stored as a @p Width integer, and reject
+     * it unless that many elements of at least @p min_bytes encoded
+     * bytes each still fit in the stream. Read every count that sizes
+     * an allocation through here: a corrupt count then fails as a
+     * SnapshotError naming its offset instead of escaping from a
+     * reserve() as std::bad_alloc or std::length_error.
+     */
+    template <typename Width = std::uint64_t>
+    std::size_t
+    count(std::size_t min_bytes)
+    {
+        const std::size_t at = pos_;
+        const std::uint64_t n = le(sizeof(Width));
+        if (n > remaining() / min_bytes) {
+            throw SnapshotError(
+                "element count " + std::to_string(n) + " at offset " +
+                std::to_string(at) + " of " + std::to_string(size_) +
+                " exceeds the remaining " +
+                std::to_string(remaining()) + " byte(s)");
+        }
+        return static_cast<std::size_t>(n);
     }
 
     std::size_t remaining() const { return size_ - pos_; }

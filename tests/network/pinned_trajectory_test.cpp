@@ -17,7 +17,14 @@
  *   - router kill: a router dies mid-run with provenance on, forcing a
  *     routing-table rebuild, after which every architecture abandons
  *     wormhole locks in degraded mode (NonSpec and NoX also bill
- *     Reroute charges to the waiting flits).
+ *     Reroute charges to the waiting flits);
+ *   - transport: the end-to-end transport under soft faults and one
+ *     kill+heal churn wave inside the run, with a timeout short
+ *     enough to retransmit and suppress duplicates before the drain.
+ *     Besides the final fold it pins the fold at an in-run cycle where
+ *     every architecture has a busy window and out-of-order entries in
+ *     its per-flow duplicate filters, so the transport's whole
+ *     serialized state is pinned byte for byte.
  *
  * Every case runs under both scheduling kernels. Each run drains and
  * must reproduce the recorded final state-digest fold, packet counts,
@@ -50,6 +57,9 @@ namespace {
 constexpr int kSide = 4;
 constexpr Cycle kRun = 600;
 constexpr Cycle kKillCycle = 150;
+constexpr Cycle kHealAfter = 200;
+constexpr Cycle kE2eTimeout = 120;
+constexpr Cycle kMidCycle = 400; ///< transport regime's in-run fold
 constexpr Cycle kDrainLimit = 200000;
 constexpr double kPacketRate = 0.16; ///< packets per node per cycle
 
@@ -88,7 +98,7 @@ class MixedSource : public TrafficSource
     Rng rng_;
 };
 
-enum class Regime { Plain, Provenance, RouterKill };
+enum class Regime { Plain, Provenance, RouterKill, Transport };
 
 /** The recorded outcome of one run. */
 struct Pinned
@@ -104,6 +114,8 @@ struct Pinned
      *  activity and the always-tick kernel. */
     std::uint64_t clockActivity = 0;
     std::uint64_t clockAlwaysTick = 0;
+    /** Digest fold at kMidCycle (transport regime only, else 0). */
+    std::uint64_t midFold = 0;
 };
 
 struct Case
@@ -129,7 +141,8 @@ runCase(const Case &c, SchedulingMode mode)
         params.faults.enabled = true;
         params.faults.seed = 0x5EED5;
     }
-    if (c.regime == Regime::Provenance) {
+    if (c.regime == Regime::Provenance ||
+        c.regime == Regime::Transport) {
         params.faults.bitflipRate = 0.01;
         params.faults.dropRate = 0.005;
     }
@@ -137,16 +150,37 @@ runCase(const Case &c, SchedulingMode mode)
         params.faults.hardRouterFaults = 1;
         params.faults.hardFaultCycle = kKillCycle;
     }
+    if (c.regime == Regime::Transport) {
+        params.faults.e2eTransport = true;
+        params.faults.e2eTimeout = kE2eTimeout;
+        params.faults.churnWaves = 1;
+        params.faults.churnStart = kKillCycle;
+        params.faults.churnHealAfter = kHealAfter;
+    }
     auto net = makeNetwork(params, c.arch);
     net->addSource(std::make_unique<MixedSource>(net->numNodes(),
                                                  0x7A1C0DE));
-    net->run(kRun);
+    Pinned got;
+    if (c.regime == Regime::Transport) {
+        net->run(kMidCycle);
+        got.midFold = net->computeDigestStride().fold();
+    }
+    net->run(kRun - net->now());
     net->setSourcesEnabled(false);
     EXPECT_TRUE(net->drain(kDrainLimit))
         << c.name << ": " << net->lastDrainReport().summary();
 
-    Pinned got;
     const NetworkStats &s = net->stats();
+    if (c.regime == Regime::Transport) {
+        // The regime reaches what it exists for: casualties of the
+        // wave retransmit, late copies die at the duplicate filter,
+        // the victims heal, and every packet is delivered once.
+        EXPECT_GT(s.faults.e2eRetransmits, 0u) << c.name;
+        EXPECT_GT(s.faults.dupSuppressed, 0u) << c.name;
+        EXPECT_GT(s.faults.linkHeals + s.faults.routerHeals, 0u)
+            << c.name;
+        EXPECT_EQ(s.packetsEjected, s.packetsInjected) << c.name;
+    }
     const EnergyEvents ev = net->totalEnergyEvents();
     got.fold = net->computeDigestStride().fold();
     got.injected = s.packetsInjected;
@@ -178,9 +212,10 @@ row(const Pinned &p)
                            static_cast<unsigned long long>(p.prov[i]));
     }
     std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n),
-                  "}, %llu, %llu}",
+                  "}, %llu, %llu, 0x%016llxULL}",
                   static_cast<unsigned long long>(p.clockActivity),
-                  static_cast<unsigned long long>(p.clockAlwaysTick));
+                  static_cast<unsigned long long>(p.clockAlwaysTick),
+                  static_cast<unsigned long long>(p.midFold));
     return buf;
 }
 
@@ -190,6 +225,7 @@ void
 expectTrajectory(const Pinned &want, const Pinned &got, const char *kernel)
 {
     EXPECT_EQ(got.fold, want.fold) << kernel;
+    EXPECT_EQ(got.midFold, want.midFold) << kernel;
     EXPECT_EQ(got.injected, want.injected) << kernel;
     EXPECT_EQ(got.ejected, want.ejected) << kernel;
     EXPECT_EQ(got.flitHops, want.flitHops) << kernel;
@@ -293,6 +329,23 @@ const Case kCases[] = {
      Regime::RouterKill,
      {0xa158a923ef6de3f7ULL, 1435, 1431, 16398, 52918.000000000065,
       {21890, 8187, 15552, 3286, 4003, 0, 0, 0}, 10329, 11568}},
+    {"nonspec_transport", RouterArch::NonSpeculative, 1, Regime::Transport,
+     {0x7445813af9e832bdULL, 1529, 1529, 18580, 58483.000000000029,
+      {32358, 8701, 10931, 1968, 1722, 0, 2793, 10}, 10601, 12656, 0xca42cd3e9cf225edULL}},
+    {"specfast_transport", RouterArch::SpecFast, 1, Regime::Transport,
+     {0xdb7964553da3f48fULL, 1529, 1529, 40047, 306335.00000000012,
+      {262391, 8679, 20110, 3941, 5013, 0, 6201, 0}, 30784, 35136, 0xe210975a608bac45ULL}},
+    {"specaccurate_transport", RouterArch::SpecAccurate, 1,
+     Regime::Transport,
+     {0x28865bd9fc4ab342ULL, 1529, 1529, 21951, 114509.00000000004,
+      {82159, 8689, 14698, 2610, 2735, 0, 3618, 0}, 14548, 17248, 0xb9f9a306b22987eaULL}},
+    {"nox_transport", RouterArch::Nox, 1, Regime::Transport,
+     {0x4844b3da1c708597ULL, 1529, 1529, 18241, 56316.000000000036,
+      {27423, 8707, 10543, 1764, 1624, 282, 5968, 5}, 10092, 11264, 0x12353223f77f4414ULL}},
+    {"nonspec_vc2_transport", RouterArch::NonSpeculative, 2,
+     Regime::Transport,
+     {0x2e76168b15528645ULL, 1529, 1529, 17970, 36604.999999999978,
+      {9548, 8713, 9175, 1322, 3026, 0, 4821, 0}, 9290, 10016, 0xc9fc07948a43fd0cULL}},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,7 +3,7 @@
  * Unit tests for deterministic link-fault injection: hash-keyed draw
  * determinism and order-independence, one-shot targeted faults, the
  * drop-beats-bitflip rule, counter/log bookkeeping, link CRC
- * properties, and fault_* config parsing.
+ * properties, the pinned CRC-32C values, and fault_* config parsing.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "noc/fault_injector.hpp"
 #include "noc/flit.hpp"
+#include "snapshot/io.hpp"
 
 namespace nox {
 namespace {
@@ -254,6 +256,66 @@ TEST(WireChecksum, CoversEncodedMarkerAndVcTag)
     WireFlit vc = w;
     vc.vc ^= 1;
     EXPECT_FALSE(wireChecksumOk(vc));
+}
+
+TEST(WireChecksum, PinnedValues)
+{
+    // Recorded from the bitwise implementation the table replaced: a
+    // checksum change would reject every flit a peer stamped, and
+    // CRC-consistency alone (the tests above) cannot see one.
+    WireFlit plain;
+    plain.payload = 0x0123456789ABCDEFULL;
+    EXPECT_EQ(wireChecksum(plain), 0xE307E09Du);
+
+    WireFlit encoded;
+    encoded.payload = expectedPayload(7, 0);
+    encoded.encoded = true;
+    EXPECT_EQ(wireChecksum(encoded), 0xE245A605u);
+
+    WireFlit vc1;
+    vc1.payload = 0xFFFFFFFF00000000ULL;
+    vc1.vc = 1;
+    EXPECT_EQ(wireChecksum(vc1), 0xB963F01Du);
+}
+
+// -- snapshot CRC-32C --------------------------------------------------
+
+/** Textbook bitwise CRC-32C (reflected Castagnoli polynomial), the
+ *  definition the lookup table must reproduce. */
+std::uint32_t
+bitwiseCrc32c(const std::uint8_t *data, std::size_t len)
+{
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= data[i];
+        for (int b = 0; b < 8; ++b)
+            crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32c, StandardCheckValue)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(snap::crc32c(reinterpret_cast<const std::uint8_t *>(check),
+                           9),
+              0xE3069283u);
+    EXPECT_EQ(snap::crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndOffset)
+{
+    Rng rng(0xC5C32C);
+    std::vector<std::uint8_t> buf(64 + 16);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t start = 0; start < 16; ++start) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            EXPECT_EQ(snap::crc32c(buf.data() + start, len),
+                      bitwiseCrc32c(buf.data() + start, len))
+                << "start " << start << " length " << len;
+        }
+    }
 }
 
 // -- config parsing ---------------------------------------------------

@@ -2,14 +2,17 @@
  * @file
  * Negative paths of the snapshot container: every way a snapshot can
  * be wrong — flipped bytes, truncation, bad magic, unknown version,
- * missing sections, or a configuration that doesn't match the run —
- * must throw a SnapshotError instead of restoring garbage.
+ * missing sections, a huge count anywhere in the stream, or a
+ * configuration that doesn't match the run — must throw a
+ * SnapshotError instead of restoring garbage or dying on an
+ * allocation.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -314,6 +317,143 @@ TEST(SnapshotRejectActiveSet, RetiredComponentUnderAlwaysTickRejected)
         EXPECT_NE(std::string(e.what()).find("always-tick"),
                   std::string::npos)
             << "unexpected error: " << e.what();
+    }
+}
+
+/** A 3x3 NoX mesh with the variable-length restore sites populated:
+ *  soft faults and a kill+heal churn wave (fault log), the E2E
+ *  transport with a short timeout (window, timeout and ack deques,
+ *  per-flow tables), the age watchdog and metrics windows. The wave
+ *  has healed by the capture cycle, so a restore replays no kill and
+ *  the sweep stays fast. */
+std::unique_ptr<Network>
+buildSweepNetwork()
+{
+    NetworkParams params;
+    params.width = 3;
+    params.height = 3;
+    params.schedulingMode = SchedulingMode::ActivityDriven;
+    params.faults.enabled = true;
+    params.faults.bitflipRate = 0.002;
+    params.faults.dropRate = 0.002;
+    params.faults.e2eTransport = true;
+    params.faults.e2eTimeout = 80;
+    params.faults.packetAgeLimit = 400;
+    params.faults.churnWaves = 1;
+    params.faults.churnStart = 100;
+    params.faults.churnHealAfter = 100;
+    params.faults.churnLinks = 1;
+    params.faults.churnRouters = 0;
+    params.obs.metrics.enabled = true;
+    params.obs.metrics.interval = 64;
+    params.obs.metrics.heatmap = false;
+    auto net = makeNetwork(params, RouterArch::Nox);
+
+    static const Mesh mesh(3, 3);
+    static const DestinationPattern pattern(
+        PatternKind::UniformRandom, mesh, 0.2);
+    Rng seeder(0xC0FFEE);
+    for (NodeId n = 0; n < net->numNodes(); ++n) {
+        net->addSource(std::make_unique<BernoulliSource>(
+            n, pattern, 0.15, 2, seeder.next()));
+    }
+    return net;
+}
+
+/** Restore @p file into a fresh sweep network; a failure other than
+ *  SnapshotError (bad_alloc, length_error, ...) is returned as text. */
+std::string
+restoreEscape(const snap::SnapshotFile &file)
+{
+    try {
+        auto net = buildSweepNetwork();
+        snap::restoreNetwork(*net, file);
+    } catch (const snap::SnapshotError &) {
+        return {};
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+    return {};
+}
+
+/** The sweep's payload offsets are split into kSweepShards
+ *  interleaved shards (one test each) so ctest runs them in
+ *  parallel. */
+constexpr std::size_t kSweepShards = 4;
+
+class SnapshotRejectSweep : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(SnapshotRejectSweep, HugeCountAtEveryPayloadOffset)
+{
+    // Overwrite every 8-byte window of the NETW payload with a huge
+    // value — so every count field in the stream is hit, whatever its
+    // component — under a valid CRC (the decoded image is edited, as
+    // if the section CRC were recomputed). Each restore must either
+    // succeed (the window held a plain value) or throw SnapshotError;
+    // an allocation sized by the corrupt count must never escape.
+    auto donor = buildSweepNetwork();
+    donor->run(300);
+    ASSERT_GT(donor->transport()->windowSize(), 0u);
+    ASSERT_GT(donor->stats().faults.e2eRetransmits, 0u);
+    const std::vector<std::uint8_t> bytes = captureBytes(*donor);
+    const snap::SnapshotFile intact =
+        snap::decodeSnapshotFile(bytes.data(), bytes.size());
+    ASSERT_EQ(restoreEscape(intact), "");
+
+    std::size_t netw = intact.sections.size();
+    for (std::size_t i = 0; i < intact.sections.size(); ++i)
+        if (intact.sections[i].tag == snap::kSectionNetwork)
+            netw = i;
+    ASSERT_LT(netw, intact.sections.size());
+    const std::vector<std::uint8_t> &payload =
+        intact.sections[netw].payload;
+    ASSERT_GT(payload.size(), 8u);
+
+    int escapes = 0;
+    for (const std::uint64_t huge :
+         {~std::uint64_t{0}, std::uint64_t{1} << 40}) {
+        for (std::size_t off = GetParam(); off + 8 <= payload.size();
+             off += kSweepShards) {
+            snap::SnapshotFile bad = intact;
+            std::uint8_t *at = bad.sections[netw].payload.data() + off;
+            for (int b = 0; b < 8; ++b)
+                at[b] = static_cast<std::uint8_t>(huge >> (8 * b));
+            const std::string escaped = restoreEscape(bad);
+            if (!escaped.empty() && ++escapes <= 10) {
+                ADD_FAILURE() << "count 0x" << std::hex << huge
+                              << std::dec << " at NETW offset " << off
+                              << " escaped as: " << escaped;
+            }
+        }
+    }
+    EXPECT_EQ(escapes, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, SnapshotRejectSweep,
+                         ::testing::Range(std::size_t{0}, kSweepShards));
+
+TEST(SnapshotRejectHeader, HugeSectionCountRejected)
+{
+    // The header's u32 section count, then a file that is nothing but
+    // magic, version and a 0xFFFFFFFF count: both must be refused as
+    // SnapshotError before any allocation is sized by the count.
+    auto donor = buildSweepNetwork();
+    donor->run(50);
+    const std::vector<std::uint8_t> bytes = captureBytes(*donor);
+    for (const std::uint32_t count :
+         {0xFFFFFFFFu, 0x10000000u, 0x00010000u}) {
+        std::vector<std::uint8_t> bad = bytes;
+        for (int b = 0; b < 4; ++b)
+            bad[12 + b] = static_cast<std::uint8_t>(count >> (8 * b));
+        EXPECT_THROW(snap::decodeSnapshotFile(bad.data(), bad.size()),
+                     snap::SnapshotError)
+            << "section count " << count;
+        bad.resize(16);
+        EXPECT_THROW(snap::decodeSnapshotFile(bad.data(), bad.size()),
+                     snap::SnapshotError)
+            << "16-byte file, section count " << count;
     }
 }
 

@@ -40,6 +40,7 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "noc/flit_arena.hpp"
+#include "noc/flow_table.hpp"
 #include "noc/network.hpp"
 #include "obs/digest.hpp"
 #include "obs/obs_params.hpp"
@@ -162,8 +163,7 @@ class DupChecker : public SinkListener
     onPacketCompleted(NodeId node, const FlitDesc &last,
                       Cycle head_inject, Cycle now) override
     {
-        Flow &f = flows_[(static_cast<std::uint64_t>(last.src) << 32) |
-                         static_cast<std::uint32_t>(last.dest)];
+        Flow &f = flows_[flowKey(last.src, last.dest)];
         const std::uint32_t seq = last.flowSeq;
         if (seq < f.watermark || !f.above.insert(seq).second) {
             fatal("DUPLICATE DELIVERY: flow ", last.src, "->",
