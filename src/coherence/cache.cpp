@@ -1,6 +1,7 @@
 #include "coherence/cache.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -17,8 +18,7 @@ SetAssocCache::SetAssocCache(int size_kb, int ways, int line_bytes)
     numSets_ = static_cast<int>(lines / ways);
     NOX_ASSERT(std::has_single_bit(static_cast<unsigned>(numSets_)),
                "set count must be a power of two, got ", numSets_);
-    sets_.assign(static_cast<std::size_t>(numSets_),
-                 std::vector<Way>(static_cast<std::size_t>(ways)));
+    tags_.assign(static_cast<std::size_t>(lines), Way{});
 }
 
 std::uint64_t
@@ -27,27 +27,40 @@ SetAssocCache::lineOf(std::uint64_t byte_addr) const
     return byte_addr / static_cast<std::uint64_t>(lineBytes_);
 }
 
-std::vector<SetAssocCache::Way> &
-SetAssocCache::setOf(std::uint64_t line)
+std::size_t
+SetAssocCache::setBase(std::uint64_t line) const
 {
-    return sets_[line & static_cast<std::uint64_t>(numSets_ - 1)];
+    const std::uint64_t set =
+        line & static_cast<std::uint64_t>(numSets_ - 1);
+    return static_cast<std::size_t>(set) *
+           static_cast<std::size_t>(ways_);
 }
 
-const std::vector<SetAssocCache::Way> &
-SetAssocCache::setOf(std::uint64_t line) const
+const SetAssocCache::Way *
+SetAssocCache::find(std::uint64_t line) const
 {
-    return sets_[line & static_cast<std::uint64_t>(numSets_ - 1)];
+    const Way *set = tags_.data() + setBase(line);
+    const std::uint64_t want = line | kValid;
+    for (int w = 0; w < ways_; ++w) {
+        if ((set[w].tag & ~kDirty) == want)
+            return &set[w];
+    }
+    return nullptr;
+}
+
+SetAssocCache::Way *
+SetAssocCache::find(std::uint64_t line)
+{
+    return const_cast<Way *>(std::as_const(*this).find(line));
 }
 
 bool
 SetAssocCache::lookup(std::uint64_t line)
 {
-    for (Way &w : setOf(line)) {
-        if (w.valid && w.line == line) {
-            w.lastUse = ++useClock_;
-            ++hits_;
-            return true;
-        }
+    if (Way *w = find(line)) {
+        w->lastUse = ++useClock_;
+        ++hits_;
+        return true;
     }
     ++misses_;
     return false;
@@ -56,37 +69,33 @@ SetAssocCache::lookup(std::uint64_t line)
 bool
 SetAssocCache::contains(std::uint64_t line) const
 {
-    for (const Way &w : setOf(line)) {
-        if (w.valid && w.line == line)
-            return true;
-    }
-    return false;
+    return find(line) != nullptr;
 }
 
 SetAssocCache::Insert
 SetAssocCache::insert(std::uint64_t line, bool dirty)
 {
+    NOX_ASSERT((line & (kValid | kDirty)) == 0,
+               "line address collides with the tag flags");
     NOX_ASSERT(!contains(line), "inserting already-present line");
-    auto &set = setOf(line);
-    Way *victim = &set[0];
-    for (Way &w : set) {
-        if (!w.valid) {
-            victim = &w;
+    Way *set = tags_.data() + setBase(line);
+    Way *victim = set;
+    for (Way *w = set; w != set + ways_; ++w) {
+        if (!(w->tag & kValid)) {
+            victim = w;
             break;
         }
-        if (w.lastUse < victim->lastUse)
-            victim = &w;
+        if (w->lastUse < victim->lastUse)
+            victim = w;
     }
 
     Insert result;
-    if (victim->valid) {
+    if (victim->tag & kValid) {
         result.evicted = true;
-        result.victimLine = victim->line;
-        result.victimDirty = victim->dirty;
+        result.victimLine = victim->tag & ~(kValid | kDirty);
+        result.victimDirty = (victim->tag & kDirty) != 0;
     }
-    victim->valid = true;
-    victim->line = line;
-    victim->dirty = dirty;
+    victim->tag = line | kValid | (dirty ? kDirty : 0);
     victim->lastUse = ++useClock_;
     return result;
 }
@@ -94,48 +103,39 @@ SetAssocCache::insert(std::uint64_t line, bool dirty)
 bool
 SetAssocCache::markDirty(std::uint64_t line)
 {
-    for (Way &w : setOf(line)) {
-        if (w.valid && w.line == line) {
-            w.dirty = true;
-            w.lastUse = ++useClock_;
-            return true;
-        }
-    }
-    return false;
+    Way *w = find(line);
+    if (!w)
+        return false;
+    w->tag |= kDirty;
+    w->lastUse = ++useClock_;
+    return true;
 }
 
 bool
 SetAssocCache::clearDirty(std::uint64_t line)
 {
-    for (Way &w : setOf(line)) {
-        if (w.valid && w.line == line) {
-            w.dirty = false;
-            return true;
-        }
-    }
-    return false;
+    Way *w = find(line);
+    if (!w)
+        return false;
+    w->tag &= ~kDirty;
+    return true;
 }
 
 bool
 SetAssocCache::isDirty(std::uint64_t line) const
 {
-    for (const Way &w : setOf(line)) {
-        if (w.valid && w.line == line)
-            return w.dirty;
-    }
-    return false;
+    const Way *w = find(line);
+    return w && (w->tag & kDirty) != 0;
 }
 
 bool
 SetAssocCache::invalidate(std::uint64_t line)
 {
-    for (Way &w : setOf(line)) {
-        if (w.valid && w.line == line) {
-            w.valid = false;
-            return true;
-        }
-    }
-    return false;
+    Way *w = find(line);
+    if (!w)
+        return false;
+    w->tag = 0;
+    return true;
 }
 
 } // namespace nox

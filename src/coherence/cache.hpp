@@ -7,6 +7,7 @@
 #ifndef NOX_COHERENCE_CACHE_HPP
 #define NOX_COHERENCE_CACHE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,21 +63,27 @@ class SetAssocCache
     std::uint64_t misses() const { return misses_; }
 
   private:
+    /** One way: the line address tagged with the valid and dirty
+     *  flags in its top bits, plus the LRU stamp. */
     struct Way
     {
-        std::uint64_t line = 0;
+        std::uint64_t tag = 0;
         std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
     };
+    static constexpr std::uint64_t kValid = 1ULL << 63;
+    static constexpr std::uint64_t kDirty = 1ULL << 62;
 
-    std::vector<Way> &setOf(std::uint64_t line);
-    const std::vector<Way> &setOf(std::uint64_t line) const;
+    /** Index in tags_ of the first way of @p line's set. */
+    std::size_t setBase(std::uint64_t line) const;
+
+    /** The valid way holding @p line, or nullptr. */
+    Way *find(std::uint64_t line);
+    const Way *find(std::uint64_t line) const;
 
     int lineBytes_;
     int numSets_;
     int ways_;
-    std::vector<std::vector<Way>> sets_;
+    std::vector<Way> tags_; ///< numSets_ x ways_, set-major
     std::uint64_t useClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

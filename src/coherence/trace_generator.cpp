@@ -1,8 +1,9 @@
 #include "coherence/trace_generator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <queue>
+#include <limits>
 
 #include "common/log.hpp"
 
@@ -73,18 +74,20 @@ CoherenceTraceGenerator::emit(double time_ns, NodeId src, NodeId dst,
 {
     if (src == dst)
         return; // tile-local transfer never enters the network
+    if (bytes > params_.ctrlPacketBytes)
+        stats_.dataPackets += 1;
+    else
+        stats_.ctrlPackets += 1;
+    if (time_ns < warmupNs_)
+        return; // warmup traffic is counted but not kept
     TraceRecord r;
-    r.timeNs = time_ns;
+    r.timeNs = time_ns - warmupNs_;
     r.src = src;
     r.dst = dst;
     r.sizeBytes = static_cast<std::uint32_t>(bytes);
     r.network = network;
     r.cls = cls;
     records_.push_back(r);
-    if (bytes > params_.ctrlPacketBytes)
-        stats_.dataPackets += 1;
-    else
-        stats_.ctrlPackets += 1;
 }
 
 void
@@ -350,38 +353,42 @@ CoherenceTraceGenerator::generate(double horizon_ns, double warmup_ns)
     NOX_ASSERT(horizon_ns > 0.0, "horizon must be positive");
     NOX_ASSERT(warmup_ns >= 0.0, "warmup must be non-negative");
     const double end_ns = warmup_ns + horizon_ns;
+    warmupNs_ = warmup_ns;
+
     // Globally ordered simulation: always advance the core with the
-    // smallest local time, so directory transactions interleave in
-    // timestamp order.
-    using Entry = std::pair<double, int>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>>
-        heap;
-    for (const auto &c : cores_)
-        heap.push({c->timeNs, c->id});
+    // smallest local time (the lowest id on a tie), so directory
+    // transactions interleave in timestamp order. A winner tree over
+    // the cores' times finds it: node i holds the winner of its two
+    // children, leaves sit at [leaves, 2 * leaves) in id order, and
+    // the left child wins ties, so every node keeps its subtree's
+    // lowest (time, id). Only the advanced core's path is replayed.
+    const int cores = static_cast<int>(cores_.size());
+    const int leaves = static_cast<int>(
+        std::bit_ceil(static_cast<unsigned>(cores)));
+    std::vector<double> times(static_cast<std::size_t>(leaves),
+                              std::numeric_limits<double>::infinity());
+    for (int c = 0; c < cores; ++c)
+        times[c] = cores_[c]->timeNs;
+    std::vector<int> winner(2 * static_cast<std::size_t>(leaves));
+    auto play = [&](int node) {
+        const int l = winner[2 * node];
+        const int r = winner[2 * node + 1];
+        winner[node] = times[r] < times[l] ? r : l;
+    };
+    for (int i = 0; i < leaves; ++i)
+        winner[leaves + i] = i;
+    for (int node = leaves - 1; node >= 1; --node)
+        play(node);
 
-    while (!heap.empty()) {
-        const auto [t, id] = heap.top();
-        heap.pop();
+    // The winner is the earliest core: once it reaches the end, every
+    // core has.
+    for (int id = winner[1]; times[id] < end_ns; id = winner[1]) {
         Core &core = *cores_[id];
-        if (core.timeNs > t)
-            continue; // stale heap entry
-        if (core.timeNs >= end_ns)
-            continue; // this core is done
         processOp(core);
-        heap.push({core.timeNs, core.id});
+        times[id] = core.timeNs;
+        for (int node = (leaves + id) / 2; node >= 1; node /= 2)
+            play(node);
     }
-
-    // Discard warmup-phase packets and re-base the rest to t=0.
-    std::vector<TraceRecord> kept;
-    kept.reserve(records_.size());
-    for (const TraceRecord &r : records_) {
-        if (r.timeNs < warmup_ns)
-            continue;
-        TraceRecord shifted = r;
-        shifted.timeNs -= warmup_ns;
-        kept.push_back(shifted);
-    }
-    records_ = std::move(kept);
 
     Trace trace;
     trace.name = profile_.name;

@@ -61,8 +61,9 @@ class CoherenceTraceGenerator
     /**
      * Run all cores until @p warmup_ns + @p horizon_ns of CPU time
      * has elapsed. Packets emitted during the warmup (cold caches)
-     * are discarded; the remainder are re-based to time zero so the
-     * trace reflects steady-state cache behaviour.
+     * are counted in stats() but not kept; the remainder are re-based
+     * to time zero so the trace reflects steady-state cache
+     * behaviour.
      */
     Trace generate(double horizon_ns, double warmup_ns = 0.0);
 
@@ -87,7 +88,9 @@ class CoherenceTraceGenerator
     /** One-way message latency estimate [ns]. */
     double msgLatencyNs(NodeId from, NodeId to, int bytes) const;
 
-    /** Record a packet (dropped when src == dst: tile-local). */
+    /** Count a packet (none when src == dst: tile-local) and keep
+     *  it, re-based to the end of the warmup, unless it falls inside
+     *  the warmup. */
     void emit(double time_ns, NodeId src, NodeId dst, int bytes,
               std::uint8_t network, TrafficClass cls);
 
@@ -97,6 +100,7 @@ class CoherenceTraceGenerator
     Directory directory_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<TraceRecord> records_;
+    double warmupNs_ = 0.0;
     TraceGenStats stats_;
 };
 

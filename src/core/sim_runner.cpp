@@ -445,6 +445,19 @@ runApplication(const AppConfig &config, const Trace &trace)
     AppResult res;
     res.arch = config.arch;
 
+    // Trace files are untrusted input: every endpoint must be a node
+    // of this mesh before any record reaches a network.
+    const int nodes = config.width * config.height;
+    for (std::size_t i = 0; i < trace.records.size(); ++i) {
+        const TraceRecord &r = trace.records[i];
+        if (r.src < 0 || r.src >= nodes || r.dst < 0 || r.dst >= nodes) {
+            fatal("trace record ", i, " (time_ns ", r.timeNs, ", src ",
+                  r.src, ", dst ", r.dst, ") names a node outside the ",
+                  config.width, "x", config.height, " mesh (valid: 0..",
+                  nodes - 1, ")");
+        }
+    }
+
     const TimingModel timing(config.tech, config.phys);
     res.periodNs = timing.clockPeriodNs(config.arch);
 

@@ -243,7 +243,8 @@ struct AppResult
     double ed2 = 0.0;
 };
 
-/** Replay @p trace through request+reply networks of @p config. */
+/** Replay @p trace through request+reply networks of @p config.
+ *  Fatal, naming the record, when an endpoint is not a mesh node. */
 AppResult runApplication(const AppConfig &config, const Trace &trace);
 
 /** MB/s/node -> flits/node/cycle at a clock period [ns] with 8-byte

@@ -320,10 +320,18 @@ Network::wireLink(NodeId router, int port)
 
     // Both directions come back together, exactly as wired at
     // construction: forward flit wire plus turnaround credit wire.
+    // A link kill leaves the flits buffered at each far input in
+    // place, and the credits they free while the link is down go
+    // nowhere, so each output gets back only the free slots of the
+    // buffer it feeds.
+    auto free_slots = [&](NodeId at, int in_port) {
+        return rp.bufferDepth -
+               static_cast<int>(routers_[at]->inputFifo(in_port).size());
+    };
     Router::FlitTarget ft;
     ft.router = routers_[nb].get();
     ft.port = back;
-    routers_[router]->connectOutput(port, ft, rp.bufferDepth);
+    routers_[router]->connectOutput(port, ft, free_slots(nb, back));
     Router::CreditTarget ct;
     ct.router = routers_[nb].get();
     ct.port = back;
@@ -331,13 +339,13 @@ Network::wireLink(NodeId router, int port)
 
     ft.router = routers_[router].get();
     ft.port = port;
-    routers_[nb]->connectOutput(back, ft, rp.bufferDepth);
+    routers_[nb]->connectOutput(back, ft, free_slots(router, port));
     ct.router = routers_[router].get();
     ct.port = port;
     routers_[nb]->connectInputCredit(back, ct);
 
     // Per-port microarchitectural state (VC credit books, lane locks)
-    // resets to the pristine post-construction value on both sides.
+    // resets on both sides, with the same free-slot rule per lane.
     routers_[router]->onOutputRevived(port);
     routers_[nb]->onOutputRevived(back);
 }

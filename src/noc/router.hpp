@@ -229,10 +229,11 @@ class Router
 
     /**
      * A previously killed output was re-wired by a heal (the network
-     * already called connectOutput(), which restores the base per-port
-     * credit count). Architectures holding extra per-output state —
-     * the VC router's per-lane credit counters — re-initialise it
-     * here, exactly as construction would.
+     * already called connectOutput() with the free slots of the
+     * downstream input buffer, which a link kill does not empty).
+     * Architectures holding extra per-output state — the VC router's
+     * per-lane credit counters — re-initialise it here by the same
+     * rule.
      */
     virtual void
     onOutputRevived(int out_port)

@@ -176,9 +176,15 @@ VcRouter::purgeFlits(const FlitCondemned &condemned,
 void
 VcRouter::onOutputRevived(int out_port)
 {
+    // A mesh neighbour is a VC router too; a NIC output has none.
+    const FlitTarget &t = outTarget_[out_port];
+    const auto *down = static_cast<const VcRouter *>(t.router);
     for (int v = 0; v < vcs_; ++v) {
         const std::size_t lane = index(out_port, v);
-        vcCredits_[lane] = params_.bufferDepth;
+        vcCredits_[lane] =
+            params_.bufferDepth -
+            (down ? static_cast<int>(down->vcFifo(t.port, v).size())
+                  : 0);
         stagedVcCredits_[lane] = 0;
         vcCreditsLost_[lane] = 0;
         lockOwner_[lane] = -1;

@@ -76,9 +76,10 @@ class VcRouter : public Router
     /** Clear every wormhole lane after a mid-run table rebuild. */
     void onTableRebuild() override;
 
-    /** Refill the revived output's per-VC credit lanes to the full
-     *  buffer depth and clear its staged/owed books and lanes — the
-     *  same state construction gives a fresh output. */
+    /** Refill each of the revived output's per-VC credit lanes with
+     *  the free slots of the downstream lane (the full depth toward a
+     *  NIC, which a router kill drained) and clear its staged/owed
+     *  books and wormhole lanes. */
     void onOutputRevived(int out_port) override;
 
     // Introspection (tests).

@@ -1,12 +1,21 @@
 #include "traffic/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hpp"
 
 namespace nox {
+
+namespace {
+
+/** Largest packet a trace record may carry (8,192 64-bit flits). */
+constexpr long long kMaxPacketBytes = 65536;
+
+} // namespace
 
 std::vector<TraceRecord>
 Trace::forNetwork(std::uint8_t net) const
@@ -39,6 +48,9 @@ Trace::bytesPerNsPerNode(int num_nodes, std::uint8_t net) const
 void
 writeTrace(std::ostream &os, const Trace &trace)
 {
+    // Times print at round-trip precision, so a trace read back from
+    // a file replays exactly like the one that was written.
+    os.precision(std::numeric_limits<double>::max_digits10);
     os << "# noxsim packet trace: " << trace.name << '\n';
     os << "# duration_ns " << trace.durationNs << '\n';
     os << "# time_ns src dst size_bytes network class\n";
@@ -73,18 +85,39 @@ readTrace(std::istream &is, const std::string &name)
             std::istringstream hs(line.substr(1));
             std::string key;
             hs >> key;
-            if (key == "duration_ns")
-                hs >> trace.durationNs;
+            if (key == "duration_ns" &&
+                (!(hs >> trace.durationNs) ||
+                 !std::isfinite(trace.durationNs) ||
+                 trace.durationNs < 0.0)) {
+                fatal("bad trace line ", lineno,
+                      ": duration_ns must be finite and non-negative: '",
+                      line, "'");
+            }
             continue;
         }
         std::istringstream ls(line);
         TraceRecord r;
+        long long size = 0;
         int network = 0;
         int cls = 0;
-        if (!(ls >> r.timeNs >> r.src >> r.dst >> r.sizeBytes >>
-              network >> cls)) {
+        std::string extra;
+        if (!(ls >> r.timeNs >> r.src >> r.dst >> size >> network >>
+              cls) ||
+            ls >> extra) {
             fatal("malformed trace line ", lineno, ": '", line, "'");
         }
+        const char *bad = nullptr;
+        if (!std::isfinite(r.timeNs) || r.timeNs < 0.0)
+            bad = "time_ns must be finite and non-negative";
+        else if (size < 1 || size > kMaxPacketBytes)
+            bad = "size_bytes must be in 1..65536";
+        else if (network != 0 && network != 1)
+            bad = "network must be 0 (request) or 1 (reply)";
+        else if (cls < 0 || cls > static_cast<int>(TrafficClass::Reply))
+            bad = "class must be 0 (synthetic), 1 (request) or 2 (reply)";
+        if (bad)
+            fatal("bad trace line ", lineno, ": ", bad, ": '", line, "'");
+        r.sizeBytes = static_cast<std::uint32_t>(size);
         r.network = static_cast<std::uint8_t>(network);
         r.cls = static_cast<TrafficClass>(cls);
         trace.records.push_back(r);

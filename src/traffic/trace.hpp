@@ -8,7 +8,8 @@
  * The on-disk format is line-oriented text:
  *     # header comments
  *     <time_ns> <src> <dst> <size_bytes> <network> <class>
- * sorted by time_ns.
+ * sorted by time_ns, with times at round-trip (max_digits10)
+ * precision.
  */
 
 #ifndef NOX_TRAFFIC_TRACE_HPP
@@ -61,7 +62,11 @@ struct Trace
 void writeTrace(std::ostream &os, const Trace &trace);
 void writeTraceFile(const std::string &path, const Trace &trace);
 
-/** Read a trace back. Fatal on malformed input. */
+/** Read a trace back. Fatal, naming the line, on a malformed line or
+ *  a field out of range: a negative or non-finite time or duration,
+ *  a size outside 1..65536 bytes, a network other than 0 or 1, or a
+ *  class outside TrafficClass. Node ids are checked against the mesh
+ *  by runApplication(). */
 Trace readTrace(std::istream &is, const std::string &name = "trace");
 Trace readTraceFile(const std::string &path);
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "coherence/cache.hpp"
+#include "common/rng.hpp"
 
 namespace nox {
 namespace {
@@ -105,6 +109,185 @@ TEST(Cache, WorkingSetSmallerThanCacheAlwaysHitsAfterWarm)
         c.insert(l, false);
     for (std::uint64_t l = 0; l < 400; ++l)
         EXPECT_TRUE(c.lookup(l)) << l;
+}
+
+/** A plain model of the cache contract: per set, ways with separate
+ *  valid and dirty flags and an LRU stamp; an insert fills the first
+ *  invalid way, else evicts the first way with the oldest stamp. */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(int sets, int ways)
+        : sets_(static_cast<std::size_t>(sets),
+                std::vector<Way>(static_cast<std::size_t>(ways)))
+    {
+    }
+
+    bool
+    lookup(std::uint64_t line)
+    {
+        Way *w = find(line);
+        if (w)
+            w->lastUse = ++clock_;
+        return w != nullptr;
+    }
+
+    bool contains(std::uint64_t line) { return find(line) != nullptr; }
+
+    SetAssocCache::Insert
+    insert(std::uint64_t line, bool dirty)
+    {
+        auto &set = setOf(line);
+        Way *victim = &set[0];
+        for (Way &w : set) {
+            if (!w.valid) {
+                victim = &w;
+                break;
+            }
+            if (w.lastUse < victim->lastUse)
+                victim = &w;
+        }
+        SetAssocCache::Insert r;
+        if (victim->valid) {
+            r.evicted = true;
+            r.victimLine = victim->line;
+            r.victimDirty = victim->dirty;
+        }
+        *victim = Way{line, ++clock_, true, dirty};
+        return r;
+    }
+
+    bool
+    markDirty(std::uint64_t line)
+    {
+        Way *w = find(line);
+        if (w) {
+            w->dirty = true;
+            w->lastUse = ++clock_;
+        }
+        return w != nullptr;
+    }
+
+    bool
+    clearDirty(std::uint64_t line)
+    {
+        Way *w = find(line);
+        if (w)
+            w->dirty = false;
+        return w != nullptr;
+    }
+
+    bool
+    isDirty(std::uint64_t line)
+    {
+        const Way *w = find(line);
+        return w && w->dirty;
+    }
+
+    bool
+    invalidate(std::uint64_t line)
+    {
+        Way *w = find(line);
+        if (w)
+            w->valid = false;
+        return w != nullptr;
+    }
+
+  private:
+    struct Way
+    {
+        std::uint64_t line = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    std::vector<Way> &
+    setOf(std::uint64_t line)
+    {
+        return sets_[line % sets_.size()];
+    }
+
+    Way *
+    find(std::uint64_t line)
+    {
+        for (Way &w : setOf(line)) {
+            if (w.valid && w.line == line)
+                return &w;
+        }
+        return nullptr;
+    }
+
+    std::vector<std::vector<Way>> sets_;
+    std::uint64_t clock_ = 0;
+};
+
+/** Random operation mix on a few heavily colliding lines (including
+ *  lines with high address bits set): every return value, victim and
+ *  counter must match the reference model. */
+void
+differential(int size_kb, int ways, std::uint64_t seed)
+{
+    SetAssocCache cache(size_kb, ways, 64);
+    ReferenceCache ref(cache.numSets(), ways);
+    Rng rng(seed);
+    const auto sets = static_cast<std::uint64_t>(cache.numSets());
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    for (int i = 0; i < 50000; ++i) {
+        // Two sets, 3 x ways candidate lines each.
+        std::uint64_t line = rng.nextBounded(2) +
+                             sets * rng.nextBounded(3 * ways);
+        if (rng.nextBernoulli(0.25))
+            line |= 1ULL << (40 + rng.nextBounded(22));
+        SCOPED_TRACE(::testing::Message() << "op " << i << " line "
+                                          << line);
+        switch (rng.nextBounded(7)) {
+          case 0: {
+            const bool hit = ref.lookup(line);
+            ASSERT_EQ(cache.lookup(line), hit);
+            (hit ? hits : misses) += 1;
+            break;
+          }
+          case 1:
+          case 2: {
+            if (ref.contains(line))
+                break;
+            const bool dirty = rng.nextBernoulli(0.5);
+            const auto want = ref.insert(line, dirty);
+            const auto got = cache.insert(line, dirty);
+            ASSERT_EQ(got.evicted, want.evicted);
+            ASSERT_EQ(got.victimLine, want.victimLine);
+            ASSERT_EQ(got.victimDirty, want.victimDirty);
+            break;
+          }
+          case 3:
+            ASSERT_EQ(cache.markDirty(line), ref.markDirty(line));
+            break;
+          case 4:
+            ASSERT_EQ(cache.clearDirty(line), ref.clearDirty(line));
+            break;
+          case 5:
+            ASSERT_EQ(cache.isDirty(line), ref.isDirty(line));
+            ASSERT_EQ(cache.contains(line), ref.contains(line));
+            break;
+          default:
+            ASSERT_EQ(cache.invalidate(line), ref.invalidate(line));
+            break;
+        }
+    }
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_EQ(cache.misses(), misses);
+}
+
+TEST(Cache, MatchesReferenceModelTwoWay)
+{
+    differential(32, 2, 11); // Table 1 L1 geometry
+}
+
+TEST(Cache, MatchesReferenceModelEightWay)
+{
+    differential(256, 8, 12); // Table 1 L2 geometry
 }
 
 TEST(CacheDeathTest, DoubleInsertAborts)

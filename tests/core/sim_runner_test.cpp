@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "coherence/trace_generator.hpp"
 #include "core/sim_runner.hpp"
 
@@ -195,6 +197,44 @@ TEST(RunApplication, ArchitectureOrderingOnApplicationTraffic)
     EXPECT_GT(lat[0], lat[3]);
     EXPECT_GT(lat[1], lat[2]);
     EXPECT_GT(lat[1], lat[3]);
+}
+
+TEST(RunApplication, SavedTraceReplaysLikeTheGeneratedOne)
+{
+    // Writing a trace to a file and reading it back must not move any
+    // record to another cycle: the replay is identical.
+    CmpParams params;
+    CoherenceTraceGenerator gen(params, findWorkload("tpcc"), 99);
+    const Trace trace = gen.generate(4000.0, 6000.0);
+    std::stringstream ss;
+    writeTrace(ss, trace);
+    const Trace loaded = readTrace(ss, trace.name);
+
+    AppConfig config;
+    config.arch = RouterArch::Nox;
+    const AppResult a = runApplication(config, trace);
+    const AppResult b = runApplication(config, loaded);
+    EXPECT_EQ(a.packets, b.packets);
+    EXPECT_EQ(a.avgLatencyNs, b.avgLatencyNs);
+    EXPECT_EQ(a.avgTotalLatencyNs, b.avgTotalLatencyNs);
+    EXPECT_EQ(a.ed2, b.ed2);
+}
+
+TEST(RunApplication, RejectsNodesOutsideTheMesh)
+{
+    AppConfig config; // 8x8
+    Trace trace;
+    trace.records = {{1.0, 0, 5, 8, 0, TrafficClass::Request},
+                     {2.0, 3, 99, 8, 0, TrafficClass::Request}};
+    EXPECT_EXIT(runApplication(config, trace),
+                ::testing::ExitedWithCode(1),
+                "trace record 1 \\(time_ns 2, src 3, dst 99\\) names a "
+                "node outside the 8x8 mesh \\(valid: 0\\.\\.63\\)");
+    trace.records[1].src = -1;
+    trace.records[1].dst = 4;
+    EXPECT_EXIT(runApplication(config, trace),
+                ::testing::ExitedWithCode(1),
+                "trace record 1 \\(time_ns 2, src -1, dst 4\\)");
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "routers/factory.hpp"
+#include "routers/vc_router.hpp"
 #include "support/kernel_lockstep.hpp"
 #include "traffic/bernoulli_source.hpp"
 #include "traffic/patterns.hpp"
@@ -275,6 +276,100 @@ TEST(HardFaultsTargeted, SoftAndHardFaultsCompose)
     EXPECT_GT(s.faults.faultsInjected, 0u);
     EXPECT_EQ(s.faults.hardLinkFaults, 2u);
     EXPECT_GE(s.faults.tableRebuilds, 1u);
+}
+
+/** Nodes 0 and 1 of a 3x1 mesh each offer one single-flit packet per
+ *  cycle to node 2, alternating request and reply class (VC 0 and 1
+ *  on a two-VC router). Router 1's east output is the bottleneck, so
+ *  its west input stays backed up (on a two-VC router, the reply lane
+ *  fills while the request lane keeps flowing). */
+class ConvergeSource : public TrafficSource
+{
+  public:
+    void
+    tick(Cycle now, PacketInjector &inj) override
+    {
+        const TrafficClass cls =
+            now % 2 ? TrafficClass::Reply : TrafficClass::Request;
+        inj.injectPacket(0, 2, 1, now, cls);
+        inj.injectPacket(1, 2, 1, now, cls);
+    }
+};
+
+/** Flits buffered in router 1's west input, per lane. */
+int
+westOccupancy(const Network &net, int vcs, int vc)
+{
+    const Router &r = net.router(1);
+    if (vcs == 1)
+        return static_cast<int>(r.inputFifo(kPortWest).size());
+    return static_cast<int>(
+        static_cast<const VcRouter &>(r).vcFifo(kPortWest, vc).size());
+}
+
+/** Router 0's east-output credits, per lane. */
+int
+eastCredits(const Network &net, int vcs, int vc)
+{
+    const Router &r = net.router(0);
+    if (vcs == 1)
+        return r.outputCredits(kPortEast);
+    return static_cast<const VcRouter &>(r).vcCredits(kPortEast, vc);
+}
+
+void
+healWithBufferedFlits(RouterArch arch, int vcs)
+{
+    // Kill the 0<->1 link while router 1's west input holds flits
+    // (the kill leaves them in place: they are past the link and can
+    // still reach node 2), heal it two cycles later, and check that
+    // router 0 gets back only the free slots: after every later cycle,
+    // its credits plus router 1's occupancy equal the buffer depth.
+    NetworkParams params;
+    params.width = 3;
+    params.height = 1;
+    params.router.vcCount = vcs;
+    params.faults.enabled = true;
+    auto net = makeNetwork(params, arch);
+    net->addSource(std::make_unique<ConvergeSource>());
+    net->faultInjector()->scheduleOneShot(FaultKind::LinkDead, 100, 0,
+                                          kPortEast);
+    net->faultInjector()->scheduleOneShot(FaultKind::LinkHeal, 102, 0,
+                                          kPortEast);
+    net->run(102); // the heal applies at the start of the next step
+    ASSERT_TRUE(net->faultMap().linkDead(0, kPortEast));
+    int buffered = 0;
+    for (int v = 0; v < vcs; ++v)
+        buffered += westOccupancy(*net, vcs, v);
+    ASSERT_GT(buffered, 0) << "router 1 drained before the heal";
+
+    const int depth = params.router.bufferDepth;
+    for (int c = 0; c < 50; ++c) {
+        net->step();
+        for (int v = 0; v < vcs; ++v) {
+            ASSERT_EQ(eastCredits(*net, vcs, v) +
+                          westOccupancy(*net, vcs, v),
+                      depth)
+                << "lane " << v << ", cycle " << net->now();
+        }
+    }
+    EXPECT_FALSE(net->faultMap().linkDead(0, kPortEast));
+    net->setSourcesEnabled(false);
+    ASSERT_TRUE(net->drain(kDrainLimit))
+        << net->lastDrainReport().summary();
+    const NetworkStats &s = net->stats();
+    EXPECT_EQ(s.packetsEjected + s.faults.packetsLostHard,
+              s.packetsInjected);
+}
+
+TEST(HardFaultsTargeted, LinkHealCreditsCountBufferedFlits)
+{
+    healWithBufferedFlits(RouterArch::SpecFast, 1);
+}
+
+TEST(HardFaultsVc, LinkHealCreditsCountBufferedFlitsPerLane)
+{
+    healWithBufferedFlits(RouterArch::NonSpeculative, 2);
 }
 
 } // namespace

@@ -40,7 +40,13 @@ class FlightAnalysisRoundTrip : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "/nox_flight_rt.jsonl";
+        // One file per test: ctest runs each test in its own process,
+        // in parallel, and SetUp/TearDown remove the file.
+        path_ = ::testing::TempDir() + "/nox_flight_rt_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".jsonl";
         std::remove(path_.c_str());
     }
 

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "common/rng.hpp"
 #include "traffic/replay_source.hpp"
 #include "traffic/trace.hpp"
 
@@ -37,14 +38,27 @@ TEST(Trace, FlitSizing)
 
 TEST(Trace, RoundTripThroughStream)
 {
-    const Trace t = sampleTrace();
+    Trace t = sampleTrace();
+    // Times the way the generator makes them: sums of fractional
+    // latencies, which need all 17 significant digits to round-trip.
+    Rng rng(7);
+    double now = 99.0;
+    for (int i = 0; i < 200; ++i) {
+        now += rng.nextExponential(3.7) + 0.8 * (1 + i % 5);
+        t.records.push_back({now, i % 16, (i + 5) % 16,
+                             i % 3 ? 8u : 72u,
+                             static_cast<std::uint8_t>(i % 2),
+                             i % 2 ? TrafficClass::Reply
+                                   : TrafficClass::Request});
+    }
+    t.durationNs = now + 1.0 / 3.0;
     std::stringstream ss;
     writeTrace(ss, t);
     const Trace u = readTrace(ss, "sample");
     ASSERT_EQ(u.records.size(), t.records.size());
-    EXPECT_DOUBLE_EQ(u.durationNs, t.durationNs);
+    EXPECT_EQ(u.durationNs, t.durationNs);
     for (std::size_t i = 0; i < t.records.size(); ++i) {
-        EXPECT_DOUBLE_EQ(u.records[i].timeNs, t.records[i].timeNs);
+        EXPECT_EQ(u.records[i].timeNs, t.records[i].timeNs) << i;
         EXPECT_EQ(u.records[i].src, t.records[i].src);
         EXPECT_EQ(u.records[i].dst, t.records[i].dst);
         EXPECT_EQ(u.records[i].sizeBytes, t.records[i].sizeBytes);
@@ -52,6 +66,68 @@ TEST(Trace, RoundTripThroughStream)
         EXPECT_EQ(static_cast<int>(u.records[i].cls),
                   static_cast<int>(t.records[i].cls));
     }
+}
+
+/** readTrace on @p text must exit 1 with @p message naming the line. */
+void
+expectRejected(const std::string &text, const std::string &message)
+{
+    EXPECT_EXIT(
+        {
+            std::stringstream ss(text);
+            (void)readTrace(ss);
+        },
+        ::testing::ExitedWithCode(1), message);
+}
+
+constexpr const char *kGoodLine = "1.5 0 5 8 0 1\n";
+
+TEST(TraceReject, NegativeTime)
+{
+    expectRejected(std::string(kGoodLine) + "-5 0 5 8 0 1\n",
+                   "line 2: time_ns must be finite and non-negative");
+}
+
+TEST(TraceReject, NonFiniteTime)
+{
+    expectRejected(std::string(kGoodLine) + "nan 0 5 8 0 1\n",
+                   "line 2");
+    expectRejected(std::string(kGoodLine) + "1e999 0 5 8 0 1\n",
+                   "line 2");
+}
+
+TEST(TraceReject, ZeroSize)
+{
+    expectRejected(std::string(kGoodLine) + "2.0 0 5 0 0 1\n",
+                   "line 2: size_bytes must be in 1\\.\\.65536");
+    expectRejected(std::string(kGoodLine) + "2.0 0 5 -8 0 1\n",
+                   "line 2: size_bytes");
+}
+
+TEST(TraceReject, NetworkOutOfRange)
+{
+    expectRejected(std::string(kGoodLine) + "2.0 0 5 8 7 1\n",
+                   "line 2: network must be 0 \\(request\\) or 1");
+}
+
+TEST(TraceReject, ClassOutOfRange)
+{
+    expectRejected(std::string(kGoodLine) + "2.0 0 5 8 0 9\n",
+                   "line 2: class must be 0");
+}
+
+TEST(TraceReject, MalformedLine)
+{
+    expectRejected(std::string(kGoodLine) + "2.0 0 5 8 0\n",
+                   "malformed trace line 2");
+    expectRejected(std::string(kGoodLine) + "2.0 0 5 8 0 1 extra\n",
+                   "malformed trace line 2");
+}
+
+TEST(TraceReject, BadDuration)
+{
+    expectRejected("# duration_ns -1\n" + std::string(kGoodLine),
+                   "line 1: duration_ns must be finite");
 }
 
 TEST(Trace, ReadSortsByTime)
