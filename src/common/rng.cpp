@@ -145,15 +145,13 @@ Rng::split(std::uint64_t salt)
 void
 Rng::serialize(snap::Writer &w) const
 {
-    for (std::uint64_t word : s_)
-        w.u64(word);
+    snap::io(w, s_);
 }
 
 void
 Rng::restore(snap::Reader &r)
 {
-    for (std::uint64_t &word : s_)
-        word = r.u64();
+    snap::io(r, s_);
 }
 
 } // namespace nox

@@ -12,6 +12,7 @@
 #ifndef NOX_COMMON_RNG_HPP
 #define NOX_COMMON_RNG_HPP
 
+#include <array>
 #include <cstdint>
 
 namespace nox {
@@ -75,7 +76,7 @@ class Rng
     void restore(snap::Reader &r);
 
   private:
-    std::uint64_t s_[4];
+    std::array<std::uint64_t, 4> s_;
 };
 
 /** splitmix64 step, also useful as a cheap 64-bit hash. */

@@ -128,50 +128,47 @@ Histogram::quantile(double p) const
     return width_ * static_cast<double>(counts_.size());
 }
 
+template <typename Ar, typename Self>
+void
+SampleStats::layout(Ar &ar, Self &self)
+{
+    snap::fields(ar, self.n_, self.mean_, self.m2_, self.min_, self.max_);
+}
+
 void
 SampleStats::serialize(snap::Writer &w) const
 {
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(min_);
-    w.f64(max_);
+    layout(w, *this);
 }
 
 void
 SampleStats::restore(snap::Reader &r)
 {
-    n_ = r.u64();
-    mean_ = r.f64();
-    m2_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
+    layout(r, *this);
+}
+
+template <typename Ar, typename Self>
+void
+Histogram::layout(Ar &ar, Self &self)
+{
+    snap::fields(ar, self.width_, self.widenings_);
+    snap::ioExpect(ar, std::uint64_t{self.counts_.size()},
+                   "histogram bucket-count mismatch (wrong geometry)");
+    for (auto &c : self.counts_)
+        snap::io(ar, c);
+    snap::fields(ar, self.overflow_, self.total_);
 }
 
 void
 Histogram::serialize(snap::Writer &w) const
 {
-    w.f64(width_);
-    w.u32(widenings_);
-    w.u64(counts_.size());
-    for (std::uint64_t c : counts_)
-        w.u64(c);
-    w.u64(overflow_);
-    w.u64(total_);
+    layout(w, *this);
 }
 
 void
 Histogram::restore(snap::Reader &r)
 {
-    width_ = r.f64();
-    widenings_ = r.u32();
-    const std::uint64_t n = r.u64();
-    if (n != counts_.size())
-        r.fail("histogram bucket-count mismatch (wrong geometry)");
-    for (std::uint64_t &c : counts_)
-        c = r.u64();
-    overflow_ = r.u64();
-    total_ = r.u64();
+    layout(r, *this);
 }
 
 void

@@ -55,6 +55,10 @@ class SampleStats
     void restore(snap::Reader &r);
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
@@ -117,6 +121,10 @@ class Histogram
   private:
     /** Merge adjacent bucket pairs: same bucket count, double width. */
     void widen();
+
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
 
     double width_;
     bool autoWiden_ = false;

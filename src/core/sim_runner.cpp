@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/config.hpp"
@@ -160,6 +161,35 @@ syntheticRunnerFingerprint(const SyntheticConfig &config)
     return rfp.str();
 }
 
+namespace {
+
+/**
+ * The runner section (RUNR) of a noxsim checkpoint: the experiment
+ * fingerprint, then the energy snapshots bracketing the measurement
+ * window, each absent until its boundary has passed. A load rejects
+ * a snapshot of another experiment.
+ */
+template <typename Ar>
+void
+runnerLayout(Ar &ar, const std::string &fingerprint,
+             snap::Field<Ar, std::optional<EnergyEvents>> before,
+             snap::Field<Ar, std::optional<EnergyEvents>> after)
+{
+    snap::tag(ar, snap::fourcc("RUNR"));
+    std::string saved = fingerprint;
+    snap::io(ar, saved);
+    if (saved != fingerprint) {
+        throw snap::SnapshotError(
+            "snapshot was taken from a different experiment:\n"
+            "  snapshot: " +
+            saved + "\n  this run: " + fingerprint);
+    }
+    snap::ioOptional(ar, before);
+    snap::ioOptional(ar, after);
+}
+
+} // namespace
+
 RunResult
 runSynthetic(const SyntheticConfig &config)
 {
@@ -192,10 +222,9 @@ runSynthetic(const SyntheticConfig &config)
     const Cycle m1 = config.warmupCycles + config.measureCycles;
 
     // Runner-phase state that outlives a checkpoint: the energy
-    // snapshots bracketing the measurement window. Captured-flags
-    // handle checkpoints that fire before the respective boundary.
-    EnergyEvents before, after;
-    bool beforeCaptured = false, afterCaptured = false;
+    // snapshots bracketing the measurement window, each empty until
+    // its boundary passes (a checkpoint may fire before either).
+    std::optional<EnergyEvents> before, after;
 
     const std::string runnerFp = syntheticRunnerFingerprint(config);
 
@@ -208,20 +237,7 @@ runSynthetic(const SyntheticConfig &config)
                 file.require(snap::kSectionRunner);
             snap::Reader rr(rsec.payload.data(),
                             rsec.payload.size());
-            snap::checkTag(rr, snap::fourcc("RUNR"));
-            const std::string savedFp = rr.str();
-            if (savedFp != runnerFp) {
-                throw snap::SnapshotError(
-                    "snapshot was taken from a different "
-                    "experiment:\n  snapshot: " +
-                    savedFp + "\n  this run: " + runnerFp);
-            }
-            beforeCaptured = rr.boolean();
-            if (beforeCaptured)
-                before = snap::readEnergyEvents(rr);
-            afterCaptured = rr.boolean();
-            if (afterCaptured)
-                after = snap::readEnergyEvents(rr);
+            runnerLayout(rr, runnerFp, before, after);
             rr.expectEnd();
         } catch (const snap::SnapshotError &e) {
             fatal("cannot resume from '", config.resumePath,
@@ -235,14 +251,7 @@ runSynthetic(const SyntheticConfig &config)
                 snap::SnapshotFile image =
                     snap::captureNetwork(n, "noxsim");
                 snap::Writer rw;
-                snap::tag(rw, snap::fourcc("RUNR"));
-                rw.str(runnerFp);
-                rw.boolean(beforeCaptured);
-                if (beforeCaptured)
-                    snap::writeEnergyEvents(rw, before);
-                rw.boolean(afterCaptured);
-                if (afterCaptured)
-                    snap::writeEnergyEvents(rw, after);
+                runnerLayout(rw, runnerFp, before, after);
                 image.sections.push_back(
                     {snap::kSectionRunner, rw.take()});
                 snap::writeSnapshotFileAtomic(
@@ -265,15 +274,11 @@ runSynthetic(const SyntheticConfig &config)
     // finishes whatever remains of each phase (possibly nothing).
     const Cycle start = net->now();
     net->run(start < m0 ? m0 - start : 0);
-    if (!beforeCaptured) {
+    if (!before)
         before = net->totalEnergyEvents();
-        beforeCaptured = true;
-    }
     net->run(net->now() < m1 ? m1 - net->now() : 0);
-    if (!afterCaptured) {
+    if (!after)
         after = net->totalEnergyEvents();
-        afterCaptured = true;
-    }
 
     net->setSourcesEnabled(false);
     const Cycle deadline = m1 + config.drainLimitCycles;
@@ -376,7 +381,7 @@ runSynthetic(const SyntheticConfig &config)
     }
 
     const EnergyModel energy(config.tech, config.arch, phys);
-    const EnergyEvents window = diff(after, before);
+    const EnergyEvents window = diff(*after, *before);
     res.abortCycles = window.abortCycles;
     res.misspecCycles = window.misspecCycles;
     res.flitHops = window.linkFlits + window.localLinkFlits;

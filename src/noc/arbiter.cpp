@@ -7,16 +7,6 @@
 
 namespace nox {
 
-void
-Arbiter::serialize(snap::Writer &) const
-{
-}
-
-void
-Arbiter::restore(snap::Reader &)
-{
-}
-
 RoundRobinArbiter::RoundRobinArbiter(int num_inputs)
     : Arbiter(num_inputs), pointer_(0)
 {
@@ -46,20 +36,25 @@ RoundRobinArbiter::reset()
     perturbs_ = 0;
 }
 
+template <typename Ar, typename Self>
+void
+RoundRobinArbiter::layout(Ar &ar, Self &self)
+{
+    snap::ioBounded(ar, self.pointer_, 0, self.numInputs_ - 1,
+                    "round-robin pointer out of range");
+    snap::io(ar, self.perturbs_);
+}
+
 void
 RoundRobinArbiter::serialize(snap::Writer &w) const
 {
-    w.i32(pointer_);
-    w.u32(perturbs_);
+    layout(w, *this);
 }
 
 void
 RoundRobinArbiter::restore(snap::Reader &r)
 {
-    pointer_ = r.i32();
-    if (pointer_ < 0 || pointer_ >= numInputs_)
-        r.fail("round-robin pointer out of range");
-    perturbs_ = r.u32();
+    layout(r, *this);
 }
 
 void
@@ -136,22 +131,27 @@ MatrixArbiter::reset()
     perturbs_ = 0;
 }
 
+template <typename Ar, typename Self>
+void
+MatrixArbiter::layout(Ar &ar, Self &self)
+{
+    for (auto &row : self.prio_) {
+        for (auto &&b : row)
+            snap::io(ar, b);
+    }
+    snap::io(ar, self.perturbs_);
+}
+
 void
 MatrixArbiter::serialize(snap::Writer &w) const
 {
-    for (const auto &row : prio_)
-        for (bool b : row)
-            w.boolean(b);
-    w.u32(perturbs_);
+    layout(w, *this);
 }
 
 void
 MatrixArbiter::restore(snap::Reader &r)
 {
-    for (auto &row : prio_)
-        for (std::size_t j = 0; j < row.size(); ++j)
-            row[j] = r.boolean();
-    perturbs_ = r.u32();
+    layout(r, *this);
 }
 
 void

@@ -64,8 +64,8 @@ class Arbiter
 
     /** Capture / restore priority state (checkpointing). Stateless
      *  arbiters write nothing. */
-    virtual void serialize(snap::Writer &w) const;
-    virtual void restore(snap::Reader &r);
+    virtual void serialize(snap::Writer &) const {}
+    virtual void restore(snap::Reader &) {}
 
     /**
      * Deliberately corrupt the priority state so the next grant can
@@ -104,6 +104,10 @@ class RoundRobinArbiter : public Arbiter
     int pointer() const { return pointer_; }
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     int pointer_;
     std::uint32_t perturbs_ = 0; ///< serialized; see Arbiter::perturb
 };
@@ -134,6 +138,10 @@ class MatrixArbiter : public Arbiter
     void perturb() override;
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     /** prio_[i][j] true when input i beats input j. */
     std::vector<std::vector<bool>> prio_;
     std::uint32_t perturbs_ = 0; ///< serialized; see Arbiter::perturb

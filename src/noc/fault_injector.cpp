@@ -101,6 +101,7 @@ void
 FaultInjector::planHardFaults(const Mesh &mesh)
 {
     const int nr = mesh.numRouters();
+    routers_ = nr;
     std::vector<std::uint8_t> dead(static_cast<std::size_t>(nr), 0);
 
     // Routers first: the link pool below excludes their stubs.
@@ -409,80 +410,46 @@ FaultInjector::drawCreditLoss(NodeId router, int out_port,
     return false;
 }
 
+template <typename Ar, typename Self>
+void
+FaultInjector::layout(Ar &ar, Self &self)
+{
+    snap::tag(ar, snap::fourcc("FINJ"));
+    snap::io(ar, self.now_);
+    snap::ioSeq(ar, self.oneShots_, 26, [](auto &a, auto &o) {
+        snap::ioEnum(a, o.kind, FaultKind::RouterHeal);
+        snap::check(a, !faultKindHard(o.kind),
+                    "hard fault kind in the one-shot queue");
+        snap::fields(a, o.cycle, o.router, o.port, o.flipMask, o.fired);
+    });
+    const NodeId lastRouter = self.routers_ - 1;
+    snap::ioSeq(ar, self.hardFaults_, 17, [lastRouter](auto &a, auto &h) {
+        snap::ioEnum(a, h.kind, FaultKind::RouterHeal);
+        snap::check(a, faultKindHard(h.kind),
+                    "soft fault kind in the hard-fault queue");
+        snap::io(a, h.cycle);
+        snap::ioBounded(a, h.router, 0, lastRouter,
+                        "hard fault names a router out of range");
+        snap::io(a, h.port);
+    });
+    snap::ioSeq(ar, self.log_, 25, [](auto &a, auto &e) {
+        snap::io(a, e.cycle);
+        snap::ioEnum(a, e.kind, FaultKind::RouterHeal);
+        snap::fields(a, e.router, e.port, e.flipMask);
+    });
+    snap::check(ar, self.log_.size() <= kLogCap, "fault log exceeds its cap");
+}
+
 void
 FaultInjector::serialize(snap::Writer &w) const
 {
-    snap::tag(w, snap::fourcc("FINJ"));
-    w.u64(now_);
-    w.u64(oneShots_.size());
-    for (const OneShot &o : oneShots_) {
-        w.u8(static_cast<std::uint8_t>(o.kind));
-        w.u64(o.cycle);
-        w.i32(o.router);
-        w.i32(o.port);
-        w.u64(o.flipMask);
-        w.boolean(o.fired);
-    }
-    w.u64(hardFaults_.size());
-    for (const HardFault &h : hardFaults_) {
-        w.u8(static_cast<std::uint8_t>(h.kind));
-        w.u64(h.cycle);
-        w.i32(h.router);
-        w.i32(h.port);
-    }
-    w.u64(log_.size());
-    for (const FaultEvent &e : log_) {
-        w.u64(e.cycle);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.i32(e.router);
-        w.i32(e.port);
-        w.u64(e.flipMask);
-    }
+    layout(w, *this);
 }
 
 void
 FaultInjector::restore(snap::Reader &r)
 {
-    snap::checkTag(r, snap::fourcc("FINJ"));
-    now_ = r.u64();
-    oneShots_.clear();
-    const std::size_t nshot = r.count(26); // bytes per one-shot
-    oneShots_.reserve(nshot);
-    for (std::size_t i = 0; i < nshot; ++i) {
-        OneShot o;
-        o.kind = static_cast<FaultKind>(r.u8());
-        o.cycle = r.u64();
-        o.router = r.i32();
-        o.port = r.i32();
-        o.flipMask = r.u64();
-        o.fired = r.boolean();
-        oneShots_.push_back(o);
-    }
-    hardFaults_.clear();
-    const std::size_t nhard = r.count(17); // bytes per hard fault
-    hardFaults_.reserve(nhard);
-    for (std::size_t i = 0; i < nhard; ++i) {
-        HardFault h;
-        h.kind = static_cast<FaultKind>(r.u8());
-        h.cycle = r.u64();
-        h.router = r.i32();
-        h.port = r.i32();
-        hardFaults_.push_back(h);
-    }
-    log_.clear();
-    const std::size_t nlog = r.count(25); // bytes per log event
-    if (nlog > kLogCap)
-        r.fail("fault log exceeds its cap");
-    log_.reserve(nlog);
-    for (std::size_t i = 0; i < nlog; ++i) {
-        FaultEvent e;
-        e.cycle = r.u64();
-        e.kind = static_cast<FaultKind>(r.u8());
-        e.router = r.i32();
-        e.port = r.i32();
-        e.flipMask = r.u64();
-        log_.push_back(e);
-    }
+    layout(r, *this);
 }
 
 } // namespace nox

@@ -359,9 +359,15 @@ class FaultInjector
 
     static constexpr std::size_t kLogCap = 4096;
 
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     FaultParams params_;
     std::uint64_t seedMix_; ///< pre-mixed seed for event hashing
     Cycle now_ = 0;
+    int routers_ = 0; ///< mesh size planHardFaults() saw; a load
+                      ///< rejects a queued fault naming another router
 
     struct OneShot
     {

@@ -92,16 +92,9 @@ class FlitFifo
     }
 
     /** i-th held flit from the head (0 == front()); for inspection
-     *  and checkpoint serialization, not the hot path. */
-    const WireFlit &
-    at(std::size_t i) const
-    {
-        NOX_ASSERT(i < size_, "at() index out of range");
-        std::size_t idx = head_ + i;
-        if (idx >= capacity_)
-            idx -= capacity_;
-        return slots_[idx];
-    }
+     *  and the snapshot layout, not the hot path. */
+    const WireFlit &at(std::size_t i) const { return slots_[slot(i)]; }
+    WireFlit &at(std::size_t i) { return slots_[slot(i)]; }
 
     WireFlit
     pop()
@@ -124,6 +117,14 @@ class FlitFifo
     std::size_t next(std::size_t i) const
     {
         return i + 1 == capacity_ ? 0 : i + 1;
+    }
+
+    std::size_t
+    slot(std::size_t i) const
+    {
+        NOX_ASSERT(i < size_, "at() index out of range");
+        const std::size_t idx = head_ + i;
+        return idx >= capacity_ ? idx - capacity_ : idx;
     }
 
     std::size_t capacity_;

@@ -65,6 +65,7 @@ class PartsVec
 {
   public:
     static constexpr std::size_t kInlineParts = 1;
+    using value_type = FlitDesc;
 
     PartsVec() = default;
 

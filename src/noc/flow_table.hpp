@@ -146,6 +146,19 @@ class FlowTable
     std::vector<std::uint64_t> present_;
 };
 
+/** A FlowTable as one line of a snapshot layout: serialize() on save,
+ *  restore() on load, each value through @p each(ar, value). */
+template <typename Ar, typename Table, typename Each = snap::IoEach>
+void
+ioFlowTable(Ar &ar, Table &table, std::size_t min_value_bytes,
+            Each each = {})
+{
+    if constexpr (Ar::kReading)
+        table.restore(ar, min_value_bytes, each);
+    else
+        table.serialize(ar, each);
+}
+
 } // namespace nox
 
 #endif // NOX_NOC_FLOW_TABLE_HPP

@@ -682,7 +682,7 @@ Network::step()
     }
     if (telemetry_ && telemetry_->due(now_)) {
         ProfScope ps(prof, SimPhase::ObsFlush);
-        emitTelemetry();
+        telemetry_->beat(telemetrySample());
     }
     if (prof)
         prof->endStep();
@@ -777,8 +777,8 @@ Network::finishObservability()
     }
 }
 
-void
-Network::emitTelemetry()
+TelemetrySample
+Network::telemetrySample() const
 {
     TelemetrySample s;
     s.cycle = now_;
@@ -798,13 +798,14 @@ Network::emitTelemetry()
     const FlitArenaStats &arena = FlitArena::instance().stats();
     s.arenaLive = arena.live();
     s.arenaGrowths = arena.growths;
-    s.checkpointAge = telemetry_->checkpointAge(now_);
+    if (telemetry_)
+        s.checkpointAge = telemetry_->checkpointAge(now_);
     if (digest_) {
         s.digestStrides =
             static_cast<std::int64_t>(digest_->strideCount());
         s.lastDigestCycle = digest_->lastDigestCycle();
     }
-    telemetry_->beat(s);
+    return s;
 }
 
 int
@@ -930,6 +931,37 @@ Network::totalEnergyEvents() const
     return total;
 }
 
+const std::vector<FlitDesc> &
+Network::buildFlits(PacketId packet, NodeId src, NodeId dest,
+                    std::uint32_t num_flits, Cycle created,
+                    TrafficClass cls, std::uint32_t flow_seq)
+{
+    // Member scratch: one packet's flits are built here every
+    // injection, and the NIC copies them into its source queue — no
+    // per-packet vector allocation on the steady-state path.
+    std::vector<FlitDesc> &flits = scratchInjectFlits_;
+    flits.clear();
+    flits.reserve(num_flits);
+    for (std::uint32_t s = 0; s < num_flits; ++s) {
+        FlitDesc d;
+        d.uid = flitUid(packet, s);
+        d.packet = packet;
+        d.seq = s;
+        d.packetSize = num_flits;
+        d.src = src;
+        d.dest = dest;
+        d.payload = expectedPayload(packet, s);
+        d.createCycle = created;
+        d.cls = cls;
+        d.flowSeq = flow_seq;
+        // Static VC assignment by class (request/reply isolation).
+        if (params_.router.vcCount > 1 && cls == TrafficClass::Reply)
+            d.vc = 1;
+        flits.push_back(d);
+    }
+    return flits;
+}
+
 PacketId
 Network::injectPacket(NodeId src, NodeId dst, int num_flits, Cycle now,
                       TrafficClass cls)
@@ -959,29 +991,9 @@ Network::injectPacket(NodeId src, NodeId dst, int num_flits, Cycle now,
             ageInFlight_.insert(id);
         }
     }
-    // Member scratch: one packet's flits are built here every
-    // injection, and the NIC copies them into its source queue — no
-    // per-packet vector allocation on the steady-state path.
-    std::vector<FlitDesc> &flits = scratchInjectFlits_;
-    flits.clear();
-    flits.reserve(static_cast<std::size_t>(num_flits));
-    for (int s = 0; s < num_flits; ++s) {
-        FlitDesc d;
-        d.uid = flitUid(id, static_cast<std::uint32_t>(s));
-        d.packet = id;
-        d.seq = static_cast<std::uint32_t>(s);
-        d.packetSize = static_cast<std::uint32_t>(num_flits);
-        d.src = src;
-        d.dest = dst;
-        d.payload = expectedPayload(id, static_cast<std::uint32_t>(s));
-        d.createCycle = now;
-        d.cls = cls;
-        d.flowSeq = flow_seq;
-        // Static VC assignment by class (request/reply isolation).
-        if (params_.router.vcCount > 1 && cls == TrafficClass::Reply)
-            d.vc = 1;
-        flits.push_back(d);
-    }
+    const std::vector<FlitDesc> &flits =
+        buildFlits(id, src, dst, static_cast<std::uint32_t>(num_flits),
+                   now, cls, flow_seq);
     if (prov_)
         prov_->onPacketCreate(flits, now);
     if (transport_)
@@ -1085,93 +1097,139 @@ Network::fingerprint() const
     return os.str();
 }
 
+template <typename Ar, typename Self>
 void
-Network::serialize(snap::Writer &w, snap::Scope scope) const
+Network::layout(Ar &ar, Self &self, snap::Scope scope)
 {
-    snap::tag(w, snap::fourcc("NETW"));
-    w.u64(now_);
-    w.u64(nextPacket_);
-    w.boolean(sourcesEnabled_);
-    snap::writeNetworkStats(w, stats_);
+    snap::tag(ar, snap::fourcc("NETW"));
+    snap::fields(ar, self.now_, self.nextPacket_, self.sourcesEnabled_,
+                 self.stats_);
 
     // The hard-fault topology, as replayable kill lists: dead
     // routers, then every explicitly-failed link (canonical
     // direction) — including links whose endpoint router is also
     // dead, because a later heal of that router must not resurrect
     // the link's own fault.
-    const std::vector<NodeId> deadRouters = faultMap_.deadRouters();
-    w.u64(deadRouters.size());
-    for (NodeId r : deadRouters)
-        w.i32(r);
-    const std::vector<std::pair<NodeId, int>> deadLinks =
-        faultMap_.explicitDeadLinks();
-    w.u64(deadLinks.size());
-    for (const auto &[r, port] : deadLinks) {
-        w.i32(r);
-        w.i32(port);
+    std::vector<NodeId> deadRouters;
+    std::vector<std::pair<NodeId, int>> deadLinks;
+    if constexpr (!Ar::kReading) {
+        deadRouters = self.faultMap_.deadRouters();
+        deadLinks = self.faultMap_.explicitDeadLinks();
     }
-    w.u64(table_.rebuilds());
-
-    const auto writeSeq = [](snap::Writer &out, std::uint32_t seq) {
-        out.u32(seq);
-    };
-    flowNextSeq_.serialize(w, writeSeq);
-    flowMaxDone_.serialize(w, writeSeq);
-
-    w.u64(ageQueue_.size());
-    for (const auto &[packet, created] : ageQueue_) {
-        w.u64(packet);
-        w.u64(created);
+    const NodeId lastRouter = self.numRouters() - 1;
+    snap::ioSeq(ar, deadRouters, 4, [lastRouter](auto &a, auto &router) {
+        snap::ioBounded(a, router, 0, lastRouter,
+                        "dead-router id out of range");
+    });
+    snap::ioSeq(ar, deadLinks, 8, [lastRouter](auto &a, auto &link) {
+        const char *outside = "dead-link endpoint out of range";
+        snap::ioBounded(a, link.first, 0, lastRouter, outside);
+        snap::ioBounded(a, link.second, kPortNorth, kPortWest, outside);
+    });
+    if constexpr (Ar::kReading) {
+        // Replay the snapshot's fault topology onto this (freshly
+        // built) network before touching any component: Router
+        // layouts cross-check output wiring, and the routing table
+        // must describe the faulted mesh when traffic resumes. With
+        // healing in the mix the snapshot's dead set is no longer a
+        // superset of the construction-time one, so replay in two
+        // moves that are always legal on an empty network: heal every
+        // current fault back to the pristine mesh (uncounted — the
+        // restored stats already include any real heals), then re-kill
+        // exactly the snapshot's lists. Explicit link kills replay
+        // before router kills because killLink requires both
+        // endpoints alive.
+        bool replayed = false;
+        std::vector<FlitDesc> discard; // freshly built: nothing in flight
+        for (const auto &[router, port] : self.faultMap_.explicitDeadLinks()) {
+            self.healLink(router, port, /*record=*/false);
+            replayed = true;
+        }
+        for (NodeId router : self.faultMap_.deadRouters()) {
+            self.healRouter(router, /*record=*/false);
+            replayed = true;
+        }
+        for (const auto &[router, port] : deadLinks) {
+            self.killLink(router, port, discard);
+            replayed = true;
+        }
+        for (NodeId router : deadRouters) {
+            self.killRouter(router, discard);
+            replayed = true;
+        }
+        NOX_ASSERT(discard.empty(),
+                   "fault replay on a restore target with traffic");
+        if (replayed)
+            self.table_.rebuild(self.faultMap_);
     }
-    std::vector<PacketId> aged(ageInFlight_.begin(),
-                               ageInFlight_.end());
-    std::sort(aged.begin(), aged.end());
-    w.u64(aged.size());
-    for (PacketId p : aged)
-        w.u64(p);
+    std::uint64_t rebuilds = self.table_.rebuilds();
+    snap::io(ar, rebuilds);
+    if constexpr (Ar::kReading)
+        self.table_.setRebuildCount(rebuilds);
+
+    ioFlowTable(ar, self.flowNextSeq_, 4);
+    ioFlowTable(ar, self.flowMaxDone_, 4);
+    snap::ioSeq(ar, self.ageQueue_, 16);
+    snap::ioSortedSet(ar, self.ageInFlight_);
     if (scope == snap::Scope::Digest)
         return; // the rest is kernel/observer bookkeeping + components
 
-    w.boolean(ageDumpLatched_);
-    // Active sets: one boolean per component, in id order.
-    const auto writeSet = [&w](const std::vector<std::uint64_t> &set,
-                               int members) {
-        for (NodeId id = 0; id < members && !set.empty(); ++id)
-            w.boolean(isMember(set, id));
+    snap::io(ar, self.ageDumpLatched_);
+    // Active sets: one boolean per component, in id order. Always-tick
+    // retires nothing, and nothing would re-arm a cleared member
+    // (wakes are bound only when gating): a load rejects such a set.
+    const bool gating =
+        self.params_.schedulingMode == SchedulingMode::ActivityDriven;
+    const auto activeSet = [&ar](auto &set, int members, bool full) {
+        for (NodeId id = 0; id < members && !set.empty(); ++id) {
+            bool member = isMember(set, id);
+            snap::io(ar, member);
+            snap::check(ar, member || !full,
+                        "retired component under the always-tick kernel");
+            if constexpr (Ar::kReading)
+                setMember(set, id, member);
+        }
     };
-    writeSet(routerActive_, numRouters());
-    writeSet(nicActive_, numNodes());
-    w.boolean(!prevRouterActive_.empty());
-    writeSet(prevRouterActive_, numRouters());
-    writeSet(prevNicActive_, numNodes());
-    w.boolean(!lastLinkFlits_.empty());
-    for (std::uint64_t v : lastLinkFlits_)
-        w.u64(v);
-    for (std::uint64_t v : lastCollisions_)
-        w.u64(v);
+    activeSet(self.routerActive_, self.numRouters(), !gating);
+    activeSet(self.nicActive_, self.numNodes(), !gating);
+    snap::ioExpect(ar, !self.prevRouterActive_.empty(),
+                   "trace-activity state presence mismatch (wrong config)");
+    activeSet(self.prevRouterActive_, self.numRouters(), false);
+    activeSet(self.prevNicActive_, self.numNodes(), false);
+    snap::ioExpect(ar, !self.lastLinkFlits_.empty(),
+                   "metrics window-counter presence mismatch (wrong "
+                   "config)");
+    for (auto &v : self.lastLinkFlits_)
+        snap::io(ar, v);
+    for (auto &v : self.lastCollisions_)
+        snap::io(ar, v);
 
-    for (const auto &r : routers_)
-        r->serialize(w);
-    for (const auto &nic : nics_)
-        nic->serialize(w);
-    w.u64(sources_.size());
-    for (const auto &src : sources_)
-        src->serialize(w);
-    w.boolean(faults_ != nullptr);
-    if (faults_)
-        faults_->serialize(w);
-    w.boolean(tracer_ != nullptr);
-    if (tracer_)
-        tracer_->serialize(w);
-    w.boolean(metrics_ != nullptr);
-    if (metrics_)
-        metrics_->serialize(w);
-    w.boolean(prov_ != nullptr);
-    if (prov_)
-        prov_->serialize(w);
-    w.boolean(transport_ != nullptr);
-    if (transport_)
-        transport_->serialize(w);
+    for (auto &r : self.routers_)
+        snap::io(ar, *r);
+    for (auto &nic : self.nics_)
+        snap::io(ar, *nic);
+    snap::ioExpect(ar, std::uint64_t{self.sources_.size()},
+                   "traffic source count mismatch (wrong config)");
+    for (auto &src : self.sources_)
+        snap::io(ar, *src);
+    const auto optional = [&ar](auto &component, const char *what) {
+        snap::ioExpect(ar, component != nullptr, what);
+        if (component)
+            snap::io(ar, *component);
+    };
+    optional(self.faults_, "fault-injection presence mismatch (wrong config)");
+    optional(self.tracer_, "trace recorder presence mismatch (wrong config)");
+    optional(self.metrics_,
+             "metrics sampler presence mismatch (wrong config)");
+    optional(self.prov_, "provenance presence mismatch (wrong config)");
+    optional(self.transport_,
+             "E2E-transport presence mismatch (wrong config)");
+}
+
+void
+Network::serialize(snap::Writer &w, snap::Scope scope) const
+{
+    layout(w, *this, scope);
 }
 
 DigestStride
@@ -1220,142 +1278,7 @@ Network::computeDigestStride(snap::Writer &scratch) const
 void
 Network::restore(snap::Reader &r)
 {
-    snap::checkTag(r, snap::fourcc("NETW"));
-    now_ = r.u64();
-    nextPacket_ = r.u64();
-    sourcesEnabled_ = r.boolean();
-    snap::readNetworkStats(r, stats_);
-
-    // Replay the snapshot's hard-fault topology onto this (freshly
-    // built) network before touching any component: Router::restore
-    // cross-checks output wiring, and the routing table must describe
-    // the faulted mesh when traffic resumes. With healing in the mix
-    // the snapshot's dead set is no longer a superset of the
-    // construction-time one, so replay in two moves that are always
-    // legal on an empty network: heal every current fault back to the
-    // pristine mesh (uncounted — the restored stats already include
-    // any real heals), then re-kill exactly the snapshot's lists.
-    // Explicit link kills replay before router kills because killLink
-    // requires both endpoints alive.
-    std::vector<NodeId> snapDeadRouters;
-    const std::uint64_t ndr = r.u64();
-    for (std::uint64_t i = 0; i < ndr; ++i) {
-        const NodeId router = r.i32();
-        if (router < 0 || router >= numRouters())
-            r.fail("dead-router id out of range");
-        snapDeadRouters.push_back(router);
-    }
-    std::vector<std::pair<NodeId, int>> snapDeadLinks;
-    const std::uint64_t ndl = r.u64();
-    for (std::uint64_t i = 0; i < ndl; ++i) {
-        const NodeId router = r.i32();
-        const int port = r.i32();
-        if (router < 0 || router >= numRouters() ||
-            port < kPortNorth || port > kPortWest)
-            r.fail("dead-link endpoint out of range");
-        snapDeadLinks.emplace_back(router, port);
-    }
-
-    bool replayed = false;
-    std::vector<FlitDesc> discard; // freshly built: nothing in flight
-    for (const auto &[router, port] : faultMap_.explicitDeadLinks()) {
-        healLink(router, port, /*record=*/false);
-        replayed = true;
-    }
-    for (NodeId router : faultMap_.deadRouters()) {
-        healRouter(router, /*record=*/false);
-        replayed = true;
-    }
-    for (const auto &[router, port] : snapDeadLinks) {
-        killLink(router, port, discard);
-        replayed = true;
-    }
-    for (NodeId router : snapDeadRouters) {
-        killRouter(router, discard);
-        replayed = true;
-    }
-    NOX_ASSERT(discard.empty(),
-               "fault replay on a restore target with traffic");
-    if (replayed)
-        table_.rebuild(faultMap_);
-    table_.setRebuildCount(r.u64());
-
-    const auto readSeq = [](snap::Reader &in, std::uint32_t &seq) {
-        seq = in.u32();
-    };
-    flowNextSeq_.restore(r, 4, readSeq);
-    flowMaxDone_.restore(r, 4, readSeq);
-
-    ageQueue_.clear();
-    const std::uint64_t nage = r.u64();
-    for (std::uint64_t i = 0; i < nage; ++i) {
-        const PacketId packet = r.u64();
-        const Cycle created = r.u64();
-        ageQueue_.emplace_back(packet, created);
-    }
-    ageInFlight_.clear();
-    const std::size_t nin = r.count(8);
-    ageInFlight_.reserve(nin);
-    for (std::size_t i = 0; i < nin; ++i)
-        ageInFlight_.insert(r.u64());
-    ageDumpLatched_ = r.boolean();
-
-    // Always-tick retires nothing, and nothing would re-arm a cleared
-    // member (wakes are bound only when gating): reject such a set.
-    const bool gating =
-        params_.schedulingMode == SchedulingMode::ActivityDriven;
-    const auto readSet = [&r](std::vector<std::uint64_t> &set,
-                              int members, bool full) {
-        for (NodeId id = 0; id < members && !set.empty(); ++id) {
-            const bool member = r.boolean();
-            if (full && !member)
-                r.fail("retired component under the always-tick kernel");
-            setMember(set, id, member);
-        }
-    };
-    readSet(routerActive_, numRouters(), !gating);
-    readSet(nicActive_, numNodes(), !gating);
-    if (r.boolean() != !prevRouterActive_.empty())
-        r.fail("trace-activity state presence mismatch (wrong "
-               "config)");
-    readSet(prevRouterActive_, numRouters(), false);
-    readSet(prevNicActive_, numNodes(), false);
-    if (r.boolean() != !lastLinkFlits_.empty())
-        r.fail("metrics window-counter presence mismatch (wrong "
-               "config)");
-    for (std::uint64_t &v : lastLinkFlits_)
-        v = r.u64();
-    for (std::uint64_t &v : lastCollisions_)
-        v = r.u64();
-
-    for (auto &rt : routers_)
-        rt->restore(r);
-    for (auto &nic : nics_)
-        nic->restore(r);
-    if (r.u64() != sources_.size())
-        r.fail("traffic source count mismatch (wrong config)");
-    for (auto &src : sources_)
-        src->restore(r);
-    if (r.boolean() != (faults_ != nullptr))
-        r.fail("fault-injection presence mismatch (wrong config)");
-    if (faults_)
-        faults_->restore(r);
-    if (r.boolean() != (tracer_ != nullptr))
-        r.fail("trace recorder presence mismatch (wrong config)");
-    if (tracer_)
-        tracer_->restore(r);
-    if (r.boolean() != (metrics_ != nullptr))
-        r.fail("metrics sampler presence mismatch (wrong config)");
-    if (metrics_)
-        metrics_->restore(r);
-    if (r.boolean() != (prov_ != nullptr))
-        r.fail("provenance presence mismatch (wrong config)");
-    if (prov_)
-        prov_->restore(r);
-    if (r.boolean() != (transport_ != nullptr))
-        r.fail("E2E-transport presence mismatch (wrong config)");
-    if (transport_)
-        transport_->restore(r);
+    layout(r, *this, snap::Scope::Snapshot);
 }
 
 void
@@ -1379,26 +1302,9 @@ Network::onE2eResend(PacketId base, const TransportEntry &e)
     if (nics_[e.src]->dead() || !table_.reachable(e.src, e.dest))
         return false;
 
-    const PacketId wire = attemptPacket(base, e.attempt);
-    std::vector<FlitDesc> &flits = scratchInjectFlits_;
-    flits.clear();
-    flits.reserve(e.numFlits);
-    for (std::uint32_t s = 0; s < e.numFlits; ++s) {
-        FlitDesc d;
-        d.uid = flitUid(wire, s);
-        d.packet = wire;
-        d.seq = s;
-        d.packetSize = e.numFlits;
-        d.src = e.src;
-        d.dest = e.dest;
-        d.payload = expectedPayload(wire, s);
-        d.createCycle = e.origCreate;
-        d.cls = e.cls;
-        d.flowSeq = e.flowSeq;
-        if (params_.router.vcCount > 1 && e.cls == TrafficClass::Reply)
-            d.vc = 1;
-        flits.push_back(d);
-    }
+    const std::vector<FlitDesc> &flits =
+        buildFlits(attemptPacket(base, e.attempt), e.src, e.dest,
+                   e.numFlits, e.origCreate, e.cls, e.flowSeq);
     if (prov_)
         prov_->onRetransmit(flits, now_);
     nics_[e.src]->enqueuePacket(flits);

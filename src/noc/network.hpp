@@ -221,6 +221,11 @@ class Network : public PacketInjector,
     RunTelemetry *telemetry() { return telemetry_.get(); }
     const RunTelemetry *telemetry() const { return telemetry_.get(); }
 
+    /** The simulation-side fields of a telemetry heartbeat, as of the
+     *  current cycle (checkpoint age and digest fields stay -1 while
+     *  telemetry or the ledger is off). */
+    TelemetrySample telemetrySample() const;
+
     /** The state-digest ledger, or nullptr when disabled. */
     DigestLedger *digest() { return digest_.get(); }
     const DigestLedger *digest() const { return digest_.get(); }
@@ -316,6 +321,10 @@ class Network : public PacketInjector,
     const E2eTransport *transport() const { return transport_.get(); }
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self, snap::Scope scope);
+
     /** Emit SchedWake for components that (re)entered the active set
      *  since the previous cycle (tracing only). */
     void traceWakes();
@@ -323,8 +332,12 @@ class Network : public PacketInjector,
     /** Close the metrics window ending at the current cycle. */
     void sampleMetricsWindow();
 
-    /** Gather a telemetry sample and beat the heartbeat. */
-    void emitTelemetry();
+    /** The flits of wire packet @p packet, built into the injection
+     *  scratch (ids, payloads and VC follow from packet and class). */
+    const std::vector<FlitDesc> &
+    buildFlits(PacketId packet, NodeId src, NodeId dest,
+               std::uint32_t num_flits, Cycle created, TrafficClass cls,
+               std::uint32_t flow_seq);
 
     /**
      * Apply every hard fault due at the current cycle: kill the

@@ -394,74 +394,43 @@ Nic::quiescent() const
            !decoder_.registerValid();
 }
 
+template <typename Ar, typename Self>
+void
+Nic::layout(Ar &ar, Self &self, snap::Scope scope)
+{
+    NOX_ASSERT(!self.sinkFifo_.staged(), "snapshot with a staged sink flit");
+    for (int staged : self.stagedInjectCredits_)
+        NOX_ASSERT(staged == 0, "snapshot with staged credits");
+    snap::tag(ar, snap::fourcc("NIC_"));
+    snap::ioExpect(ar, self.node_, "NIC node id mismatch (stream desync)");
+    snap::io(ar, self.dead_);
+    snap::ioExpect(ar, std::uint64_t{self.injectQueue_.size()},
+                   "NIC VC count mismatch (wrong geometry)");
+    for (auto &q : self.injectQueue_)
+        snap::ioSeq(ar, q, snap::kFlitDescBytes);
+    for (auto &c : self.injectCredits_)
+        snap::io(ar, c);
+    snap::ioBounded(ar, self.injectRr_, 0,
+                    static_cast<int>(self.injectQueue_.size()) - 1,
+                    "NIC round-robin pointer out of range");
+    snap::fields(ar, self.sinkFifo_, self.decoder_);
+    snap::ioSortedMap(ar, self.arrived_, 20, [](auto &a, auto &arr) {
+        snap::fields(a, arr.count, arr.headInject);
+    });
+    if (scope == snap::Scope::Snapshot)
+        snap::io(ar, self.energy_);
+}
+
 void
 Nic::serialize(snap::Writer &w, snap::Scope scope) const
 {
-    NOX_ASSERT(!sinkFifo_.staged(), "serialize with a staged sink flit");
-    for (int staged : stagedInjectCredits_)
-        NOX_ASSERT(staged == 0, "serialize with staged credits");
-    snap::tag(w, snap::fourcc("NIC_"));
-    w.i32(node_);
-    w.boolean(dead_);
-    w.u64(injectQueue_.size()); // VC count: structural cross-check
-    for (const auto &q : injectQueue_) {
-        w.u64(q.size());
-        for (const FlitDesc &d : q)
-            snap::writeFlitDesc(w, d);
-    }
-    for (int c : injectCredits_)
-        w.i32(c);
-    w.i32(injectRr_);
-    snap::writeFlitFifo(w, sinkFifo_);
-    decoder_.serialize(w);
-    // Sorted keys: unordered_map iteration order must not leak into
-    // the byte stream.
-    std::vector<PacketId> keys;
-    keys.reserve(arrived_.size());
-    for (const auto &[id, a] : arrived_)
-        keys.push_back(id);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (PacketId id : keys) {
-        const Arrival &a = arrived_.at(id);
-        w.u64(id);
-        w.u32(a.count);
-        w.u64(a.headInject);
-    }
-    if (scope == snap::Scope::Snapshot)
-        snap::writeEnergyEvents(w, energy_);
+    layout(w, *this, scope);
 }
 
 void
 Nic::restore(snap::Reader &r)
 {
-    NOX_ASSERT(!sinkFifo_.staged(), "restore with a staged sink flit");
-    snap::checkTag(r, snap::fourcc("NIC_"));
-    if (r.i32() != node_)
-        r.fail("NIC node id mismatch (stream desync)");
-    dead_ = r.boolean();
-    if (r.u64() != injectQueue_.size())
-        r.fail("NIC VC count mismatch (wrong geometry)");
-    for (auto &q : injectQueue_) {
-        q.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            q.push_back(snap::readFlitDesc(r));
-    }
-    for (int &c : injectCredits_)
-        c = r.i32();
-    injectRr_ = r.i32();
-    snap::readFlitFifo(r, sinkFifo_);
-    decoder_.restore(r);
-    arrived_.clear();
-    const std::uint64_t narr = r.u64();
-    for (std::uint64_t i = 0; i < narr; ++i) {
-        const PacketId id = r.u64();
-        Arrival &a = arrived_[id];
-        a.count = r.u32();
-        a.headInject = r.u64();
-    }
-    energy_ = snap::readEnergyEvents(r);
+    layout(r, *this, snap::Scope::Snapshot);
 }
 
 } // namespace nox

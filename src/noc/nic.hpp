@@ -178,6 +178,10 @@ class Nic
     void restore(snap::Reader &r);
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self, snap::Scope scope);
+
     void deliver(const FlitDesc &flit, Cycle now);
 
     void wake()

@@ -481,77 +481,50 @@ Router::makeArbiter() const
     panic("unknown arbiter kind");
 }
 
+template <typename Ar, typename Self>
 void
-Router::serialize(snap::Writer &w, snap::Scope scope) const
+Router::layout(Ar &ar, Self &self, snap::Scope scope)
 {
     // Snapshots are taken between steps: commit() has latched every
     // staged arrival, so staged state is structurally empty.
-    NOX_ASSERT(stagedInMask_ == 0 && stagedCreditMask_ == 0,
-               "serialize with staged arrivals (mid-step snapshot)");
-    snap::tag(w, snap::fourcc("ROUT"));
-    w.i32(id_);
-    w.u64(connectedOutMask_); // structural cross-check on restore
-    w.boolean(degraded_);
-    for (const FlitFifo &f : in_)
-        snap::writeFlitFifo(w, f);
-    for (int c : credits_)
-        w.i32(c);
-    w.boolean(faults_ != nullptr);
-    if (faults_) {
-        for (int p = 0; p < params_.numPorts; ++p) {
-            const auto &entry = retry_[static_cast<std::size_t>(p)];
-            w.boolean(entry.has_value());
-            if (entry.has_value()) {
-                snap::writeWireFlit(w, entry->flit);
-                w.u64(entry->due);
-                w.boolean(entry->nacked);
-            }
-            w.u64(lastLinkSend_[static_cast<std::size_t>(p)]);
-            w.i32(creditsLost_[static_cast<std::size_t>(p)]);
+    NOX_ASSERT(self.stagedInMask_ == 0 && self.stagedCreditMask_ == 0,
+               "snapshot with staged arrivals (mid-step)");
+    snap::tag(ar, snap::fourcc("ROUT"));
+    snap::ioExpect(ar, self.id_, "router id mismatch (stream desync)");
+    snap::ioExpect(ar, self.connectedOutMask_,
+                   "router output wiring mismatch: the snapshot's fault "
+                   "map was not replayed onto this network");
+    snap::io(ar, self.degraded_);
+    for (auto &f : self.in_)
+        snap::io(ar, f);
+    for (auto &c : self.credits_)
+        snap::io(ar, c);
+    snap::ioExpect(ar, self.faults_ != nullptr,
+                   "fault-injection presence mismatch (wrong config)");
+    if (self.faults_) {
+        for (std::size_t p = 0; p < self.retry_.size(); ++p) {
+            snap::ioOptional(ar, self.retry_[p], [](auto &a, auto &e) {
+                snap::fields(a, e.flit, e.due, e.nacked);
+            });
+            snap::fields(ar, self.lastLinkSend_[p], self.creditsLost_[p]);
         }
     }
     // Energy counters are kernel-dependent (the activity kernel
     // clock-gates retired routers), so the digest scope omits them.
     if (scope == snap::Scope::Snapshot)
-        snap::writeEnergyEvents(w, energy_);
+        snap::io(ar, self.energy_);
+}
+
+void
+Router::serialize(snap::Writer &w, snap::Scope scope) const
+{
+    layout(w, *this, scope);
 }
 
 void
 Router::restore(snap::Reader &r)
 {
-    NOX_ASSERT(stagedInMask_ == 0 && stagedCreditMask_ == 0,
-               "restore with staged arrivals (mid-step restore)");
-    snap::checkTag(r, snap::fourcc("ROUT"));
-    if (r.i32() != id_)
-        r.fail("router id mismatch (stream desync)");
-    if (r.u64() != connectedOutMask_) {
-        r.fail("router output wiring mismatch: the snapshot's fault "
-               "map was not replayed onto this network");
-    }
-    degraded_ = r.boolean();
-    for (FlitFifo &f : in_)
-        snap::readFlitFifo(r, f);
-    for (int &c : credits_)
-        c = r.i32();
-    if (r.boolean() != (faults_ != nullptr))
-        r.fail("fault-injection presence mismatch (wrong config)");
-    if (faults_) {
-        for (int p = 0; p < params_.numPorts; ++p) {
-            auto &entry = retry_[static_cast<std::size_t>(p)];
-            if (r.boolean()) {
-                RetryEntry e;
-                e.flit = snap::readWireFlit(r);
-                e.due = r.u64();
-                e.nacked = r.boolean();
-                entry = std::move(e);
-            } else {
-                entry.reset();
-            }
-            lastLinkSend_[static_cast<std::size_t>(p)] = r.u64();
-            creditsLost_[static_cast<std::size_t>(p)] = r.i32();
-        }
-    }
-    energy_ = snap::readEnergyEvents(r);
+    layout(r, *this, snap::Scope::Snapshot);
 }
 
 } // namespace nox

@@ -299,8 +299,9 @@ class Router
      * Capture / restore dynamic state (checkpointing). Called between
      * steps, when no arrivals are staged (commit() latched everything
      * — asserted); wiring, parameters and route tables are rebuilt by
-     * construction and are not captured. Subclasses override both,
-     * call the base method first, then handle their own state.
+     * construction and are not captured. Both run one layout, over a
+     * Writer or a Reader; subclasses override both to run the base
+     * class's layout first, then their own.
      *
      * @p scope selects the byte layout: Snapshot is lossless (restore
      * reads it back); Digest feeds the state-digest ledger and omits
@@ -490,6 +491,10 @@ class Router
     EnergyEvents energy_;
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self, snap::Scope scope);
+
     std::uint64_t *activityWord_ = nullptr;
     std::uint64_t activityBit_ = 0;
 };

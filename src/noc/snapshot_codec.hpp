@@ -1,10 +1,10 @@
 /**
  * @file
- * Snapshot codecs for the small value types shared across the NoC
+ * Snapshot layouts for the small value types shared across the NoC
  * layer: flits, FIFOs, energy counters and the aggregate statistics
- * blocks. Components compose these from their own serialize()/
- * restore() methods so every field is written exactly once, in one
- * place, in a fixed order.
+ * block. Each is one io() overload that both writes and reads every
+ * field, in a fixed order; components move these types with
+ * snap::io() from their own layouts.
  */
 
 #ifndef NOX_NOC_SNAPSHOT_CODEC_HPP
@@ -18,26 +18,82 @@
 
 namespace nox::snap {
 
-void writeFlitDesc(Writer &w, const FlitDesc &d);
-FlitDesc readFlitDesc(Reader &r);
+/** Encoded size of one FlitDesc (the floor Reader::count applies to
+ *  every flit sequence). */
+inline constexpr std::size_t kFlitDescBytes = 62;
 
-void writeWireFlit(Writer &w, const WireFlit &f);
-WireFlit readWireFlit(Reader &r);
+template <typename Ar>
+void
+io(Ar &ar, Field<Ar, FlitDesc> d)
+{
+    fields(ar, d.uid, d.packet, d.seq, d.packetSize, d.src, d.dest,
+           d.payload, d.createCycle, d.injectCycle);
+    ioEnum(ar, d.cls, TrafficClass::Reply);
+    fields(ar, d.vc, d.flowSeq);
+}
 
-/** Capacity is construction geometry; read checks it and throws on
- *  mismatch. The restored FIFO holds the same flits in the same
- *  order (physical head position is irrelevant to behaviour). */
-void writeFlitFifo(Writer &w, const FlitFifo &f);
-void readFlitFifo(Reader &r, FlitFifo &f);
+template <typename Ar>
+void
+io(Ar &ar, Field<Ar, WireFlit> f)
+{
+    fields(ar, f.payload, f.encoded, f.vc, f.crc);
+    ioSeq(ar, f.parts, kFlitDescBytes);
+}
 
-void writeEnergyEvents(Writer &w, const EnergyEvents &e);
-EnergyEvents readEnergyEvents(Reader &r);
+/** Capacity is construction geometry, checked on load. The restored
+ *  FIFO holds the same flits in the same order (physical head
+ *  position is irrelevant to behaviour). */
+template <typename Ar>
+void
+io(Ar &ar, Field<Ar, FlitFifo> f)
+{
+    ioExpect(ar, std::uint64_t{f.capacity()},
+             "FIFO capacity mismatch (wrong geometry)");
+    std::uint64_t n = f.size();
+    io(ar, n);
+    check(ar, n <= f.capacity(), "FIFO occupancy exceeds capacity");
+    if constexpr (Ar::kReading) {
+        while (!f.empty())
+            f.drop();
+        for (std::uint64_t i = 0; i < n; ++i)
+            f.push({});
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        io(ar, f.at(i));
+}
 
-void writeFaultStats(Writer &w, const FaultStats &s);
-void readFaultStats(Reader &r, FaultStats &s);
+template <typename Ar>
+void
+io(Ar &ar, Field<Ar, EnergyEvents> e)
+{
+    fields(ar, e.bufferWrites, e.bufferReads, e.xbarInputDrives,
+           e.xbarOutputCycles, e.linkFlits, e.linkWastedCycles,
+           e.localLinkFlits, e.localLinkWasted, e.arbDecisions,
+           e.allocEvals, e.decodeOps, e.decodeLatches, e.maskUpdates,
+           e.abortCycles, e.misspecCycles, e.cycles);
+}
 
-void writeNetworkStats(Writer &w, const NetworkStats &s);
-void readNetworkStats(Reader &r, NetworkStats &s);
+template <typename Ar>
+void
+io(Ar &ar, Field<Ar, NetworkStats> s)
+{
+    tag(ar, fourcc("STAT"));
+    fields(ar, s.packetsInjected, s.flitsInjected, s.packetsEjected,
+           s.flitsEjected, s.measureStart, s.measureEnd, s.latency,
+           s.netLatency, s.latencyHist, s.latencyByClass,
+           s.packetsMeasured, s.packetsMeasuredDone,
+           s.flitsEjectedInWindow, s.flitsCreatedInWindow,
+           s.maxSourceQueueFlits);
+    Field<Ar, FaultStats> f = s.faults;
+    fields(ar, f.faultsInjected, f.bitflipsInjected, f.dropsInjected,
+           f.creditsLostInjected, f.faultsDetected, f.retransmissions,
+           f.creditResyncs, f.corruptedEscapes, f.decodeMismatches,
+           f.hardLinkFaults, f.hardRouterFaults, f.tableRebuilds,
+           f.flitsLostHard, f.packetsLostHard, f.e2eRetransmits,
+           f.dupSuppressed, f.deliveryFailures, f.linkHeals,
+           f.routerHeals, f.unreachableRejected, f.flowReorders,
+           f.ageAlarms);
+}
 
 } // namespace nox::snap
 

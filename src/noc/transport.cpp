@@ -110,108 +110,56 @@ E2eTransport::markFlowDone(const TransportEntry &e)
     flows_(e.src, e.dest).insert(e.flowSeq);
 }
 
+template <typename Ar, typename Self>
+void
+E2eTransport::layout(Ar &ar, Self &self)
+{
+    snap::tag(ar, snap::fourcc("TRNS"));
+    const int last = self.nodes_ - 1;
+    snap::ioSortedMap(ar, self.window_, 42, [last](auto &a, auto &e) {
+        const char *outside =
+            "transport window entry names a node out of range";
+        snap::ioBounded(a, e.src, 0, last, outside);
+        snap::ioBounded(a, e.dest, 0, last, outside);
+        snap::io(a, e.numFlits);
+        snap::ioEnum(a, e.cls, TrafficClass::Reply);
+        snap::fields(a, e.flowSeq, e.origCreate, e.attempt, e.retries,
+                     e.delivered);
+    });
+    // Timeout and ack wakeups, each deque monotone in its due cycle.
+    const auto wakeups = [&ar](auto &q, const char *what) {
+        Cycle due = 0;
+        snap::ioSeq(ar, q, 16, [&due, what](auto &a, auto &event) {
+            snap::io(a, event);
+            snap::check(a, event.first >= due, what);
+            due = event.first;
+        });
+    };
+    wakeups(self.timeouts_, "transport timeout deque not monotone");
+    wakeups(self.acks_, "transport ack deque not monotone");
+    ioFlowTable(ar, self.flows_, 12, [](auto &a, auto &f) {
+        snap::io(a, f.watermark);
+        std::uint64_t floor = f.watermark; // least value the next may take
+        snap::ioSeq(a, f.above, 4, [&floor](auto &b, auto &seq) {
+            snap::io(b, seq);
+            snap::check(b, seq >= floor,
+                        "flow filter entries not ascending above the "
+                        "watermark");
+            floor = std::uint64_t{seq} + 1;
+        });
+    });
+}
+
 void
 E2eTransport::serialize(snap::Writer &w) const
 {
-    snap::tag(w, snap::fourcc("TRNS"));
-
-    std::vector<PacketId> keys;
-    keys.reserve(window_.size());
-    for (const auto &[base, e] : window_)
-        keys.push_back(base);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (const PacketId base : keys) {
-        const TransportEntry &e = window_.at(base);
-        w.u64(base);
-        w.i32(e.src);
-        w.i32(e.dest);
-        w.u32(e.numFlits);
-        w.u8(static_cast<std::uint8_t>(e.cls));
-        w.u32(e.flowSeq);
-        w.u64(e.origCreate);
-        w.u32(e.attempt);
-        w.u32(e.retries);
-        w.boolean(e.delivered);
-    }
-
-    w.u64(timeouts_.size());
-    for (const auto &[due, base] : timeouts_) {
-        w.u64(due);
-        w.u64(base);
-    }
-    w.u64(acks_.size());
-    for (const auto &[due, base] : acks_) {
-        w.u64(due);
-        w.u64(base);
-    }
-
-    flows_.serialize(w, [](snap::Writer &out, const FlowFilter &f) {
-        out.u32(f.watermark);
-        out.u64(f.above.size());
-        for (const std::uint32_t seq : f.above)
-            out.u32(seq);
-    });
+    layout(w, *this);
 }
 
 void
 E2eTransport::restore(snap::Reader &r)
 {
-    snap::checkTag(r, snap::fourcc("TRNS"));
-
-    window_.clear();
-    timeouts_.clear();
-    acks_.clear();
-
-    const std::uint64_t nw = r.u64();
-    for (std::uint64_t i = 0; i < nw; ++i) {
-        const PacketId base = r.u64();
-        TransportEntry e;
-        e.src = r.i32();
-        e.dest = r.i32();
-        e.numFlits = r.u32();
-        e.cls = static_cast<TrafficClass>(r.u8());
-        e.flowSeq = r.u32();
-        e.origCreate = r.u64();
-        e.attempt = r.u32();
-        e.retries = r.u32();
-        e.delivered = r.boolean();
-        if (e.src < 0 || e.src >= nodes_ || e.dest < 0 ||
-            e.dest >= nodes_)
-            r.fail("transport window entry names a node out of range");
-        if (!window_.emplace(base, e).second)
-            r.fail("duplicate transport window entry");
-    }
-
-    const std::uint64_t nt = r.u64();
-    for (std::uint64_t i = 0; i < nt; ++i) {
-        const Cycle due = r.u64();
-        const PacketId base = r.u64();
-        if (!timeouts_.empty() && due < timeouts_.back().first)
-            r.fail("transport timeout deque not monotone");
-        timeouts_.emplace_back(due, base);
-    }
-    const std::uint64_t na = r.u64();
-    for (std::uint64_t i = 0; i < na; ++i) {
-        const Cycle due = r.u64();
-        const PacketId base = r.u64();
-        if (!acks_.empty() && due < acks_.back().first)
-            r.fail("transport ack deque not monotone");
-        acks_.emplace_back(due, base);
-    }
-
-    flows_.restore(r, 12, [](snap::Reader &in, FlowFilter &f) {
-        f.watermark = in.u32();
-        const std::size_t ns = in.count(4);
-        for (std::size_t s = 0; s < ns; ++s) {
-            const std::uint32_t seq = in.u32();
-            if (seq < f.watermark)
-                in.fail("flow filter entry below its watermark");
-            if (!f.above.empty() && seq <= f.above.back())
-                in.fail("flow filter entries not ascending");
-            f.above.push_back(seq);
-        }
-    });
+    layout(r, *this);
 }
 
 } // namespace nox

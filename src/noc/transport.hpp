@@ -176,6 +176,10 @@ class E2eTransport
 
     void markFlowDone(const TransportEntry &e);
 
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     int nodes_;
     Cycle timeout_;
     std::uint32_t retryLimit_;

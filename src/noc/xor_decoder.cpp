@@ -84,18 +84,13 @@ XorDecoder::accept(FlitFifo &fifo)
 void
 XorDecoder::serialize(snap::Writer &w) const
 {
-    w.boolean(reg_.has_value());
-    if (reg_.has_value())
-        snap::writeWireFlit(w, *reg_);
+    snap::ioOptional(w, reg_);
 }
 
 void
 XorDecoder::restore(snap::Reader &r)
 {
-    if (r.boolean())
-        reg_ = snap::readWireFlit(r);
-    else
-        reg_.reset();
+    snap::ioOptional(r, reg_);
 }
 
 } // namespace nox

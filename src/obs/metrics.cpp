@@ -121,63 +121,36 @@ MetricsSampler::heatmapTable(int width, int height) const
     return t;
 }
 
+template <typename Ar, typename Self>
+void
+MetricsSampler::layout(Ar &ar, Self &self)
+{
+    snap::tag(ar, snap::fourcc("METR"));
+    snap::ioExpect(ar, self.numRouters_,
+                   "metrics router-count mismatch (wrong geometry)");
+    snap::fields(ar, self.windowStart_, self.openEjected_,
+                 self.openEjectedMeasured_);
+    snap::ioSeq(ar, self.windows_, 48, [](auto &a, auto &win) {
+        snap::fields(a, win.start, win.end, win.flitsEjected,
+                     win.flitsEjectedMeasured, win.activeRouters,
+                     win.activeNics);
+        snap::ioSeq(a, win.routers, 17, [](auto &b, auto &s) {
+            snap::fields(b, s.bufferedFlits, s.linkFlits, s.xorCollisions,
+                         s.retryPending, s.active);
+        });
+    });
+}
+
 void
 MetricsSampler::serialize(snap::Writer &w) const
 {
-    snap::tag(w, snap::fourcc("METR"));
-    w.i32(numRouters_);
-    w.u64(windowStart_);
-    w.u64(openEjected_);
-    w.u64(openEjectedMeasured_);
-    w.u64(windows_.size());
-    for (const MetricsWindow &win : windows_) {
-        w.u64(win.start);
-        w.u64(win.end);
-        w.u64(win.flitsEjected);
-        w.u64(win.flitsEjectedMeasured);
-        w.i32(win.activeRouters);
-        w.i32(win.activeNics);
-        w.u64(win.routers.size());
-        for (const RouterWindowSample &s : win.routers) {
-            w.u32(s.bufferedFlits);
-            w.u32(s.linkFlits);
-            w.u32(s.xorCollisions);
-            w.u32(s.retryPending);
-            w.boolean(s.active);
-        }
-    }
+    layout(w, *this);
 }
 
 void
 MetricsSampler::restore(snap::Reader &r)
 {
-    snap::checkTag(r, snap::fourcc("METR"));
-    if (r.i32() != numRouters_)
-        r.fail("metrics router-count mismatch (wrong geometry)");
-    windowStart_ = r.u64();
-    openEjected_ = r.u64();
-    openEjectedMeasured_ = r.u64();
-    windows_.clear();
-    const std::size_t nwin = r.count(48); // bytes per empty window
-    windows_.reserve(nwin);
-    for (std::size_t i = 0; i < nwin; ++i) {
-        MetricsWindow win;
-        win.start = r.u64();
-        win.end = r.u64();
-        win.flitsEjected = r.u64();
-        win.flitsEjectedMeasured = r.u64();
-        win.activeRouters = r.i32();
-        win.activeNics = r.i32();
-        win.routers.resize(r.count(17)); // bytes per sample
-        for (RouterWindowSample &s : win.routers) {
-            s.bufferedFlits = r.u32();
-            s.linkFlits = r.u32();
-            s.xorCollisions = r.u32();
-            s.retryPending = r.u32();
-            s.active = r.boolean();
-        }
-        windows_.push_back(std::move(win));
-    }
+    layout(r, *this);
 }
 
 } // namespace nox

@@ -131,6 +131,10 @@ class MetricsSampler
     void restore(snap::Reader &r);
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     MetricsParams params_;
     int numRouters_;
     Cycle windowStart_ = 0;

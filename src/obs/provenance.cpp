@@ -235,111 +235,38 @@ LatencyProvenance::writeJsonl(const std::string &path) const
     return os.good();
 }
 
-namespace {
-
+template <typename Ar, typename Self>
 void
-writeBreakdown(snap::Writer &w, const LatencyBreakdown &b)
+LatencyProvenance::layout(Ar &ar, Self &self)
 {
-    w.u64(b.packets);
-    w.u64(b.totalCycles);
-    for (std::uint64_t c : b.comp)
-        w.u64(c);
+    const auto breakdown = [](auto &a, auto &b) {
+        snap::fields(a, b.packets, b.totalCycles, b.comp);
+    };
+    snap::tag(ar, snap::fourcc("PROV"));
+    snap::fields(ar, self.measureStart_, self.measureEnd_,
+                 self.conservationViolations_);
+    breakdown(ar, self.total_);
+    for (auto &b : self.byClass_)
+        breakdown(ar, b);
+    snap::ioSortedMap(ar, self.byFlow_, 88, breakdown);
+    snap::ioSortedMap(ar, self.tracks_, 123, [](auto &a, auto &t) {
+        snap::fields(a, t.segStart, t.lastCharge, t.segStalls, t.at, t.nic,
+                     t.injected, t.createCycle);
+        snap::ioEnum(a, t.cls, TrafficClass::Reply);
+        snap::fields(a, t.packet, t.src, t.dest, t.comp);
+    });
 }
-
-void
-readBreakdown(snap::Reader &r, LatencyBreakdown &b)
-{
-    b.packets = r.u64();
-    b.totalCycles = r.u64();
-    for (std::uint64_t &c : b.comp)
-        c = r.u64();
-}
-
-/** Sorted keys of an unordered map: deterministic stream layout. */
-template <typename Map>
-std::vector<std::uint64_t>
-sortedKeys(const Map &m)
-{
-    std::vector<std::uint64_t> keys;
-    keys.reserve(m.size());
-    for (const auto &[k, v] : m)
-        keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-} // namespace
 
 void
 LatencyProvenance::serialize(snap::Writer &w) const
 {
-    snap::tag(w, snap::fourcc("PROV"));
-    w.u64(measureStart_);
-    w.u64(measureEnd_);
-    w.u64(conservationViolations_);
-    writeBreakdown(w, total_);
-    for (const LatencyBreakdown &b : byClass_)
-        writeBreakdown(w, b);
-    w.u64(byFlow_.size());
-    for (std::uint64_t key : sortedKeys(byFlow_)) {
-        w.u64(key);
-        writeBreakdown(w, byFlow_.at(key));
-    }
-    w.u64(tracks_.size());
-    for (std::uint64_t uid : sortedKeys(tracks_)) {
-        const FlitTrack &t = tracks_.at(uid);
-        w.u64(uid);
-        w.u64(t.segStart);
-        w.u64(t.lastCharge);
-        w.u32(t.segStalls);
-        w.i32(t.at);
-        w.boolean(t.nic);
-        w.boolean(t.injected);
-        w.u64(t.createCycle);
-        w.u8(static_cast<std::uint8_t>(t.cls));
-        w.u64(t.packet);
-        w.i32(t.src);
-        w.i32(t.dest);
-        for (std::uint64_t c : t.comp)
-            w.u64(c);
-    }
+    layout(w, *this);
 }
 
 void
 LatencyProvenance::restore(snap::Reader &r)
 {
-    snap::checkTag(r, snap::fourcc("PROV"));
-    measureStart_ = r.u64();
-    measureEnd_ = r.u64();
-    conservationViolations_ = r.u64();
-    readBreakdown(r, total_);
-    for (LatencyBreakdown &b : byClass_)
-        readBreakdown(r, b);
-    byFlow_.clear();
-    const std::uint64_t nflow = r.u64();
-    for (std::uint64_t i = 0; i < nflow; ++i) {
-        const std::uint64_t key = r.u64();
-        readBreakdown(r, byFlow_[key]);
-    }
-    tracks_.clear();
-    const std::uint64_t ntrack = r.u64();
-    for (std::uint64_t i = 0; i < ntrack; ++i) {
-        const std::uint64_t uid = r.u64();
-        FlitTrack &t = tracks_[uid];
-        t.segStart = r.u64();
-        t.lastCharge = r.u64();
-        t.segStalls = r.u32();
-        t.at = r.i32();
-        t.nic = r.boolean();
-        t.injected = r.boolean();
-        t.createCycle = r.u64();
-        t.cls = static_cast<TrafficClass>(r.u8());
-        t.packet = r.u64();
-        t.src = r.i32();
-        t.dest = r.i32();
-        for (std::uint64_t &c : t.comp)
-            c = r.u64();
-    }
+    layout(r, *this);
 }
 
 } // namespace nox

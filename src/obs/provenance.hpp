@@ -284,6 +284,10 @@ class LatencyProvenance
         std::array<std::uint64_t, kNumLatencyComponents> comp{};
     };
 
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     /** Close the open segment at @p now: charge @p pipeline productive
      *  cycles and attribute the unexplained remainder to
      *  LinkSerialization. */

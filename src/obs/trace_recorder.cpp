@@ -148,55 +148,44 @@ TraceRecorder::triggerFlightDump(const std::string &reason,
     return true;
 }
 
+template <typename Ar, typename Self>
+void
+TraceRecorder::layout(Ar &ar, Self &self)
+{
+    snap::tag(ar, snap::fourcc("TRCR"));
+    const std::size_t cap = self.ring_.size();
+    snap::ioExpect(ar, std::uint64_t{cap},
+                   "trace ring capacity mismatch (wrong geometry)");
+    snap::fields(ar, self.total_, self.now_, self.dumped_, self.dumpReason_);
+    if constexpr (Ar::kReading) {
+        self.ring_.assign(cap, TraceEvent{});
+        // head_ always equals total_ % capacity (both start at zero and
+        // advance in lockstep), so slot positions reconstruct exactly.
+        self.head_ = static_cast<std::size_t>(self.total_ % cap);
+    }
+    // Held events only, oldest first (at head_ once wrapped, at 0
+    // before); empty slots of a not-yet-full ring stay default.
+    const std::size_t start = self.total_ < cap ? 0 : self.head_;
+    for (std::size_t i = 0; i < self.size(); ++i) {
+        auto &e = self.ring_[(start + i) % cap];
+        snap::fields(ar, e.cycle, e.id, e.arg, e.node);
+        snap::ioBounded(ar, e.port, INT8_MIN, INT8_MAX,
+                        "trace event port out of range");
+        snap::ioEnum(ar, e.kind, TraceEventKind::DupSuppress);
+        snap::io(ar, e.nic);
+    }
+}
+
 void
 TraceRecorder::serialize(snap::Writer &w) const
 {
-    snap::tag(w, snap::fourcc("TRCR"));
-    w.u64(ring_.size());
-    w.u64(total_);
-    w.u64(now_);
-    w.boolean(dumped_);
-    w.str(dumpReason_);
-    // Held events only, oldest first — empty slots of a not-yet-full
-    // ring are default-constructed on restore.
-    for (const TraceEvent &e : snapshot()) {
-        w.u64(e.cycle);
-        w.u64(e.id);
-        w.u32(e.arg);
-        w.i32(e.node);
-        w.i32(e.port);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.boolean(e.nic);
-    }
+    layout(w, *this);
 }
 
 void
 TraceRecorder::restore(snap::Reader &r)
 {
-    snap::checkTag(r, snap::fourcc("TRCR"));
-    const std::uint64_t cap = r.u64();
-    if (cap != ring_.size())
-        r.fail("trace ring capacity mismatch (wrong geometry)");
-    total_ = r.u64();
-    now_ = r.u64();
-    dumped_ = r.boolean();
-    dumpReason_ = r.str();
-    ring_.assign(ring_.size(), TraceEvent{});
-    // head_ always equals total_ % capacity (both start at zero and
-    // advance in lockstep), so slot positions reconstruct exactly.
-    head_ = static_cast<std::size_t>(total_ % ring_.size());
-    const std::size_t held = size();
-    const std::size_t start = total_ < ring_.size() ? 0 : head_;
-    for (std::size_t i = 0; i < held; ++i) {
-        TraceEvent &e = ring_[(start + i) % ring_.size()];
-        e.cycle = r.u64();
-        e.id = r.u64();
-        e.arg = r.u32();
-        e.node = r.i32();
-        e.port = static_cast<std::int8_t>(r.i32());
-        e.kind = static_cast<TraceEventKind>(r.u8());
-        e.nic = r.boolean();
-    }
+    layout(r, *this);
 }
 
 } // namespace nox

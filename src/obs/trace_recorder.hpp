@@ -123,6 +123,10 @@ class TraceRecorder
     void restore(snap::Reader &r);
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     TraceParams params_;
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;

@@ -148,31 +148,32 @@ NonSpecRouter::debugPerturb()
     arb_[0]->perturb();
 }
 
+template <typename Ar, typename Self>
+void
+NonSpecRouter::layout(Ar &ar, Self &self)
+{
+    for (auto &a : self.arb_)
+        snap::io(ar, *a);
+    for (auto &o : self.lockOwner_) {
+        snap::ioBounded(ar, o, -1, self.numPorts() - 1,
+                        "wormhole lock owner out of range");
+    }
+    for (auto &p : self.lockPacket_)
+        snap::io(ar, p);
+}
+
 void
 NonSpecRouter::serialize(snap::Writer &w, snap::Scope scope) const
 {
     Router::serialize(w, scope);
-    for (const auto &a : arb_)
-        a->serialize(w);
-    for (int o : lockOwner_)
-        w.i32(o);
-    for (PacketId p : lockPacket_)
-        w.u64(p);
+    layout(w, *this);
 }
 
 void
 NonSpecRouter::restore(snap::Reader &r)
 {
     Router::restore(r);
-    for (auto &a : arb_)
-        a->restore(r);
-    for (int &o : lockOwner_) {
-        o = r.i32();
-        if (o < -1 || o >= numPorts())
-            r.fail("wormhole lock owner out of range");
-    }
-    for (PacketId &p : lockPacket_)
-        p = r.u64();
+    layout(r, *this);
 }
 
 } // namespace nox

@@ -51,6 +51,11 @@ class NonSpecRouter : public Router
     void debugPerturb() override;
 
   private:
+    /** The snapshot layout of this class's own state (serialize()
+     *  and restore() run the base class's first). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     std::vector<std::unique_ptr<Arbiter>> arb_;
     std::vector<int> lockOwner_;
     std::vector<PacketId> lockPacket_;

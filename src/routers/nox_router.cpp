@@ -546,65 +546,45 @@ NoxRouter::debugPerturb()
     out_[0].arb->perturb();
 }
 
+template <typename Ar, typename Self>
 void
-NoxRouter::serialize(snap::Writer &w, snap::Scope scope) const
+NoxRouter::layout(Ar &ar, Self &self, snap::Scope scope)
 {
-    Router::serialize(w, scope);
-    for (const XorDecoder &d : decoders_)
-        d.serialize(w);
-    for (const OutState &st : out_) {
-        w.u8(static_cast<std::uint8_t>(st.mode));
-        w.u64(st.switchMask);
-        w.u64(st.arbMask);
-        w.i32(st.lockOwner);
-        w.u64(st.lockPacket);
-        st.arb->serialize(w);
+    for (auto &d : self.decoders_)
+        snap::io(ar, d);
+    for (auto &st : self.out_) {
+        snap::ioEnum(ar, st.mode, Mode::Scheduled);
+        snap::fields(ar, st.switchMask, st.arbMask);
+        snap::ioBounded(ar, st.lockOwner, -1, self.numPorts() - 1,
+                        "NoX lock owner out of range");
+        snap::fields(ar, st.lockPacket, *st.arb);
     }
-    for (std::uint64_t c : noxStats_.collisionsBySize)
-        w.u64(c);
+    auto &s = self.noxStats_;
+    snap::io(ar, s.collisionsBySize);
     // The mode-residency counters advance on every *ticked* cycle
     // with an eligible output, so — like energy events — they are
     // kernel-dependent: the activity kernel clock-gates idle routers
     // and accrues no residency there. The digest scope omits them;
     // the event-driven counters below fire only on real traffic and
     // must agree across kernels, so they stay in the digest.
-    if (scope == snap::Scope::Snapshot) {
-        w.u64(noxStats_.recoveryCycles);
-        w.u64(noxStats_.scheduledCycles);
-        w.u64(noxStats_.lockedCycles);
-    }
-    w.u64(noxStats_.cleanTraversals);
-    w.u64(noxStats_.prescheduled);
-    w.u64(noxStats_.aborts);
+    if (scope == snap::Scope::Snapshot)
+        snap::fields(ar, s.recoveryCycles, s.scheduledCycles,
+                     s.lockedCycles);
+    snap::fields(ar, s.cleanTraversals, s.prescheduled, s.aborts);
+}
+
+void
+NoxRouter::serialize(snap::Writer &w, snap::Scope scope) const
+{
+    Router::serialize(w, scope);
+    layout(w, *this, scope);
 }
 
 void
 NoxRouter::restore(snap::Reader &r)
 {
     Router::restore(r);
-    for (XorDecoder &d : decoders_)
-        d.restore(r);
-    for (OutState &st : out_) {
-        const std::uint8_t m = r.u8();
-        if (m > static_cast<std::uint8_t>(Mode::Scheduled))
-            r.fail("NoX output mode out of range");
-        st.mode = static_cast<Mode>(m);
-        st.switchMask = r.u64();
-        st.arbMask = r.u64();
-        st.lockOwner = r.i32();
-        if (st.lockOwner < -1 || st.lockOwner >= numPorts())
-            r.fail("NoX lock owner out of range");
-        st.lockPacket = r.u64();
-        st.arb->restore(r);
-    }
-    for (std::uint64_t &c : noxStats_.collisionsBySize)
-        c = r.u64();
-    noxStats_.recoveryCycles = r.u64();
-    noxStats_.scheduledCycles = r.u64();
-    noxStats_.lockedCycles = r.u64();
-    noxStats_.cleanTraversals = r.u64();
-    noxStats_.prescheduled = r.u64();
-    noxStats_.aborts = r.u64();
+    layout(r, *this, snap::Scope::Snapshot);
 }
 
 } // namespace nox

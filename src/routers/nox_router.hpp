@@ -137,6 +137,11 @@ class NoxRouter : public Router
     void debugPerturb() override;
 
   private:
+    /** The snapshot layout of this class's own state (serialize()
+     *  and restore() run the base class's first). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self, snap::Scope scope);
+
     struct OutState
     {
         Mode mode = Mode::Recovery;

@@ -220,42 +220,38 @@ SpecRouter::debugPerturb()
     arb_[0]->perturb();
 }
 
+template <typename Ar, typename Self>
+void
+SpecRouter::layout(Ar &ar, Self &self)
+{
+    for (auto &a : self.arb_)
+        snap::io(ar, *a);
+    for (auto &v : self.reserved_) {
+        snap::ioBounded(ar, v, -1, self.numPorts() - 1,
+                        "switch reservation out of range");
+    }
+    for (auto &o : self.lockOwner_) {
+        snap::ioBounded(ar, o, -1, self.numPorts() - 1,
+                        "wormhole lock owner out of range");
+    }
+    for (auto &p : self.lockPacket_)
+        snap::io(ar, p);
+    for (auto &p : self.prevHeadPacket_)
+        snap::io(ar, p);
+}
+
 void
 SpecRouter::serialize(snap::Writer &w, snap::Scope scope) const
 {
     Router::serialize(w, scope);
-    for (const auto &a : arb_)
-        a->serialize(w);
-    for (int v : reserved_)
-        w.i32(v);
-    for (int o : lockOwner_)
-        w.i32(o);
-    for (PacketId p : lockPacket_)
-        w.u64(p);
-    for (PacketId p : prevHeadPacket_)
-        w.u64(p);
+    layout(w, *this);
 }
 
 void
 SpecRouter::restore(snap::Reader &r)
 {
     Router::restore(r);
-    for (auto &a : arb_)
-        a->restore(r);
-    for (int &v : reserved_) {
-        v = r.i32();
-        if (v < -1 || v >= numPorts())
-            r.fail("switch reservation out of range");
-    }
-    for (int &o : lockOwner_) {
-        o = r.i32();
-        if (o < -1 || o >= numPorts())
-            r.fail("wormhole lock owner out of range");
-    }
-    for (PacketId &p : lockPacket_)
-        p = r.u64();
-    for (PacketId &p : prevHeadPacket_)
-        p = r.u64();
+    layout(r, *this);
 }
 
 } // namespace nox

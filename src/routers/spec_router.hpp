@@ -76,6 +76,11 @@ class SpecRouter : public Router
     void debugPerturb() override;
 
   private:
+    /** The snapshot layout of this class's own state (serialize()
+     *  and restore() run the base class's first). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     Variant variant_;
     std::vector<std::unique_ptr<Arbiter>> arb_;
 

@@ -369,52 +369,44 @@ VcRouter::debugPerturb()
     outArb_[0]->perturb();
 }
 
+template <typename Ar, typename Self>
+void
+VcRouter::layout(Ar &ar, Self &self)
+{
+    for (int c : self.stagedVcCredits_)
+        NOX_ASSERT(c == 0, "snapshot with staged VC credits");
+    snap::ioExpect(ar, static_cast<std::uint8_t>(self.vcs_),
+                   "VC count mismatch (wrong geometry)");
+    for (auto &f : self.vcIn_)
+        snap::io(ar, f);
+    for (auto &c : self.vcCredits_)
+        snap::io(ar, c);
+    for (auto &c : self.vcCreditsLost_)
+        snap::io(ar, c);
+    for (auto &o : self.lockOwner_) {
+        snap::ioBounded(ar, o, -1, self.numPorts() - 1,
+                        "wormhole lock owner out of range");
+    }
+    for (auto &p : self.lockPacket_)
+        snap::io(ar, p);
+    for (auto &a : self.outArb_)
+        snap::io(ar, *a);
+    for (auto &a : self.vcArb_)
+        snap::io(ar, *a);
+}
+
 void
 VcRouter::serialize(snap::Writer &w, snap::Scope scope) const
 {
-    for (int c : stagedVcCredits_)
-        NOX_ASSERT(c == 0, "snapshot with staged VC credits");
     Router::serialize(w, scope);
-    w.u8(static_cast<std::uint8_t>(vcs_));
-    for (const FlitFifo &f : vcIn_)
-        snap::writeFlitFifo(w, f);
-    for (int c : vcCredits_)
-        w.i32(c);
-    for (int c : vcCreditsLost_)
-        w.i32(c);
-    for (int o : lockOwner_)
-        w.i32(o);
-    for (PacketId p : lockPacket_)
-        w.u64(p);
-    for (const auto &a : outArb_)
-        a->serialize(w);
-    for (const auto &a : vcArb_)
-        a->serialize(w);
+    layout(w, *this);
 }
 
 void
 VcRouter::restore(snap::Reader &r)
 {
     Router::restore(r);
-    if (static_cast<int>(r.u8()) != vcs_)
-        r.fail("VC count mismatch (wrong geometry)");
-    for (FlitFifo &f : vcIn_)
-        snap::readFlitFifo(r, f);
-    for (int &c : vcCredits_)
-        c = r.i32();
-    for (int &c : vcCreditsLost_)
-        c = r.i32();
-    for (int &o : lockOwner_) {
-        o = r.i32();
-        if (o < -1 || o >= numPorts())
-            r.fail("wormhole lock owner out of range");
-    }
-    for (PacketId &p : lockPacket_)
-        p = r.u64();
-    for (auto &a : outArb_)
-        a->restore(r);
-    for (auto &a : vcArb_)
-        a->restore(r);
+    layout(r, *this);
 }
 
 } // namespace nox

@@ -118,6 +118,11 @@ class VcRouter : public Router
     }
 
   private:
+    /** The snapshot layout of this class's own state (serialize()
+     *  and restore() run the base class's first). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     std::size_t
     index(int port, int vc) const
     {

@@ -172,22 +172,4 @@ readFileBytes(const std::string &path)
     return bytes;
 }
 
-void
-encodeMeta(Writer &w, const SnapshotMeta &m)
-{
-    w.str(m.tool);
-    w.u64(m.cycle);
-    w.str(m.fingerprint);
-}
-
-SnapshotMeta
-decodeMeta(Reader &r)
-{
-    SnapshotMeta m;
-    m.tool = r.str();
-    m.cycle = r.u64();
-    m.fingerprint = r.str();
-    return m;
-}
-
 } // namespace nox::snap

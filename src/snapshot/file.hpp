@@ -101,8 +101,13 @@ struct SnapshotMeta
     std::string fingerprint; ///< construction-config identity string
 };
 
-void encodeMeta(Writer &w, const SnapshotMeta &m);
-SnapshotMeta decodeMeta(Reader &r);
+/** The META section layout. */
+template <typename Ar>
+void
+io(Ar &ar, Field<Ar, SnapshotMeta> m)
+{
+    fields(ar, m.tool, m.cycle, m.fingerprint);
+}
 
 } // namespace nox::snap
 

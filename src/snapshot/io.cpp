@@ -14,15 +14,4 @@ fourccName(std::uint32_t tag)
     return s;
 }
 
-void
-checkTag(Reader &r, std::uint32_t expect)
-{
-    const std::uint32_t got = r.u32();
-    if (got != expect) {
-        r.fail("component tag mismatch: expected '" +
-               fourccName(expect) + "', found '" + fourccName(got) +
-               "'");
-    }
-}
-
 } // namespace nox::snap

@@ -2,14 +2,18 @@
  * @file
  * Byte-stream primitives for deterministic snapshots.
  *
- * A snapshot is a flat little-endian byte stream: every stateful
- * component appends its fields to a Writer in a fixed order and reads
- * them back from a Reader in the same order. There is no in-stream
- * schema — the component code *is* the schema — so the format is
- * guarded three ways: a CRC-32C per section (see file.hpp), fourcc
- * sanity tags at component boundaries (checkTag), and strict bounds /
- * value checks in the Reader (truncation, oversized strings and
- * non-0/1 booleans all throw instead of yielding garbage).
+ * A snapshot is a flat little-endian byte stream. Every stateful
+ * component has one layout: a function template that names each of
+ * its fields once, in stream order, and runs over a Writer to save
+ * or over a Reader to load (see io() and friends at the end of this
+ * file). A field therefore cannot be written one way and read
+ * another. There is no in-stream schema — the layouts *are* the
+ * schema — so the format is guarded three ways: a CRC-32C per section
+ * (see file.hpp), fourcc sanity tags at component boundaries (tag()),
+ * and checks on read that sit on the line that moves the field:
+ * truncation, oversized strings and counts, non-0/1 booleans, enum
+ * bytes past their last value, out-of-range integers and geometry
+ * mismatches all throw instead of yielding garbage.
  *
  * All failures throw SnapshotError; callers at the load boundary
  * translate that into a structured error message. Writers never fail.
@@ -23,8 +27,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace nox::snap {
@@ -33,11 +41,13 @@ namespace nox::snap {
  * What a serialize() pass is feeding. The byte layout is identical in
  * both scopes except that Digest omits per-process / per-configuration
  * state that is deliberately allowed to differ between two equivalent
- * trajectories — today that is the EnergyEvents counters, which the
- * activity kernel clock-gates for retired components. Snapshot scope
- * must stay lossless (restore() reads every field back); Digest scope
- * exists so the state-digest ledger hashes only the canonical,
- * kernel-independent trajectory.
+ * trajectories — the EnergyEvents and NoX mode-residency counters,
+ * which the activity kernel clock-gates for retired components, and
+ * the network's kernel and observer bookkeeping. A Reader always runs
+ * the Snapshot scope, so the omissions live on the write side only
+ * and Snapshot scope must stay lossless; Digest scope exists so the
+ * state-digest ledger hashes only the canonical, kernel-independent
+ * trajectory.
  */
 enum class Scope : std::uint8_t
 {
@@ -118,6 +128,8 @@ crc32c(const std::uint8_t *data, std::size_t len)
 class Writer
 {
   public:
+    static constexpr bool kReading = false; ///< see io()
+
     void u8(std::uint8_t v) { append(&v, 1); }
 
     void
@@ -157,6 +169,21 @@ class Writer
     }
 
     void boolean(bool v) { u8(v ? 1 : 0); }
+
+    /** Append @p v in its type's wire encoding (see WireValue). */
+    template <typename T>
+    void
+    put(const T &v)
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            boolean(v);
+        else if constexpr (std::is_same_v<T, double>)
+            f64(v);
+        else if constexpr (std::is_same_v<T, std::string>)
+            str(v);
+        else
+            le(static_cast<std::uint64_t>(v), sizeof(T));
+    }
 
     void
     str(const std::string &s)
@@ -219,6 +246,8 @@ class Writer
 class Reader
 {
   public:
+    static constexpr bool kReading = true; ///< see io()
+
     Reader(const std::uint8_t *data, std::size_t size)
         : data_(data), size_(size)
     {
@@ -274,6 +303,21 @@ class Reader
         if (v > 1)
             fail("boolean byte out of range (stream desync)");
         return v != 0;
+    }
+
+    /** Read a value written by Writer::put<T>. */
+    template <typename T>
+    T
+    get()
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            return boolean();
+        else if constexpr (std::is_same_v<T, double>)
+            return f64();
+        else if constexpr (std::is_same_v<T, std::string>)
+            return str();
+        else
+            return static_cast<T>(le(sizeof(T)));
     }
 
     std::string
@@ -373,31 +417,253 @@ class Reader
 constexpr std::uint32_t
 fourcc(const char (&s)[5])
 {
-    return static_cast<std::uint32_t>(
-        static_cast<std::uint8_t>(s[0]) |
-        (static_cast<std::uint32_t>(
-             static_cast<std::uint8_t>(s[1]))
-         << 8) |
-        (static_cast<std::uint32_t>(
-             static_cast<std::uint8_t>(s[2]))
-         << 16) |
-        (static_cast<std::uint32_t>(
-             static_cast<std::uint8_t>(s[3]))
-         << 24));
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; --i)
+        v = (v << 8) | static_cast<std::uint8_t>(s[i]);
+    return v;
 }
 
 /** Render a fourcc back to text for error messages. */
 std::string fourccName(std::uint32_t tag);
 
-/** Write a component-boundary sanity tag. */
-inline void
-tag(Writer &w, std::uint32_t t)
+// -- Layout primitives ----------------------------------------------
+//
+// A layout is written once against an archive `ar`: a Writer saves
+// each field it names, a Reader loads it and runs the checks on the
+// same line. `if constexpr (Ar::kReading)` guards the few steps only a
+// load needs (clearing, replaying, rebuilding). The save side of each
+// primitive is inline and does what a hand-written save did, so a
+// layout's save path compiles to the same Writer calls.
+
+/**
+ * Types with a wire encoding of their own: bool (one strict 0/1
+ * byte), double (bit-exact), std::string (u64 length + bytes) and the
+ * unsigned widths, i32 and i64 as little-endian integers of their own
+ * size. Narrower signed types have none: a field stored narrower than
+ * it travels names its wire width (ioBounded, ioEnum).
+ */
+template <typename T>
+concept WireValue =
+    std::is_same_v<T, bool> || std::is_same_v<T, double> ||
+    std::is_same_v<T, std::string> || std::is_same_v<T, std::int32_t> ||
+    std::is_same_v<T, std::int64_t> ||
+    (std::is_integral_v<T> && std::is_unsigned_v<T>);
+
+/** What a layout sees of a @p T field: const when saving. */
+template <typename Ar, typename T>
+using Field = std::conditional_t<Ar::kReading, T, const T> &;
+
+/** Load-side check; nothing on save. */
+template <typename Ar>
+void
+check(Ar &ar, bool ok, const char *what)
 {
-    w.u32(t);
+    if constexpr (Ar::kReading) {
+        if (!ok)
+            ar.fail(what);
+    }
 }
 
-/** Check a component-boundary sanity tag; throws on mismatch. */
-void checkTag(Reader &r, std::uint32_t expect);
+/** One WireValue field. */
+template <typename Ar, typename T>
+    requires WireValue<std::remove_const_t<T>>
+void
+io(Ar &ar, T &v)
+{
+    if constexpr (Ar::kReading)
+        v = ar.template get<T>();
+    else
+        ar.put(v);
+}
+
+/** A component-boundary sanity tag (see fourcc()). */
+template <typename Ar>
+void
+tag(Ar &ar, std::uint32_t t)
+{
+    std::uint32_t got = t;
+    io(ar, got);
+    if constexpr (Ar::kReading) {
+        if (got != t) {
+            ar.fail("component tag mismatch: expected '" + fourccName(t) +
+                    "', found '" + fourccName(got) + "'");
+        }
+    }
+}
+
+/** A std::vector<bool> element (only a load sees a proxy). */
+inline void
+io(Reader &r, std::vector<bool>::reference b)
+{
+    b = r.boolean();
+}
+
+/** Any type with its own serialize()/restore() pair. */
+template <typename Ar, typename T>
+    requires requires(const T &t, Writer &w) { t.serialize(w); }
+void
+io(Ar &ar, T &v)
+{
+    if constexpr (Ar::kReading)
+        v.restore(ar);
+    else
+        v.serialize(ar);
+}
+
+/** Several fields, in order. */
+template <typename Ar, typename... T>
+void
+fields(Ar &ar, T &...v)
+{
+    (io(ar, v), ...);
+}
+
+/** std::array and std::pair: their elements, in order. */
+template <typename Ar, typename T>
+    requires requires { std::tuple_size<std::remove_const_t<T>>::value; }
+void
+io(Ar &ar, T &t)
+{
+    std::apply([&ar](auto &...e) { fields(ar, e...); }, t);
+}
+
+/** io() as a callable: the default element layout. */
+inline constexpr auto ioEach = [](auto &ar, auto &v) { io(ar, v); };
+using IoEach = decltype(ioEach);
+
+/** An enum as one byte; a loaded byte above @p last is rejected. */
+template <typename Ar, typename E>
+void
+ioEnum(Ar &ar, E &e, std::remove_const_t<E> last)
+{
+    auto b = static_cast<std::uint8_t>(e);
+    io(ar, b);
+    if constexpr (Ar::kReading) {
+        if (b > static_cast<std::uint8_t>(last)) {
+            ar.fail("enum byte " + std::to_string(b) +
+                    " above its last value " +
+                    std::to_string(static_cast<unsigned>(last)));
+        }
+        e = static_cast<E>(b);
+    }
+}
+
+/** An integer as an i32; a loaded value outside [lo, hi] is rejected
+ *  with @p what. */
+template <typename Ar, typename T>
+void
+ioBounded(Ar &ar, T &v, std::int32_t lo, std::int32_t hi,
+          const char *what)
+{
+    auto x = static_cast<std::int32_t>(v);
+    io(ar, x);
+    check(ar, x >= lo && x <= hi, what);
+    if constexpr (Ar::kReading)
+        v = static_cast<T>(x);
+}
+
+/** A construction-fixed value (an id, a geometry, a presence flag):
+ *  saved as is; a load requires the loading side's own @p v. */
+template <typename Ar, typename T>
+void
+ioExpect(Ar &ar, const T &v, const char *what)
+{
+    T got = v;
+    io(ar, got);
+    check(ar, got == v, what);
+}
+
+/** A u64 count, then each element. A load routes the count through
+ *  Reader::count, each element taking at least @p min_bytes, and
+ *  rebuilds @p c by push_back. */
+template <typename Ar, typename C, typename Each = IoEach>
+void
+ioSeq(Ar &ar, C &c, std::size_t min_bytes, Each each = {})
+{
+    if constexpr (Ar::kReading) {
+        const std::size_t n = ar.count(min_bytes);
+        c = C{};
+        if constexpr (requires { c.reserve(n); })
+            c.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            typename C::value_type v{};
+            each(ar, v);
+            c.push_back(std::move(v));
+        }
+    } else {
+        ar.u64(c.size());
+        for (const auto &v : c)
+            each(ar, v);
+    }
+}
+
+/** A presence flag, then the value if present. */
+template <typename Ar, typename O, typename Each = IoEach>
+void
+ioOptional(Ar &ar, O &o, Each each = {})
+{
+    bool present = o.has_value();
+    io(ar, present);
+    if constexpr (Ar::kReading) {
+        o.reset();
+        if (present)
+            o.emplace();
+    }
+    if (present)
+        each(ar, *o);
+}
+
+/** A hash map as a u64 count, then key and each(ar, value) per entry
+ *  in ascending key order, so hash order never reaches the stream.
+ *  An entry, key included, takes at least @p min_bytes; a load
+ *  rejects a repeated key. */
+template <typename Ar, typename M, typename Each = IoEach>
+void
+ioSortedMap(Ar &ar, M &m, std::size_t min_bytes, Each each = {})
+{
+    if constexpr (Ar::kReading) {
+        const std::size_t n = ar.count(min_bytes);
+        m.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            typename M::key_type key{};
+            io(ar, key);
+            const auto [at, fresh] = m.try_emplace(key);
+            check(ar, fresh, "repeated map key");
+            each(ar, at->second);
+        }
+    } else {
+        std::vector<const typename M::value_type *> entries;
+        entries.reserve(m.size());
+        for (const auto &kv : m)
+            entries.push_back(&kv);
+        std::sort(entries.begin(), entries.end(),
+                  [](auto *x, auto *y) { return x->first < y->first; });
+        ar.u64(entries.size());
+        for (const auto *kv : entries) {
+            io(ar, kv->first);
+            each(ar, kv->second);
+        }
+    }
+}
+
+/** A hash set as a u64 count, then its keys in ascending order; a
+ *  load rejects a repeated key. */
+template <typename Ar, typename S>
+void
+ioSortedSet(Ar &ar, S &s)
+{
+    std::vector<typename S::key_type> keys;
+    if constexpr (!Ar::kReading) {
+        keys.assign(s.begin(), s.end());
+        std::sort(keys.begin(), keys.end());
+    }
+    ioSeq(ar, keys, sizeof(typename S::key_type));
+    if constexpr (Ar::kReading) {
+        s.clear();
+        for (const auto &key : keys)
+            check(ar, s.insert(key).second, "repeated set key");
+    }
+}
 
 } // namespace nox::snap
 

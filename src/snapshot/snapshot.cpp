@@ -12,7 +12,7 @@ captureNetwork(const Network &net, const std::string &tool)
     meta.cycle = net.now();
     meta.fingerprint = net.fingerprint();
     Writer mw;
-    encodeMeta(mw, meta);
+    io(mw, meta);
     image.sections.push_back({kSectionMeta, mw.take()});
 
     Writer nw;
@@ -33,7 +33,8 @@ restoreNetwork(Network &net, const SnapshotFile &file)
 {
     const Section &msec = file.require(kSectionMeta);
     Reader mr(msec.payload.data(), msec.payload.size());
-    const SnapshotMeta meta = decodeMeta(mr);
+    SnapshotMeta meta;
+    io(mr, meta);
 
     const std::string want = net.fingerprint();
     if (meta.fingerprint != want) {

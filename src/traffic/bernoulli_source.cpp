@@ -35,13 +35,13 @@ BernoulliSource::tick(Cycle now, PacketInjector &inj)
 void
 BernoulliSource::serialize(snap::Writer &w) const
 {
-    rng_.serialize(w);
+    snap::io(w, rng_);
 }
 
 void
 BernoulliSource::restore(snap::Reader &r)
 {
-    rng_.restore(r);
+    snap::io(r, rng_);
 }
 
 } // namespace nox

@@ -80,24 +80,24 @@ ParetoSource::tick(Cycle now, PacketInjector &inj)
 }
 
 
+template <typename Ar, typename Self>
+void
+ParetoSource::layout(Ar &ar, Self &self)
+{
+    snap::fields(ar, self.rng_, self.on_, self.phaseEnd_, self.burstDest_,
+                 self.primed_);
+}
+
 void
 ParetoSource::serialize(snap::Writer &w) const
 {
-    rng_.serialize(w);
-    w.boolean(on_);
-    w.u64(phaseEnd_);
-    w.i32(burstDest_);
-    w.boolean(primed_);
+    layout(w, *this);
 }
 
 void
 ParetoSource::restore(snap::Reader &r)
 {
-    rng_.restore(r);
-    on_ = r.boolean();
-    phaseEnd_ = r.u64();
-    burstDest_ = r.i32();
-    primed_ = r.boolean();
+    layout(r, *this);
 }
 
 } // namespace nox

@@ -51,6 +51,10 @@ class ParetoSource : public TrafficSource
     void startOn(Cycle now);
     void startOff(Cycle now);
 
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     NodeId self_;
     const DestinationPattern &pattern_;
     int packetFlits_;

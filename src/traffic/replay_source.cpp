@@ -38,18 +38,25 @@ ReplaySource::tick(Cycle now, PacketInjector &inj)
 }
 
 
+template <typename Ar, typename Self>
+void
+ReplaySource::layout(Ar &ar, Self &self)
+{
+    snap::io(ar, self.next_);
+    snap::check(ar, self.next_ <= self.records_.size(),
+                "replay cursor past end of trace");
+}
+
 void
 ReplaySource::serialize(snap::Writer &w) const
 {
-    w.u64(next_);
+    layout(w, *this);
 }
 
 void
 ReplaySource::restore(snap::Reader &r)
 {
-    next_ = static_cast<std::size_t>(r.u64());
-    if (next_ > records_.size())
-        r.fail("replay cursor past end of trace");
+    layout(r, *this);
 }
 
 } // namespace nox

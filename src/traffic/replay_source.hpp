@@ -40,6 +40,10 @@ class ReplaySource : public TrafficSource
     bool done() const { return next_ >= records_.size(); }
 
   private:
+    /** The snapshot layout behind serialize() and restore(). */
+    template <typename Ar, typename Self>
+    static void layout(Ar &ar, Self &self);
+
     std::vector<TraceRecord> records_;
     double periodNs_;
     std::uint32_t linkBytes_;

@@ -13,7 +13,9 @@
  *   - plain: fault-free, observers off;
  *   - provenance: latency provenance on under recoverable soft faults,
  *     so every per-flit charge loop runs, including the link-retry
- *     (Retransmit) charges;
+ *     (Retransmit) charges, with the trace ring (small enough to wrap)
+ *     and the metrics sampler on, so observer state is in the image
+ *     pinned below;
  *   - router kill: a router dies mid-run with provenance on, forcing a
  *     routing-table rebuild, after which every architecture abandons
  *     wormhole locks in degraded mode (NonSpec and NoX also bill
@@ -32,9 +34,17 @@
  * whichever kernel ran it. Clock energy is the one output that
  * depends on the kernel (the digest leaves it out: gated routers
  * accrue none), so each kernel has its own recorded network-wide
- * clock total. A mismatch prints the whole measured row in table
+ * clock total.
+ *
+ * The folds cover only the Digest scope, and a round trip cannot see
+ * a format change made identically to the writer and the reader. So
+ * every case also pins the whole Snapshot-scope image — the bytes a
+ * checkpoint stores — by length and FNV-1a-64 at kMidCycle, one pair
+ * per kernel (the image holds energy counters and kernel
+ * bookkeeping). A mismatch prints the whole measured row in table
  * syntax; re-record only for a change that is *meant* to alter
- * simulated behaviour, and say so in the change description.
+ * simulated behaviour or the snapshot format, and say so in the
+ * change description.
  */
 
 #include <gtest/gtest.h>
@@ -50,6 +60,7 @@
 #include "obs/digest.hpp"
 #include "obs/provenance.hpp"
 #include "routers/factory.hpp"
+#include "snapshot/io.hpp"
 
 namespace nox {
 namespace {
@@ -59,7 +70,7 @@ constexpr Cycle kRun = 600;
 constexpr Cycle kKillCycle = 150;
 constexpr Cycle kHealAfter = 200;
 constexpr Cycle kE2eTimeout = 120;
-constexpr Cycle kMidCycle = 400; ///< transport regime's in-run fold
+constexpr Cycle kMidCycle = 400; ///< in-run fold and image cycle
 constexpr Cycle kDrainLimit = 200000;
 constexpr double kPacketRate = 0.16; ///< packets per node per cycle
 
@@ -116,7 +127,25 @@ struct Pinned
     std::uint64_t clockAlwaysTick = 0;
     /** Digest fold at kMidCycle (transport regime only, else 0). */
     std::uint64_t midFold = 0;
+    /** Length and FNV-1a-64 of the Snapshot-scope image at kMidCycle
+     *  under the activity and the always-tick kernel. */
+    std::uint64_t imageBytesActivity = 0;
+    std::uint64_t imageHashActivity = 0;
+    std::uint64_t imageBytesAlwaysTick = 0;
+    std::uint64_t imageHashAlwaysTick = 0;
 };
+
+/** FNV-1a, 64-bit. */
+std::uint64_t
+fnv1a64(const std::uint8_t *data, std::size_t len)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < len; ++i) {
+        h ^= data[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
 
 struct Case
 {
@@ -127,7 +156,8 @@ struct Case
     Pinned expected;
 };
 
-/** Run @p c under @p mode; the clock total lands in @p mode's slot. */
+/** Run @p c under @p mode; the clock total and the image land in
+ *  @p mode's slots. */
 Pinned
 runCase(const Case &c, SchedulingMode mode)
 {
@@ -146,6 +176,13 @@ runCase(const Case &c, SchedulingMode mode)
         params.faults.bitflipRate = 0.01;
         params.faults.dropRate = 0.005;
     }
+    if (c.regime == Regime::Provenance) {
+        params.obs.trace.enabled = true;
+        params.obs.trace.capacity = 4096;
+        params.obs.trace.flightPath.clear();
+        params.obs.metrics.enabled = true;
+        params.obs.metrics.heatmap = false;
+    }
     if (c.regime == Regime::RouterKill) {
         params.faults.hardRouterFaults = 1;
         params.faults.hardFaultCycle = kKillCycle;
@@ -161,10 +198,16 @@ runCase(const Case &c, SchedulingMode mode)
     net->addSource(std::make_unique<MixedSource>(net->numNodes(),
                                                  0x7A1C0DE));
     Pinned got;
-    if (c.regime == Regime::Transport) {
-        net->run(kMidCycle);
+    const bool activity = mode == SchedulingMode::ActivityDriven;
+    net->run(kMidCycle);
+    if (c.regime == Regime::Transport)
         got.midFold = net->computeDigestStride().fold();
-    }
+    snap::Writer image;
+    net->serialize(image);
+    (activity ? got.imageBytesActivity : got.imageBytesAlwaysTick) =
+        image.size();
+    (activity ? got.imageHashActivity : got.imageHashAlwaysTick) =
+        fnv1a64(image.data(), image.size());
     net->run(kRun - net->now());
     net->setSourcesEnabled(false);
     EXPECT_TRUE(net->drain(kDrainLimit))
@@ -189,9 +232,7 @@ runCase(const Case &c, SchedulingMode mode)
     got.latencySum = s.latency.sum();
     if (const LatencyProvenance *prov = net->provenance())
         got.prov = prov->total().comp;
-    (mode == SchedulingMode::ActivityDriven ? got.clockActivity
-                                            : got.clockAlwaysTick) =
-        ev.cycles;
+    (activity ? got.clockActivity : got.clockAlwaysTick) = ev.cycles;
     return got;
 }
 
@@ -212,10 +253,15 @@ row(const Pinned &p)
                            static_cast<unsigned long long>(p.prov[i]));
     }
     std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n),
-                  "}, %llu, %llu, 0x%016llxULL}",
+                  "}, %llu, %llu, 0x%016llxULL, %llu, 0x%016llxULL, "
+                  "%llu, 0x%016llxULL}",
                   static_cast<unsigned long long>(p.clockActivity),
                   static_cast<unsigned long long>(p.clockAlwaysTick),
-                  static_cast<unsigned long long>(p.midFold));
+                  static_cast<unsigned long long>(p.midFold),
+                  static_cast<unsigned long long>(p.imageBytesActivity),
+                  static_cast<unsigned long long>(p.imageHashActivity),
+                  static_cast<unsigned long long>(p.imageBytesAlwaysTick),
+                  static_cast<unsigned long long>(p.imageHashAlwaysTick));
     return buf;
 }
 
@@ -254,10 +300,16 @@ TEST_P(PinnedTrajectory, MatchesRecordedRun)
     Pinned got = runCase(c, SchedulingMode::ActivityDriven);
     const Pinned ticked = runCase(c, SchedulingMode::AlwaysTick);
     got.clockAlwaysTick = ticked.clockAlwaysTick;
+    got.imageBytesAlwaysTick = ticked.imageBytesAlwaysTick;
+    got.imageHashAlwaysTick = ticked.imageHashAlwaysTick;
     expectTrajectory(want, got, "activity");
     expectTrajectory(want, ticked, "alwaystick");
     EXPECT_EQ(got.clockActivity, want.clockActivity);
     EXPECT_EQ(got.clockAlwaysTick, want.clockAlwaysTick);
+    EXPECT_EQ(got.imageBytesActivity, want.imageBytesActivity);
+    EXPECT_EQ(got.imageHashActivity, want.imageHashActivity);
+    EXPECT_EQ(got.imageBytesAlwaysTick, want.imageBytesAlwaysTick);
+    EXPECT_EQ(got.imageHashAlwaysTick, want.imageHashAlwaysTick);
     if (::testing::Test::HasFailure())
         ADD_FAILURE() << c.name << " measured " << row(got);
     // The regimes really reach the paths they exist for.
@@ -282,70 +334,90 @@ TEST_P(PinnedTrajectory, MatchesRecordedRun)
 const Case kCases[] = {
     {"nonspec_plain", RouterArch::NonSpeculative, 1, Regime::Plain,
      {0xbb207f2109d162a1ULL, 1584, 1584, 18073, 19054,
-      {0, 0, 0, 0, 0, 0, 0, 0}, 9447, 9872}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 9447, 9872, 0,
+      46809, 0x654de5534483dcf6ULL, 46809, 0x48f1055df28605d6ULL}},
     {"nonspec_provenance", RouterArch::NonSpeculative, 1, Regime::Provenance,
      {0x17cb02a4e62a06b8ULL, 1584, 1584, 18235, 27629.000000000051,
-      {8975, 9001, 6629, 1027, 1551, 0, 446, 0}, 9608, 9984}},
+      {8975, 9001, 6629, 1027, 1551, 0, 446, 0}, 9608, 9984, 0,
+      226919, 0x3ec2cdd3543d044fULL, 226919, 0xec4bd550de273a3bULL}},
     {"nonspec_router_kill", RouterArch::NonSpeculative, 1, Regime::RouterKill,
      {0xfc7bdcdd728a3efdULL, 1435, 1430, 16382, 65508.000000000036,
-      {41725, 8177, 11233, 2523, 1848, 0, 0, 2}, 10512, 12064}},
+      {41725, 8177, 11233, 2523, 1848, 0, 0, 2}, 10512, 12064, 0,
+      123063, 0x85da70407ebf2d21ULL, 123063, 0x6029157b4bf6ce03ULL}},
     {"specfast_plain", RouterArch::SpecFast, 1, Regime::Plain,
      {0xb0243bf6b0b915b4ULL, 1584, 1584, 18073, 110427.99999999997,
-      {0, 0, 0, 0, 0, 0, 0, 0}, 11911, 12768}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 11911, 12768, 0,
+      76843, 0xa1a0396c470b7d3bULL, 76843, 0xf4c90e5c849bc273ULL}},
     {"specfast_provenance", RouterArch::SpecFast, 1, Regime::Provenance,
      {0x825dca75a6ce0bfbULL, 1584, 1584, 18223, 117621.00000000006,
-      {83891, 9001, 16801, 2906, 4632, 0, 390, 0}, 12059, 12896}},
+      {83891, 9001, 16801, 2906, 4632, 0, 390, 0}, 12059, 12896, 0,
+      300072, 0xadd6630111531a4bULL, 300072, 0xe5444b20263de80eULL}},
     {"specfast_router_kill", RouterArch::SpecFast, 1, Regime::RouterKill,
      {0x2465a228f0c22d7fULL, 1435, 1419, 16283, 293811.99999999994,
-      {250690, 8122, 23538, 6361, 5101, 0, 0, 0}, 16367, 18880}},
+      {250690, 8122, 23538, 6361, 5101, 0, 0, 0}, 16367, 18880, 0,
+      233542, 0xa686921624504867ULL, 233542, 0x0e9fd6beaca6c718ULL}},
     {"specaccurate_plain", RouterArch::SpecAccurate, 1, Regime::Plain,
      {0xdc2391630cb02d47ULL, 1584, 1584, 18073, 29534.999999999996,
-      {0, 0, 0, 0, 0, 0, 0, 0}, 9595, 9888}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 9595, 9888, 0,
+      53697, 0xde1f070deb228a9eULL, 53697, 0x2da318346b6026daULL}},
     {"specaccurate_provenance", RouterArch::SpecAccurate, 1,
      Regime::Provenance,
      {0x7ebc67da17f43781ULL, 1584, 1584, 18217, 44824.000000000051,
-      {20795, 9001, 10288, 1801, 2447, 0, 492, 0}, 9926, 10560}},
+      {20795, 9001, 10288, 1801, 2447, 0, 492, 0}, 9926, 10560, 0,
+      239063, 0xa2c2072df70106c7ULL, 239063, 0x2cff8a16aecba81fULL}},
     {"specaccurate_router_kill", RouterArch::SpecAccurate, 1,
      Regime::RouterKill,
      {0x1e5d9aa96ed3e7deULL, 1435, 1426, 16336, 129880,
-      {98755, 8153, 15729, 4139, 3104, 0, 0, 0}, 12390, 14336}},
+      {98755, 8153, 15729, 4139, 3104, 0, 0, 0}, 12390, 14336, 0,
+      155585, 0xefe7fc5d8ddc1095ULL, 155585, 0x38a0f764f48f6ea7ULL}},
     {"nox_plain", RouterArch::Nox, 1, Regime::Plain,
      {0x4036f68d3bd60158ULL, 1584, 1584, 18073, 21751.000000000004,
-      {0, 0, 0, 0, 0, 0, 0, 0}, 9492, 9840}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 9492, 9840, 0,
+      55751, 0xee544ea4d393e2e6ULL, 55751, 0x1341ddea084ad3b9ULL}},
     {"nox_provenance", RouterArch::Nox, 1, Regime::Provenance,
      {0x301ad1216b51e4b8ULL, 1584, 1584, 18224, 31590.999999999967,
-      {11644, 9001, 7724, 1083, 1427, 246, 466, 0}, 9627, 10016}},
+      {11644, 9001, 7724, 1083, 1427, 246, 466, 0}, 9627, 10016, 0,
+      238898, 0x8698c6f3718d623bULL, 238898, 0x6627fd289e0fa2daULL}},
     {"nox_router_kill", RouterArch::Nox, 1, Regime::RouterKill,
      {0x85b035310e0e8166ULL, 1435, 1431, 16382, 73546.999999999956,
-      {48207, 8183, 12242, 2889, 1817, 205, 0, 4}, 10735, 12352}},
+      {48207, 8183, 12242, 2889, 1817, 205, 0, 4}, 10735, 12352, 0,
+      133845, 0xe6d7d190c1106cdbULL, 133845, 0xe49b175757292fd2ULL}},
     {"nonspec_vc2_plain", RouterArch::NonSpeculative, 2, Regime::Plain,
      {0x90e2226fc8d132fcULL, 1584, 1584, 18073, 18471.000000000015,
-      {0, 0, 0, 0, 0, 0, 0, 0}, 9469, 9840}},
+      {0, 0, 0, 0, 0, 0, 0, 0}, 9469, 9840, 0,
+      52205, 0x8425f027a64660b9ULL, 52205, 0x28779780f1d89f9dULL}},
     {"nonspec_vc2_provenance", RouterArch::NonSpeculative, 2,
      Regime::Provenance,
      {0xdf4684aad98601ffULL, 1584, 1584, 18222, 21671.999999999993,
-      {4271, 9001, 5137, 446, 2358, 0, 459, 0}, 9541, 9888}},
+      {4271, 9001, 5137, 446, 2358, 0, 459, 0}, 9541, 9888, 0,
+      215426, 0xcd0f1cd1da0f56ecULL, 215426, 0x7b9eff362d47938eULL}},
     {"nonspec_vc2_router_kill", RouterArch::NonSpeculative, 2,
      Regime::RouterKill,
      {0xa158a923ef6de3f7ULL, 1435, 1431, 16398, 52918.000000000065,
-      {21890, 8187, 15552, 3286, 4003, 0, 0, 0}, 10329, 11568}},
+      {21890, 8187, 15552, 3286, 4003, 0, 0, 0}, 10329, 11568, 0,
+      126848, 0x8b2729ff2dd7638cULL, 126848, 0x11d8fe42e1289b29ULL}},
     {"nonspec_transport", RouterArch::NonSpeculative, 1, Regime::Transport,
      {0x7445813af9e832bdULL, 1529, 1529, 18580, 58483.000000000029,
-      {32358, 8701, 10931, 1968, 1722, 0, 2793, 10}, 10601, 12656, 0xca42cd3e9cf225edULL}},
+      {32358, 8701, 10931, 1968, 1722, 0, 2793, 10}, 10601, 12656, 0xca42cd3e9cf225edULL,
+      167811, 0x98d47255180caa75ULL, 167811, 0x0506bc9d3cade7b7ULL}},
     {"specfast_transport", RouterArch::SpecFast, 1, Regime::Transport,
      {0xdb7964553da3f48fULL, 1529, 1529, 40047, 306335.00000000012,
-      {262391, 8679, 20110, 3941, 5013, 0, 6201, 0}, 30784, 35136, 0xe210975a608bac45ULL}},
+      {262391, 8679, 20110, 3941, 5013, 0, 6201, 0}, 30784, 35136, 0xe210975a608bac45ULL,
+      344557, 0x1aed3dc6b579a884ULL, 344557, 0x3d79b31748df3917ULL}},
     {"specaccurate_transport", RouterArch::SpecAccurate, 1,
      Regime::Transport,
      {0x28865bd9fc4ab342ULL, 1529, 1529, 21951, 114509.00000000004,
-      {82159, 8689, 14698, 2610, 2735, 0, 3618, 0}, 14548, 17248, 0xb9f9a306b22987eaULL}},
+      {82159, 8689, 14698, 2610, 2735, 0, 3618, 0}, 14548, 17248, 0xb9f9a306b22987eaULL,
+      218289, 0xf87ad1d5c0fc6284ULL, 218289, 0xd3863ee9644167e1ULL}},
     {"nox_transport", RouterArch::Nox, 1, Regime::Transport,
      {0x4844b3da1c708597ULL, 1529, 1529, 18241, 56316.000000000036,
-      {27423, 8707, 10543, 1764, 1624, 282, 5968, 5}, 10092, 11264, 0x12353223f77f4414ULL}},
+      {27423, 8707, 10543, 1764, 1624, 282, 5968, 5}, 10092, 11264, 0x12353223f77f4414ULL,
+      151340, 0x937749936a4d9727ULL, 151340, 0x5b4f2194d27e363cULL}},
     {"nonspec_vc2_transport", RouterArch::NonSpeculative, 2,
      Regime::Transport,
      {0x2e76168b15528645ULL, 1529, 1529, 17970, 36604.999999999978,
-      {9548, 8713, 9175, 1322, 3026, 0, 4821, 0}, 9290, 10016, 0xc9fc07948a43fd0cULL}},
+      {9548, 8713, 9175, 1322, 3026, 0, 4821, 0}, 9290, 10016, 0xc9fc07948a43fd0cULL,
+      136133, 0xa16314ad0b89bbb9ULL, 136133, 0x5ade78a3ef089845ULL}},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -320,6 +320,93 @@ TEST(SnapshotRejectActiveSet, RetiredComponentUnderAlwaysTickRejected)
     }
 }
 
+TEST(SnapshotRejectEnum, FlitClassOutOfRangeRejected)
+{
+    // A class byte past TrafficClass::Reply under a valid CRC used to
+    // restore, and the packet's completion then indexed the per-class
+    // latency array out of bounds. Queue one packet of class 9 at a
+    // source NIC and capture it there: only the flit layout's enum
+    // bound can refuse the image.
+    auto donor = buildNetwork();
+    donor->injectPacket(0, 5, 2, donor->now(),
+                        static_cast<TrafficClass>(9));
+    try {
+        restoreFromBytes(captureBytes(*donor));
+        FAIL() << "flit with traffic class 9 restored";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("enum byte 9"),
+                  std::string::npos)
+            << "unexpected error: " << e.what();
+    }
+}
+
+/** Set byte @p field of the first queued hard fault (0 = its kind,
+ *  9 = the low byte of its router id) to @p value under a fresh CRC,
+ *  and return the error the restore fails with ("" if it restores).
+ *  The queued fault is a link kill still pending at the capture. */
+std::string
+restoreTamperedHardFault(std::size_t field, std::uint8_t value)
+{
+    FaultParams faults;
+    faults.enabled = true;
+    faults.hardLinkFaults = 1;
+    faults.hardFaultCycle = 100000; // still queued at the capture
+    auto donor = buildNetwork(4, -1, faults);
+    donor->run(200);
+    EXPECT_TRUE(donor->faultInjector()->hardFaultsPending());
+    const std::vector<std::uint8_t> bytes = captureBytes(*donor);
+
+    snap::SnapshotFile file =
+        snap::decodeSnapshotFile(bytes.data(), bytes.size());
+    static const std::uint8_t kTag[4] = {'F', 'I', 'N', 'J'};
+    for (snap::Section &sec : file.sections) {
+        if (sec.tag != snap::kSectionNetwork)
+            continue;
+        const auto it = std::find_end(sec.payload.begin(),
+                                      sec.payload.end(),
+                                      std::begin(kTag), std::end(kTag));
+        if (it == sec.payload.end())
+            return "no FINJ tag in the NETW payload";
+        // The tag, the injector's cycle, an empty one-shot queue, the
+        // hard-fault count, then the first queued fault.
+        const auto at = static_cast<std::size_t>(it - sec.payload.begin());
+        if (at + 28 + 17 > sec.payload.size() ||
+            sec.payload[at + 20] != 1 ||
+            sec.payload[at + 28] !=
+                static_cast<std::uint8_t>(FaultKind::LinkDead))
+            return "unexpected fault-injector layout";
+        for (std::size_t b = at + 12; b < at + 20; ++b)
+            if (sec.payload[b] != 0)
+                return "one-shot queue not empty";
+        sec.payload[at + 28 + field] = value;
+    }
+    try {
+        restoreFromBytes(snap::encodeSnapshotFile(file), faults);
+    } catch (const snap::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SnapshotRejectEnum, SoftKindInHardFaultQueueRejected)
+{
+    // A queued link kill relabelled as a bit flip: applying it would
+    // panic mid-run, so the load must refuse it.
+    const std::string error = restoreTamperedHardFault(
+        0, static_cast<std::uint8_t>(FaultKind::BitFlip));
+    EXPECT_NE(error.find("soft fault kind"), std::string::npos)
+        << "unexpected error: " << error;
+}
+
+TEST(SnapshotRejectFaults, HardFaultRouterOutOfRangeRejected)
+{
+    // A queued kill naming router 99 of a 4x4 mesh restored, then
+    // panicked in the topology lookup when it fell due.
+    const std::string error = restoreTamperedHardFault(9, 99);
+    EXPECT_NE(error.find("router out of range"), std::string::npos)
+        << "unexpected error: " << error;
+}
+
 /** A 3x3 NoX mesh with the variable-length restore sites populated:
  *  soft faults and a kill+heal churn wave (fault log), the E2E
  *  transport with a short timeout (window, timeout and ack deques,

@@ -39,7 +39,6 @@
 #include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "noc/flit_arena.hpp"
 #include "noc/flow_table.hpp"
 #include "noc/network.hpp"
 #include "obs/digest.hpp"
@@ -70,38 +69,18 @@ struct PhaseState
     Cycle drainEnd = 0; ///< drain deadline (stage 2)
 };
 
+/** The RUNR section of a nettest checkpoint: the phase state, then
+ *  the soak's random stream. */
+template <typename Ar>
 void
-writePhaseState(snap::Writer &w, const PhaseState &st, const Rng &rng)
+phaseLayout(Ar &ar, snap::Field<Ar, PhaseState> st,
+            snap::Field<Ar, Rng> rng)
 {
-    snap::tag(w, snap::fourcc("RUNR"));
-    w.i32(st.phase);
-    w.f64(st.rate);
-    w.f64(st.dataFrac);
-    w.u64(st.run);
-    w.i32(st.maxFlits);
-    w.u64(st.t);
-    w.u8(st.stage);
-    w.u64(st.pauseEnd);
-    w.u64(st.drainEnd);
-    rng.serialize(w);
-}
-
-void
-readPhaseState(snap::Reader &r, PhaseState &st, Rng &rng)
-{
-    snap::checkTag(r, snap::fourcc("RUNR"));
-    st.phase = r.i32();
-    st.rate = r.f64();
-    st.dataFrac = r.f64();
-    st.run = r.u64();
-    st.maxFlits = r.i32();
-    st.t = r.u64();
-    st.stage = r.u8();
-    if (st.stage > 2)
-        r.fail("phase stage out of range");
-    st.pauseEnd = r.u64();
-    st.drainEnd = r.u64();
-    rng.restore(r);
+    snap::tag(ar, snap::fourcc("RUNR"));
+    snap::fields(ar, st.phase, st.rate, st.dataFrac, st.run, st.maxFlits,
+                 st.t, st.stage);
+    snap::check(ar, st.stage <= 2, "phase stage out of range");
+    snap::fields(ar, st.pauseEnd, st.drainEnd, rng);
 }
 
 class OrderChecker : public SinkListener
@@ -327,7 +306,7 @@ main(int argc, char **argv)
                     snap::SnapshotFile image =
                         snap::captureNetwork(n, "nettest");
                     snap::Writer rw;
-                    writePhaseState(rw, st, rng);
+                    phaseLayout(rw, st, rng);
                     image.sections.push_back(
                         {snap::kSectionRunner, rw.take()});
                     snap::writeSnapshotFileAtomic(
@@ -511,31 +490,7 @@ main(int argc, char **argv)
             // renderer as noxsim's --progress stream, fed from the
             // phase's own wall clock and post-drain counters.
             TelemetryRecord rec;
-            rec.sample.cycle = net->now();
-            rec.sample.activeRouters = net->activeRouters();
-            rec.sample.activeNics = net->activeNics();
-            rec.sample.packetsInFlight = net->packetsInFlight();
-            rec.sample.packetsInjected =
-                net->stats().packetsInjected;
-            rec.sample.packetsEjected = net->stats().packetsEjected;
-            rec.sample.faultsInjected =
-                net->stats().faults.faultsInjected;
-            rec.sample.retransmissions =
-                net->stats().faults.retransmissions;
-            rec.sample.e2eRetransmits =
-                net->stats().faults.e2eRetransmits;
-            rec.sample.dupSuppressed =
-                net->stats().faults.dupSuppressed;
-            rec.sample.healsApplied =
-                net->stats().faults.linkHeals +
-                net->stats().faults.routerHeals;
-            rec.sample.deadEntities = static_cast<std::uint64_t>(
-                net->faultMap().deadRouterCount() +
-                net->faultMap().explicitDeadLinkCount());
-            const FlitArenaStats &arena =
-                FlitArena::instance().stats();
-            rec.sample.arenaLive = arena.live();
-            rec.sample.arenaGrowths = arena.growths;
+            rec.sample = net->telemetrySample();
             rec.wallSeconds =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - phaseWall0)
@@ -545,12 +500,6 @@ main(int argc, char **argv)
                     static_cast<double>(net->now()) /
                     rec.wallSeconds;
                 rec.instCyclesPerSec = rec.cumCyclesPerSec;
-            }
-            if (const DigestLedger *digest = net->digest()) {
-                rec.sample.digestStrides =
-                    static_cast<std::int64_t>(digest->strideCount());
-                rec.sample.lastDigestCycle =
-                    digest->lastDigestCycle();
             }
             rec.peakRssKb = RunTelemetry::peakRssKb();
             std::cout << "  telemetry: "
@@ -572,7 +521,7 @@ main(int argc, char **argv)
             const snap::Section &sec =
                 file.require(snap::kSectionRunner);
             snap::Reader r(sec.payload.data(), sec.payload.size());
-            readPhaseState(r, st, rng);
+            phaseLayout(r, st, rng);
             r.expectEnd();
         } catch (const snap::SnapshotError &e) {
             fatal("cannot resume from '", resumePath, "': ",

@@ -267,7 +267,8 @@ cmdSnapshotInfo(const Config &config)
         if (const snap::Section *m =
                 file.find(snap::kSectionMeta)) {
             snap::Reader r(m->payload.data(), m->payload.size());
-            const snap::SnapshotMeta meta = snap::decodeMeta(r);
+            snap::SnapshotMeta meta;
+            snap::io(r, meta);
             r.expectEnd();
             t.addRow({"tool", meta.tool});
             t.addRow({"cycle", std::to_string(meta.cycle)});
