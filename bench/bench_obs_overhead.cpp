@@ -23,7 +23,7 @@
  * the timed reps run round-robin across variants (rep 1 of every
  * variant, rep 2 of every variant, ...). Without the warm-up the
  * first variant executed (the "off" baseline) pays one-time process
- * costs — page faults, heap growth, arena population — that later
+ * costs — page faults, heap growth — that later
  * variants inherit for free, which historically made observers-on
  * configs appear *faster* than off; without the interleaving, slow
  * machine phases (frequency ramps, background load) land on whole

@@ -9,11 +9,11 @@
  * bench/baselines/BENCH_throughput.json).
  *
  * Methodology matches bench_obs_overhead: one untimed warm-up pass
- * over every configuration (first-run page faults, heap growth and
- * flit-arena population are one-time process costs, not steady-state
- * costs), then timed reps interleaved round-robin across
- * configurations so slow machine phases spread evenly instead of
- * landing on whole rows; reported as min/mean/stddev.
+ * over every configuration (first-run page faults and heap growth
+ * are one-time process costs, not steady-state costs), then timed
+ * reps interleaved round-robin across configurations so slow machine
+ * phases spread evenly instead of landing on whole rows; reported as
+ * min/mean/stddev.
  *
  * Usage: bench_throughput [key=value...]
  *   archs=nonspec,specfast,specaccurate,nox patterns=uniform,transpose

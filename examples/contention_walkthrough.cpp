@@ -48,11 +48,8 @@ describe(const WireFlit &flit)
     if (!flit.encoded)
         return name(flit.parts.front().packet);
     std::string s;
-    for (std::size_t i = 0; i < flit.parts.size(); ++i) {
-        s += name(flit.parts[i].packet);
-        if (i + 1 < flit.parts.size())
-            s += "^";
-    }
+    for (const FlitDesc &d : flit.parts)
+        s += (s.empty() ? "" : "^") + name(d.packet);
     return s + " (encoded)";
 }
 

@@ -17,14 +17,12 @@
 #ifndef NOX_NOC_FLIT_HPP
 #define NOX_NOC_FLIT_HPP
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "noc/flit_arena.hpp"
 #include "noc/types.hpp"
 
 namespace nox {
@@ -54,116 +52,69 @@ struct FlitDesc
 };
 
 /**
- * Small-buffer sequence of WireFlit constituents. WireFlits are
- * copied on every hop (FIFO staging, decode registers), and almost
- * all of them are uncoded singles; keeping up to kInlineParts
- * in-place makes those copies allocation-free. Longer encoded chains
- * (NoX collisions) spill to an arena-recycled block (FlitArena), so
- * steady-state collision traffic performs no heap allocation either.
+ * Small-buffer sequence of WireFlit constituents. Almost every wire
+ * value is an uncoded single, kept inline so that copying it on each
+ * hop allocates nothing. A second constituent (a NoX collision chain)
+ * moves the whole list to an ordinary vector. Copies are independent
+ * values; a moved-from sequence is left empty.
  */
 class PartsVec
 {
   public:
-    static constexpr std::size_t kInlineParts = 1;
     using value_type = FlitDesc;
 
     PartsVec() = default;
+    PartsVec(const PartsVec &) = default;
+    PartsVec &operator=(const PartsVec &) = default;
 
-    PartsVec(const PartsVec &other)
-        : inline_(other.inline_), size_(other.size_)
-    {
-        if (other.onHeap()) {
-            heap_ = FlitArena::acquire();
-            heap_.assign(other.heap_.begin(), other.heap_.end());
-        }
-    }
-
+    // Defaulted moves would leave the inline part behind.
     PartsVec(PartsVec &&other) noexcept
-        : inline_(other.inline_), size_(other.size_),
-          heap_(std::move(other.heap_))
+        : first_(other.first_), inline_(std::exchange(other.inline_, 0)),
+          spill_(std::move(other.spill_))
     {
-        other.heap_.clear();
-        other.size_ = 0;
-    }
-
-    PartsVec &
-    operator=(const PartsVec &other)
-    {
-        if (this == &other)
-            return *this;
-        inline_ = other.inline_;
-        size_ = other.size_;
-        if (other.onHeap()) {
-            if (heap_.capacity() == 0)
-                heap_ = FlitArena::acquire();
-            heap_.assign(other.heap_.begin(), other.heap_.end());
-        } else {
-            heap_.clear(); // keep any block for a future spill
-        }
-        return *this;
     }
 
     PartsVec &
     operator=(PartsVec &&other) noexcept
     {
-        if (this == &other)
-            return *this;
-        releaseHeap();
-        inline_ = other.inline_;
-        size_ = other.size_;
-        heap_ = std::move(other.heap_);
-        other.heap_.clear();
-        other.size_ = 0;
+        first_ = other.first_;
+        inline_ = std::exchange(other.inline_, 0);
+        spill_ = std::move(other.spill_);
         return *this;
     }
-
-    ~PartsVec() { releaseHeap(); }
 
     void
     push_back(const FlitDesc &d)
     {
-        if (!onHeap()) {
-            if (size_ < kInlineParts) {
-                inline_[size_++] = d;
+        if (spill_.empty()) {
+            if (inline_ == 0) {
+                first_ = d;
+                inline_ = 1;
                 return;
             }
-            // Spill: from here on heap_ is the single source of truth.
-            if (heap_.capacity() == 0)
-                heap_ = FlitArena::acquire();
-            heap_.reserve(size_ + 1);
-            heap_.assign(inline_.begin(), inline_.end());
+            spill_.reserve(2); // one allocation for a 2-way chain
+            spill_.push_back(first_);
         }
-        heap_.push_back(d);
+        spill_.push_back(d);
     }
 
-    std::size_t size() const { return onHeap() ? heap_.size() : size_; }
+    std::size_t size() const
+    {
+        return spill_.empty() ? inline_ : spill_.size();
+    }
     bool empty() const { return size() == 0; }
     const FlitDesc *
     begin() const
     {
-        return onHeap() ? heap_.data() : inline_.data();
+        return spill_.empty() ? &first_ : spill_.data();
     }
     const FlitDesc *end() const { return begin() + size(); }
     const FlitDesc &front() const { return *begin(); }
-    const FlitDesc &operator[](std::size_t i) const
-    {
-        return begin()[i];
-    }
 
   private:
-    bool onHeap() const { return !heap_.empty(); }
-
-    /** Hand the spill block (if any) back to the arena. */
-    void
-    releaseHeap()
-    {
-        if (heap_.capacity() != 0)
-            FlitArena::release(std::move(heap_));
-    }
-
-    std::array<FlitDesc, kInlineParts> inline_{};
-    std::size_t size_ = 0;
-    std::vector<FlitDesc> heap_;
+    FlitDesc first_{};
+    std::uint8_t inline_ = 0;       ///< 1 while first_ holds a part
+    std::vector<FlitDesc> spill_;   ///< every part, once there are two
 };
 
 /** Deterministic payload for (packet, seq), checkable at the sink. */

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "common/log.hpp"
-#include "noc/flit_arena.hpp"
 #include "noc/snapshot_codec.hpp"
 
 namespace nox {
@@ -795,9 +794,6 @@ Network::telemetrySample() const
         stats_.faults.linkHeals + stats_.faults.routerHeals;
     s.deadEntities = static_cast<std::uint64_t>(
         faultMap_.deadRouterCount() + faultMap_.explicitDeadLinkCount());
-    const FlitArenaStats &arena = FlitArena::instance().stats();
-    s.arenaLive = arena.live();
-    s.arenaGrowths = arena.growths;
     if (telemetry_)
         s.checkpointAge = telemetry_->checkpointAge(now_);
     if (digest_) {

@@ -78,62 +78,19 @@ Nic::evaluateInject(Cycle now)
 void
 Nic::evaluateSink(Cycle now)
 {
-    if (dead_)
-        return;
     // Idle sink (no buffered wire values, no open decode chain): skip
     // even the decode-view construction — on quiet nodes this is the
     // whole per-cycle cost of the ejection side.
-    if (sinkFifo_.empty() && !decoder_.registerValid())
+    if (dead_ || (sinkFifo_.empty() && !decoder_.registerValid()))
         return;
-    const DecodeView v = decoder_.view(sinkFifo_, faults_ != nullptr);
-    if (v.latchBubble) {
-        if (prov_) {
-            // The cycle is consumed latching an encoded head: bill the
-            // chain constituent already accepted toward this sink (the
-            // location guard skips constituents still upstream).
-            for (const FlitDesc &d : sinkFifo_.front().parts)
-                prov_->onStall(d.uid, LatencyComponent::XorRecovery,
-                               node_, true, now);
-        }
-        const int vc = sinkFifo_.front().vc;
-        decoder_.latch(sinkFifo_);
-        energy_.bufferReads += 1;
-        energy_.decodeLatches += 1;
-        router_->stageCreditVc(localPort_, vc);
+    const DecodeView v =
+        decoder_.step(sinkFifo_, decodeSite(), now, creditReturn());
+    if (!v.presented)
         return;
-    }
-    if (!v.presented) {
-        if (prov_ && decoder_.registerValid()) {
-            // Decode register loaded but the chain's next wire value
-            // has not arrived: the flit it will recover waits on XOR
-            // machinery, not on the link.
-            for (const FlitDesc &d : decoder_.registerValue().parts)
-                prov_->onStall(d.uid, LatencyComponent::XorRecovery,
-                               node_, true, now);
-        }
-        return;
-    }
-    if (v.decodedByXor) {
-        energy_.decodeOps += 1;
-        trace(TraceEventKind::XorDecode, v.presented->uid);
-    }
-    // Mid-chain corruption surfaces here when the NoX ejection port
-    // decodes it (counted once, at acceptance).
-    if (v.fault == DecodeFault::PayloadMismatch) {
-        faults_->onDecodeMismatch();
-        trace(TraceEventKind::DecodeFault, v.presented->uid);
-        if (tracer_)
-            tracer_->triggerFlightDump("decode-fault", {node_});
-    }
-    // Copy before accept(): the view points into the FIFO head /
+    // Copy before accepting: the view points into the FIFO head /
     // decoder scratch, both invalidated by the pop.
     const FlitDesc d = *v.presented;
-    const int vc = sinkFifo_.empty() ? 0 : sinkFifo_.front().vc;
-    const bool popped = decoder_.accept(sinkFifo_);
-    if (popped) {
-        energy_.bufferReads += 1;
-        router_->stageCreditVc(localPort_, vc);
-    }
+    decoder_.acceptPresented(sinkFifo_, v, decodeSite(), creditReturn());
     deliver(d, now);
 }
 
@@ -253,20 +210,11 @@ Nic::killAttached(std::vector<FlitDesc> &lost)
     dead_ = true;
     NOX_ASSERT(!sinkFifo_.staged(), "hard fault applied mid-cycle");
     for (auto &q : injectQueue_) {
-        for (const FlitDesc &d : q)
-            lost.push_back(d);
+        lost.insert(lost.end(), q.begin(), q.end());
         q.clear();
     }
-    while (!sinkFifo_.empty()) {
-        const WireFlit w = sinkFifo_.pop();
-        for (const FlitDesc &d : w.parts)
-            lost.push_back(d);
-    }
-    if (decoder_.registerValid()) {
-        for (const FlitDesc &d : decoder_.registerValue().parts)
-            lost.push_back(d);
-        decoder_.reset();
-    }
+    // No credits: the router at the other end died too.
+    decoder_.dropAll(sinkFifo_, lost, [](int) {});
     std::fill(injectCredits_.begin(), injectCredits_.end(), 0);
     std::fill(stagedInjectCredits_.begin(),
               stagedInjectCredits_.end(), 0);
@@ -294,78 +242,17 @@ Nic::purgeCondemned(const Router::FlitCondemned &condemned,
         q.swap(keep);
     }
 
-    // Ejection side: like a NoX input port, the FIFO holds wire
-    // values. A chain still open here will never be continued after
-    // the rebuild reset the upstream output masks — drop the
-    // undecodable open suffix (register and/or trailing encoded
-    // values) exactly as a NoX input port does.
-    {
-        const std::size_t n = sinkFifo_.size();
-        std::vector<WireFlit> entries;
-        entries.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            entries.push_back(sinkFifo_.pop());
-        bool open = decoder_.registerValid();
-        std::ptrdiff_t start = open ? -1 : 0; // -1 = the register
-        for (std::size_t i = 0; i < n; ++i) {
-            if (open) {
-                if (!entries[i].encoded)
-                    open = false;
-            } else if (entries[i].encoded) {
-                open = true;
-                start = static_cast<std::ptrdiff_t>(i);
-            }
-        }
-        if (open) {
-            if (start < 0) {
-                for (const FlitDesc &d :
-                     decoder_.registerValue().parts)
-                    removed.push_back(d);
-                decoder_.reset();
-                start = 0;
-            }
-            for (std::size_t i = static_cast<std::size_t>(start);
-                 i < n; ++i) {
-                for (const FlitDesc &d : entries[i].parts)
-                    removed.push_back(d);
-                router_->stageCreditVc(localPort_, entries[i].vc);
-            }
-            entries.resize(static_cast<std::size_t>(start));
-        }
-        for (WireFlit &w : entries)
-            sinkFifo_.push(std::move(w));
-    }
-
-    // The remaining chains are complete, but any condemned
-    // constituent still poisons every value it appears in —
-    // contamination drops the whole sink contents.
-    bool contaminated = false;
-    if (decoder_.registerValid()) {
-        for (const FlitDesc &d : decoder_.registerValue().parts)
-            contaminated = contaminated || condemned(router_->id(), localPort_, d);
-    }
-    const std::size_t n = sinkFifo_.size();
-    for (std::size_t i = 0; i < n && !contaminated; ++i) {
-        WireFlit w = sinkFifo_.pop();
-        for (const FlitDesc &d : w.parts)
-            contaminated = contaminated || condemned(router_->id(), localPort_, d);
-        sinkFifo_.push(std::move(w));
-    }
-    if (!contaminated)
-        return;
-    if (decoder_.registerValid()) {
-        for (const FlitDesc &d : decoder_.registerValue().parts)
-            removed.push_back(d);
-        decoder_.reset();
-    }
-    while (!sinkFifo_.empty()) {
-        const WireFlit w = sinkFifo_.pop();
-        for (const FlitDesc &d : w.parts)
-            removed.push_back(d);
-        // The slot frees up: its credit goes back to the (live)
-        // router exactly as if the value had been accepted.
-        router_->stageCreditVc(localPort_, w.vc);
-    }
+    // Ejection side: the sink is a NoX input port. A chain still open
+    // here will never be continued after the rebuild reset the
+    // upstream output masks, and a condemned constituent poisons
+    // every value it appears in.
+    decoder_.dropOpenChain(sinkFifo_, removed, creditReturn());
+    decoder_.purgeContaminated(
+        sinkFifo_,
+        [&](const FlitDesc &d) {
+            return condemned(router_->id(), localPort_, d);
+        },
+        removed, creditReturn());
 }
 
 std::vector<std::pair<PacketId, std::uint32_t>>

@@ -4,10 +4,10 @@
  * the router's local input port, and the ejection sink that drains the
  * router's local output port.
  *
- * The sink contains the same XOR decode logic as a NoX input port
- * (§2.4) so that encoded flits arriving at the ejection port of a NoX
- * network are recovered exactly as in Figure 3. Non-NoX networks only
- * ever deliver uncoded flits, for which the decoder is a pass-through.
+ * The sink is a NoX input port (§2.4, XorDecoder) so that encoded
+ * flits arriving at the ejection port of a NoX network are recovered
+ * exactly as in Figure 3. Non-NoX networks only ever deliver uncoded
+ * flits, for which the decoder is a pass-through.
  */
 
 #ifndef NOX_NOC_NIC_HPP
@@ -183,6 +183,21 @@ class Nic
     static void layout(Ar &ar, Self &self, snap::Scope scope);
 
     void deliver(const FlitDesc &flit, Cycle now);
+
+    /** The sink's decode site, located at this NIC's node. */
+    DecodeSite
+    decodeSite()
+    {
+        return {energy_, faults_, tracer_, prov_, node_, localPort_, true};
+    }
+
+    /** Where the sink's decode rules send a freed slot's credit: the
+     *  attached router's local output, on the value's VC. */
+    auto
+    creditReturn()
+    {
+        return [this](int vc) { router_->stageCreditVc(localPort_, vc); };
+    }
 
     void wake()
     {

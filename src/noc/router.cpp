@@ -396,29 +396,6 @@ Router::killInput(int in_port, std::vector<FlitDesc> &lost)
 }
 
 void
-Router::purgeInputsPlain(const FlitCondemned &condemned,
-                         std::vector<FlitDesc> &removed)
-{
-    for (int p = 0; p < params_.numPorts; ++p) {
-        FlitFifo &fifo = in_[p];
-        const std::size_t n = fifo.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            WireFlit w = fifo.pop();
-            bool bad = false;
-            for (const FlitDesc &d : w.parts)
-                bad = bad || condemned(id_, p, d);
-            if (!bad) {
-                fifo.push(std::move(w));
-                continue;
-            }
-            for (const FlitDesc &d : w.parts)
-                removed.push_back(d);
-            returnCredit(p); // no-op if the upstream link died too
-        }
-    }
-}
-
-void
 Router::purgeLinkState(const FlitCondemned &condemned,
                        std::vector<FlitDesc> &removed)
 {
@@ -457,7 +434,9 @@ void
 Router::purgeFlits(const FlitCondemned &condemned,
                    std::vector<FlitDesc> &removed)
 {
-    purgeInputsPlain(condemned, removed);
+    for (int p = 0; p < params_.numPorts; ++p)
+        purgePlain(in_[p], p, condemned, removed,
+                   [this, p] { returnCredit(p); });
     purgeLinkState(condemned, removed);
 }
 

@@ -372,10 +372,29 @@ class Router
      *  DOR-identical while the mesh is fault-free). */
     int routeOf(const FlitDesc &flit) const;
 
-    /** Shared purge pass over uncoded input FIFOs: drops condemned
-     *  entries and returns their buffer slots upstream. */
-    void purgeInputsPlain(const FlitCondemned &condemned,
-                          std::vector<FlitDesc> &removed);
+    /** The plain-port purge over one uncoded FIFO holding arrivals
+     *  of input @p in_port: drops every condemned entry, keeping the
+     *  rest in order, and calls @p credit() once per freed slot. */
+    template <typename Credit>
+    void
+    purgePlain(FlitFifo &fifo, int in_port, const FlitCondemned &condemned,
+               std::vector<FlitDesc> &removed, Credit &&credit)
+    {
+        const std::size_t n = fifo.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            WireFlit w = fifo.pop();
+            bool bad = false;
+            for (const FlitDesc &d : w.parts)
+                bad = bad || condemned(id_, in_port, d);
+            if (!bad) {
+                fifo.push(std::move(w));
+                continue;
+            }
+            for (const FlitDesc &d : w.parts)
+                removed.push_back(d);
+            credit(); // a no-op if the upstream link died too
+        }
+    }
 
     /** Shared purge pass over link-retry state. A flushed entry on a
      *  live link refunds the downstream credit its original send

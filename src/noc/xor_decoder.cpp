@@ -1,7 +1,9 @@
 #include "noc/xor_decoder.hpp"
 
 #include "common/log.hpp"
+#include "noc/fault_injector.hpp"
 #include "noc/snapshot_codec.hpp"
+#include "obs/provenance.hpp"
 
 namespace nox {
 
@@ -79,6 +81,39 @@ XorDecoder::accept(FlitFifo &fifo)
                "accept on invalid decoder state");
     fifo.drop();
     return true;
+}
+
+void
+XorDecoder::collectUnique(const WireFlit &w, std::vector<FlitDesc> &out,
+                          std::size_t from)
+{
+    for (const FlitDesc &d : w.parts) {
+        bool seen = false;
+        for (std::size_t i = from; i < out.size(); ++i)
+            seen = seen || out[i].uid == d.uid;
+        if (!seen)
+            out.push_back(d);
+    }
+}
+
+void
+XorDecoder::chargeRecovery(const WireFlit &w, const DecodeSite &site,
+                           Cycle now)
+{
+    // The location guard skips constituents still buffered upstream:
+    // they accrue their own charges there.
+    for (const FlitDesc &d : w.parts)
+        site.prov->onStall(d.uid, LatencyComponent::XorRecovery, site.at,
+                           site.nic, now);
+}
+
+void
+XorDecoder::reportMismatch(const DecodeSite &site, std::uint64_t uid)
+{
+    site.faults->onDecodeMismatch();
+    trace(site, TraceEventKind::DecodeFault, uid);
+    if (site.tracer)
+        site.tracer->triggerFlightDump("decode-fault", {site.at});
 }
 
 void

@@ -119,8 +119,6 @@ RunTelemetry::formatJson(const TelemetryRecord &rec,
        << ", \"dup_suppressed\": " << s.dupSuppressed
        << ", \"heals_applied\": " << s.healsApplied
        << ", \"dead_entities\": " << s.deadEntities
-       << ", \"arena_live\": " << s.arenaLive
-       << ", \"arena_growths\": " << s.arenaGrowths
        << ", \"peak_rss_kb\": " << rec.peakRssKb
        << ", \"ckpt_age\": " << s.checkpointAge
        << ", \"digest_strides\": " << s.digestStrides
@@ -165,7 +163,6 @@ RunTelemetry::formatLine(const TelemetryRecord &rec,
         os << " | heals " << s.healsApplied << "/dead "
            << s.deadEntities;
     }
-    os << " | arena " << s.arenaLive;
     if (rec.peakRssKb > 0) {
         os.precision(1);
         os << std::fixed << " | rss "

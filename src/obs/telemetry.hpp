@@ -6,9 +6,9 @@
  * finished. With telemetry enabled the Network emits one JSONL record
  * every `telemetry_interval` cycles — instantaneous and cumulative
  * simulated cycles/s, ETA against a target cycle count, active-set
- * sizes, in-flight packet count, FlitArena allocator stats, fault and
- * retry counters, peak RSS and the age of the last checkpoint — and
- * optionally mirrors a compact one-line rendering to stderr
+ * sizes, in-flight packet count, fault and retry counters, peak RSS
+ * and the age of the last checkpoint — and optionally mirrors a
+ * compact one-line rendering to stderr
  * (`--progress`). nettest reuses the same line formatter for its
  * per-phase summaries.
  *
@@ -58,8 +58,6 @@ struct TelemetrySample
     std::uint64_t dupSuppressed = 0;
     std::uint64_t healsApplied = 0; ///< link + router heals
     std::uint64_t deadEntities = 0; ///< dead routers + explicit links
-    std::uint64_t arenaLive = 0;
-    std::uint64_t arenaGrowths = 0;
     std::int64_t checkpointAge = -1; ///< cycles; -1 = no checkpoint
     std::int64_t digestStrides = -1; ///< ledger strides (-1 = off)
     std::int64_t lastDigestCycle = -1; ///< newest stride's cycle

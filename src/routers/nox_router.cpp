@@ -3,28 +3,9 @@
 #include <bit>
 
 #include "common/log.hpp"
-#include "noc/fault_injector.hpp"
 #include "snapshot/io.hpp"
 
 namespace nox {
-
-namespace {
-
-/** Append @p w 's constituent flits to @p out, skipping uids already
- *  collected (successive chain values are nested subsets). */
-void
-collectUnique(const WireFlit &w, std::vector<FlitDesc> &out)
-{
-    for (const FlitDesc &d : w.parts) {
-        bool seen = false;
-        for (const FlitDesc &e : out)
-            seen = seen || e.uid == d.uid;
-        if (!seen)
-            out.push_back(d);
-    }
-}
-
-} // namespace
 
 NoxRouter::NoxRouter(NodeId id, const Mesh &mesh,
                      const RoutingTable &table,
@@ -50,7 +31,6 @@ NoxRouter::evaluate(Cycle now)
     // latching into the decode register.
     const int ports = numPorts();
     const RequestMask all = allPortsMask();
-    const bool lenient = faults_ != nullptr;
     // Hoisted observer gate: with provenance off the per-flit charge
     // loops below vanish behind this one predictable branch.
     LatencyProvenance *const prov = prov_;
@@ -67,36 +47,11 @@ NoxRouter::evaluate(Cycle now)
         // cycle's contents, unreachable while no request mask names p.
         if (in_[p].empty() && !decoders_[p].registerValid())
             continue;
-        // Lenient decode under fault injection: integrity violations
-        // surface in DecodeView::fault instead of killing the run.
         DecodeView &v = views[p];
-        v = decoders_[p].view(in_[p], lenient);
-        if (v.latchBubble) {
-            if (prov) {
-                // The cycle is consumed latching an encoded head:
-                // bill the chain constituent already accepted to this
-                // router (the location guard skips constituents still
-                // buffered upstream — they accrue their own charges
-                // there).
-                for (const FlitDesc &d : in_[p].front().parts)
-                    provStall(d, LatencyComponent::XorRecovery, now);
-            }
-            decoders_[p].latch(in_[p]);
-            energy_.bufferReads += 1;
-            energy_.decodeLatches += 1;
-            returnCredit(p);
-            continue;
-        }
-        if (v.presented) {
+        v = decoders_[p].step(in_[p], decodeSite(p), now,
+                              creditReturn(p));
+        if (v.presented)
             requests_for[routeOf(*v.presented)] |= maskBit(p);
-        } else if (prov && decoders_[p].registerValid()) {
-            // Decode register loaded but the chain's next wire value
-            // has not arrived yet: the flit it will recover is stuck
-            // in XOR recovery, not on a link.
-            for (const FlitDesc &d :
-                 decoders_[p].registerValue().parts)
-                provStall(d, LatencyComponent::XorRecovery, now);
-        }
     }
 
     for (RequestMask cm = connectedOutputs(); cm; cm &= cm - 1) {
@@ -285,7 +240,8 @@ NoxRouter::evaluate(Cycle now)
                               LatencyComponent::XorRecovery, now);
                 provSend(*views[g].presented, o, now);
             }
-            acceptPresented(g, views[g]);
+            decoders_[g].acceptPresented(in_[g], views[g], decodeSite(g),
+                                         creditReturn(g));
             sendFlit(o, WireFlit::combine(colliding));
 
             const RequestMask losers = part & ~maskBit(g);
@@ -364,35 +320,16 @@ NoxRouter::quiescent() const
 }
 
 void
-NoxRouter::acceptPresented(int port, const DecodeView &view)
-{
-    if (view.decodedByXor) {
-        energy_.decodeOps += 1;
-        trace(TraceEventKind::XorDecode, port, view.presented->uid);
-    }
-    // Count integrity violations when the flit is accepted (view()
-    // re-inspects the same head every cycle; accept happens once).
-    if (view.fault == DecodeFault::PayloadMismatch) {
-        faults_->onDecodeMismatch();
-        trace(TraceEventKind::DecodeFault, port, view.presented->uid);
-        if (tracer_)
-            tracer_->triggerFlightDump("decode-fault", {id_});
-    }
-    const bool popped = decoders_[port].accept(in_[port]);
-    if (popped) {
-        energy_.bufferReads += 1;
-        returnCredit(port);
-    }
-}
-
-void
 NoxRouter::traverseSingle(int in_port, int out_port,
                           const DecodeView &view, Cycle now)
 {
     WireFlit w = WireFlit::fromDesc(*view.presented);
     provSend(w.parts.front(), out_port, now);
     energy_.xbarInputDrives += 1;
-    acceptPresented(in_port, view); // invalidates view.presented
+    // Invalidates view.presented.
+    decoders_[in_port].acceptPresented(in_[in_port], view,
+                                       decodeSite(in_port),
+                                       creditReturn(in_port));
     sendFlit(out_port, std::move(w));
 }
 
@@ -422,56 +359,9 @@ void
 NoxRouter::killInput(int in_port, std::vector<FlitDesc> &lost)
 {
     Router::killInput(in_port, lost);
-    dropOpenChain(in_port, lost);
-}
-
-void
-NoxRouter::dropOpenChain(int in_port, std::vector<FlitDesc> &lost)
-{
-    // Scan the port for a decode chain left open forever — either
-    // its link died, or a mid-run table rebuild reset the upstream
-    // output masks so the subset chain will never be continued.
-    // Simulate future decode progress: a chain closes on its final
-    // (plain) wire value; trailing encoded values with no closure
-    // can never be recovered.
-    XorDecoder &dec = decoders_[in_port];
-    FlitFifo &fifo = in_[in_port];
-    const std::size_t n = fifo.size();
-    std::vector<WireFlit> entries;
-    entries.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        entries.push_back(fifo.pop());
-
-    bool open = dec.registerValid();
-    std::ptrdiff_t start = open ? -1 : 0; // -1 = the register itself
-    for (std::size_t i = 0; i < n; ++i) {
-        if (open) {
-            if (!entries[i].encoded)
-                open = false;
-        } else if (entries[i].encoded) {
-            open = true;
-            start = static_cast<std::ptrdiff_t>(i);
-        }
-    }
-    if (open) {
-        std::vector<FlitDesc> dropped;
-        if (start < 0) {
-            collectUnique(dec.registerValue(), dropped);
-            dec.reset();
-            start = 0; // every buffered value continued that chain
-        }
-        for (std::size_t i = static_cast<std::size_t>(start); i < n;
-             ++i) {
-            collectUnique(entries[i], dropped);
-            // Freed buffer slot: credit the (live) upstream router —
-            // a no-op when this port's link died with its sender.
-            returnCredit(in_port);
-        }
-        entries.resize(static_cast<std::size_t>(start));
-        lost.insert(lost.end(), dropped.begin(), dropped.end());
-    }
-    for (WireFlit &w : entries)
-        fifo.push(std::move(w));
+    // The link died with its sender: returnCredit() is a no-op now.
+    decoders_[in_port].dropOpenChain(in_[in_port], lost,
+                                     creditReturn(in_port));
 }
 
 void
@@ -483,46 +373,15 @@ NoxRouter::purgeFlits(const FlitCondemned &condemned,
     // chains still open at our inputs will never be continued by the
     // upstream output: break them now (idempotent — once dropped, the
     // port's trailing chain is closed) before judging survivors.
+    // Clean flits lost alongside are reported in @p removed and
+    // cascade through the network's fixpoint.
     for (int p = 0; p < ports; ++p)
-        dropOpenChain(p, removed);
+        decoders_[p].dropOpenChain(in_[p], removed, creditReturn(p));
     for (int p = 0; p < ports; ++p) {
-        FlitFifo &fifo = in_[p];
-        const std::size_t n = fifo.size();
-        std::vector<WireFlit> entries;
-        entries.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            entries.push_back(fifo.pop());
-
-        bool contaminated = false;
-        if (decoders_[p].registerValid()) {
-            for (const FlitDesc &d :
-                 decoders_[p].registerValue().parts)
-                contaminated = contaminated || condemned(id_, p, d);
-        }
-        for (const WireFlit &w : entries) {
-            for (const FlitDesc &d : w.parts)
-                contaminated = contaminated || condemned(id_, p, d);
-        }
-        if (!contaminated) {
-            for (WireFlit &w : entries)
-                fifo.push(std::move(w));
-            continue;
-        }
-
-        // Wire values are XOR combinations: one condemned constituent
-        // poisons every chain value it appears in, so the whole port
-        // content is dropped. Clean flits lost alongside are reported
-        // in @p removed and cascade through the network's fixpoint.
-        std::vector<FlitDesc> dropped;
-        if (decoders_[p].registerValid()) {
-            collectUnique(decoders_[p].registerValue(), dropped);
-            decoders_[p].reset();
-        }
-        for (const WireFlit &w : entries) {
-            collectUnique(w, dropped);
-            returnCredit(p); // one buffer slot per dropped wire value
-        }
-        removed.insert(removed.end(), dropped.begin(), dropped.end());
+        decoders_[p].purgeContaminated(
+            in_[p],
+            [&](const FlitDesc &d) { return condemned(id_, p, d); },
+            removed, creditReturn(p));
     }
     purgeLinkState(condemned, removed);
 }

@@ -152,14 +152,20 @@ class NoxRouter : public Router
         std::unique_ptr<Arbiter> arb;
     };
 
-    /** Accept input @p port's presented flit (decoder advance, SRAM
-     *  read accounting, upstream credit). */
-    void acceptPresented(int port, const DecodeView &view);
+    /** Input @p port's decode site, located at this router. */
+    DecodeSite
+    decodeSite(int port)
+    {
+        return {energy_, faults_, tracer_, prov_, id_, port, false};
+    }
 
-    /** Drop the undecodable open chain suffix at @p in_port (see
-     *  killInput / purgeFlits), crediting live upstream senders for
-     *  the freed buffer slots. */
-    void dropOpenChain(int in_port, std::vector<FlitDesc> &lost);
+    /** Where input @p port's decode rules send a freed slot's
+     *  credit: the upstream sender, whatever the value's VC. */
+    auto
+    creditReturn(int port)
+    {
+        return [this, port](int) { returnCredit(port); };
+    }
 
     /** Uncontended (or Scheduled) single-input traversal. */
     void traverseSingle(int in_port, int out_port,

@@ -146,28 +146,10 @@ void
 VcRouter::purgeFlits(const FlitCondemned &condemned,
                      std::vector<FlitDesc> &removed)
 {
-    const int ports = numPorts();
-    for (int p = 0; p < ports; ++p) {
+    for (int p = 0; p < numPorts(); ++p) {
         for (int v = 0; v < vcs_; ++v) {
-            FlitFifo &fifo = vcIn_[index(p, v)];
-            const std::size_t n = fifo.size();
-            for (std::size_t i = 0; i < n; ++i) {
-                WireFlit w = fifo.pop();
-                bool drop = false;
-                for (const FlitDesc &d : w.parts) {
-                    if (condemned(id_, p, d)) {
-                        drop = true;
-                        break;
-                    }
-                }
-                if (drop) {
-                    for (const FlitDesc &d : w.parts)
-                        removed.push_back(d);
-                    returnVcCredit(p, v);
-                } else {
-                    fifo.push(std::move(w));
-                }
-            }
+            purgePlain(vcIn_[index(p, v)], p, condemned, removed,
+                       [this, p, v] { returnVcCredit(p, v); });
         }
     }
     purgeLinkState(condemned, removed);

@@ -185,10 +185,9 @@ INSTANTIATE_TEST_SUITE_P(
         ConservationCase{RouterArch::Nox, 0.08, 0.0},
         ConservationCase{RouterArch::Nox, 0.05, 0.3},
         ConservationCase{RouterArch::Nox, 0.12, 0.1},
-        // Arena-growth path: enough single-flit collisions that
-        // encoded chains spill PartsVecs to FlitArena blocks and the
-        // freelist grows mid-run; conservation and ordering must hold
-        // on recycled storage too.
+        // Collision-spill path: enough single-flit collisions that
+        // encoded chains spill their parts to heap vectors mid-run;
+        // conservation and ordering must hold on spilled values too.
         ConservationCase{RouterArch::Nox, 0.20, 0.0},
         ConservationCase{RouterArch::NonSpeculative, 0.05, 0.3, true},
         ConservationCase{RouterArch::SpecFast, 0.04, 0.3, true},

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "noc/flit.hpp"
 
 namespace nox {
@@ -76,6 +79,85 @@ TEST(WireFlit, CombineSingleIsUncoded)
 {
     const WireFlit w = WireFlit::combine({makeFlit(1)});
     EXPECT_FALSE(w.encoded);
+}
+
+/** Constituent uids of @p w, in order. */
+std::vector<std::uint64_t>
+uidsOf(const WireFlit &w)
+{
+    std::vector<std::uint64_t> out;
+    for (const FlitDesc &d : w.parts)
+        out.push_back(d.uid);
+    return out;
+}
+
+/** An uncoded value and a 5-way encoded one (spilled parts). */
+std::vector<WireFlit>
+valueKinds()
+{
+    return {WireFlit::fromDesc(makeFlit(1)),
+            WireFlit::combine({makeFlit(1), makeFlit(2), makeFlit(3),
+                               makeFlit(4), makeFlit(5)})};
+}
+
+TEST(WireFlitValue, CopyAndSelfAssignmentKeepEveryPart)
+{
+    for (const WireFlit &orig : valueKinds()) {
+        WireFlit copy(orig);
+        EXPECT_EQ(uidsOf(copy), uidsOf(orig));
+        EXPECT_EQ(copy.payload, orig.payload);
+        EXPECT_EQ(copy.encoded, orig.encoded);
+
+        WireFlit assigned = WireFlit::fromDesc(makeFlit(9));
+        assigned = orig;
+        EXPECT_EQ(uidsOf(assigned), uidsOf(orig));
+
+        WireFlit &alias = copy;
+        copy = alias;
+        EXPECT_EQ(uidsOf(copy), uidsOf(orig));
+    }
+}
+
+TEST(WireFlitValue, MoveCarriesPartsAndLeavesSourceEmpty)
+{
+    for (const WireFlit &orig : valueKinds()) {
+        WireFlit src(orig);
+        WireFlit moved(std::move(src));
+        EXPECT_EQ(uidsOf(moved), uidsOf(orig));
+        EXPECT_TRUE(src.parts.empty());
+        EXPECT_FALSE(src.valid());
+
+        // Move-assign over both an uncoded and an encoded target.
+        for (const WireFlit &target : valueKinds()) {
+            WireFlit dst(target);
+            WireFlit from(orig);
+            dst = std::move(from);
+            EXPECT_EQ(uidsOf(dst), uidsOf(orig));
+            EXPECT_TRUE(from.parts.empty());
+        }
+
+        // A moved-from value is reusable.
+        src.parts.push_back(makeFlit(7));
+        EXPECT_EQ(uidsOf(src), std::vector<std::uint64_t>{flitUid(7, 0)});
+    }
+}
+
+TEST(WireFlitValue, CopiesAreIndependent)
+{
+    for (const WireFlit &orig : valueKinds()) {
+        WireFlit a(orig);
+        WireFlit b(a);
+        b.parts.push_back(makeFlit(6));
+        EXPECT_EQ(uidsOf(a), uidsOf(orig));
+        EXPECT_EQ(b.fanin(), orig.fanin() + 1);
+        EXPECT_EQ(b.parts.front().uid, orig.parts.front().uid);
+        EXPECT_EQ(b.parts.end()[-1].uid, flitUid(6, 0));
+
+        WireFlit c = WireFlit::fromDesc(makeFlit(8));
+        c = a;
+        a = WireFlit::fromDesc(makeFlit(9));
+        EXPECT_EQ(uidsOf(c), uidsOf(orig));
+    }
 }
 
 TEST(Decode, PaperProperty)

@@ -201,8 +201,7 @@ const char *const kTelemetryKeys[] = {
     "\"eta_s\":",              "\"active_routers\":",
     "\"active_nics\":",        "\"inflight\":", "\"injected\":",
     "\"ejected\":",            "\"faults_injected\":",
-    "\"retransmissions\":",    "\"arena_live\":",
-    "\"arena_growths\":",      "\"peak_rss_kb\":", "\"ckpt_age\":",
+    "\"retransmissions\":",    "\"peak_rss_kb\":", "\"ckpt_age\":",
 };
 
 TEST(RunTelemetry, JsonlHeartbeatSchemaRoundTrip)
