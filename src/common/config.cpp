@@ -259,4 +259,12 @@ Config::items() const
     return {values_.begin(), values_.end()};
 }
 
+void
+checkRange(const char *key, std::int64_t v, std::int64_t lo,
+           std::int64_t hi)
+{
+    if (v < lo || v > hi)
+        fatal(key, "=", v, " is out of range (valid: ", lo, "..", hi, ")");
+}
+
 } // namespace nox

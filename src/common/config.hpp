@@ -81,6 +81,11 @@ class Config
     mutable std::set<std::string> touched_;
 };
 
+/** Fatal error naming config key @p key and its valid range unless
+ *  @p lo <= @p v <= @p hi. */
+void checkRange(const char *key, std::int64_t v, std::int64_t lo,
+                std::int64_t hi);
+
 } // namespace nox
 
 #endif // NOX_COMMON_CONFIG_HPP

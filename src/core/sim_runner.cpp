@@ -43,8 +43,15 @@ parseSyntheticConfig(const Config &config)
     c.pattern = parsePattern(config.getString("pattern", "uniform"));
     c.injectionMBps = config.getDouble("rate_mbps", 1000.0);
     c.selfSimilar = config.getBool("selfsimilar", false);
-    c.packetFlits =
-        static_cast<int>(config.getInt("packet_flits", 1));
+    if (!(c.injectionMBps >= 0.0 && std::isfinite(c.injectionMBps)) ||
+        (c.selfSimilar && c.injectionMBps == 0.0)) {
+        fatal("rate_mbps=", c.injectionMBps, " is out of range (valid: ",
+              c.selfSimilar ? "above 0" : "0 or more", ", finite)");
+    }
+    // A flit's uid keeps 8 bits of sequence (flitUid).
+    const std::int64_t packet_flits = config.getInt("packet_flits", 1);
+    checkRange("packet_flits", packet_flits, 1, 256);
+    c.packetFlits = static_cast<int>(packet_flits);
     c.width = static_cast<int>(config.getInt("width", 8));
     c.height = static_cast<int>(config.getInt("height", 8));
     c.concentration =
@@ -52,8 +59,11 @@ parseSyntheticConfig(const Config &config)
     c.bufferDepth =
         static_cast<int>(config.getInt("buffer_depth", 4));
     c.sinkBufferDepth = c.bufferDepth;
+    c.vcCount = static_cast<int>(config.getInt("vc_count", 1));
     c.warmupCycles = config.getUint("warmup", c.warmupCycles);
     c.measureCycles = config.getUint("measure", c.measureCycles);
+    if (c.measureCycles == 0)
+        fatal("measure=0 is out of range (valid: 1 or more)");
     c.drainLimitCycles =
         config.getUint("drain_limit", c.drainLimitCycles);
     c.seed = config.getUint("seed", c.seed);
@@ -110,6 +120,7 @@ buildSyntheticNetwork(const SyntheticConfig &config)
     params.height = config.height;
     params.concentration = config.concentration;
     params.router.bufferDepth = config.bufferDepth;
+    params.router.vcCount = config.vcCount;
     params.router.arbiterKind = config.arbiterKind;
     params.sinkBufferDepth = config.sinkBufferDepth;
     params.schedulingMode = config.schedulingMode;

@@ -45,6 +45,7 @@ struct SyntheticConfig
     int concentration = 1; ///< terminals per router (>1 = CMesh, §8)
     int bufferDepth = 4;
     int sinkBufferDepth = 4;
+    int vcCount = 1; ///< >1 builds the §2.8 VC router (NonSpec only)
     ArbiterKind arbiterKind = ArbiterKind::RoundRobin;
     double hotspotFraction = 0.2;
     Cycle warmupCycles = 10000;

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "noc/snapshot_codec.hpp"
 
@@ -123,8 +124,27 @@ parseSchedulingMode(const char *name)
     fatal("unknown scheduling mode '", n, "' (alwaystick | activity)");
 }
 
+namespace {
+
+/** Refuse the mesh and router values no Network can be built from,
+ *  before anything is allocated, naming each one's config key. */
+const NetworkParams &
+checkedParams(const NetworkParams &p)
+{
+    checkRange("width", p.width, 1, kMaxMeshSide);
+    checkRange("height", p.height, 1, kMaxMeshSide);
+    checkRange("concentration", p.concentration, 1, 16);
+    checkRange("buffer_depth", p.router.bufferDepth, 1, kMaxBufferDepth);
+    checkRange("vc_count", p.router.vcCount, 1, 8);
+    checkRange("perturb_router", p.debugPerturbRouter, 0,
+               std::int64_t{p.width} * p.height - 1);
+    return p;
+}
+
+} // namespace
+
 Network::Network(const NetworkParams &params, RouterFactory factory)
-    : params_(params),
+    : params_(checkedParams(params)),
       mesh_(params.width, params.height, params.concentration),
       table_(mesh_, params.routing), faultMap_(mesh_),
       // Per-flow tables are only touched with faults enabled.
@@ -140,10 +160,6 @@ Network::Network(const NetworkParams &params, RouterFactory factory)
 
     const int nr = mesh_.numRouters();
     const int nn = mesh_.numNodes();
-    if (params.debugPerturbRouter < 0 || params.debugPerturbRouter >= nr) {
-        fatal("perturb_router=", params.debugPerturbRouter,
-              " is out of range (valid: 0..", nr - 1, ")");
-    }
     routers_.reserve(static_cast<std::size_t>(nr));
     nics_.reserve(static_cast<std::size_t>(nn));
 

@@ -60,7 +60,19 @@ const char *schedulingModeName(SchedulingMode mode);
 /** Parse a scheduling-mode name (fatal on unknown names). */
 SchedulingMode parseSchedulingMode(const char *name);
 
-/** Network construction parameters. */
+/** Largest mesh side and input-buffer depth a Network accepts: they
+ *  bound the allocations made at construction (routers, NICs and
+ *  FIFO slots grow with side² × depth). */
+inline constexpr int kMaxMeshSide = 32;
+inline constexpr int kMaxBufferDepth = 32;
+
+/**
+ * Network construction parameters. The constructor refuses (fatal,
+ * naming the config key) a width or height outside 1..kMaxMeshSide,
+ * a concentration outside 1..16, a buffer depth outside
+ * 1..kMaxBufferDepth, a VC count outside 1..8 and a perturb router
+ * outside the mesh.
+ */
 struct NetworkParams
 {
     int width = 8;

@@ -3,9 +3,9 @@
 #include "obs/digest.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/log.hpp"
+#include "obs/jsonl.hpp"
 
 namespace nox {
 namespace {
@@ -26,117 +26,36 @@ avalanche(DigestHash h)
     return h;
 }
 
-std::string
-hex16(DigestHash h)
+/** The ledger's header line. */
+template <typename Ar, typename L>
+void
+headerLayout(Ar &ar, L &file)
 {
-    static const char digits[] = "0123456789abcdef";
-    std::string s(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        s[static_cast<std::size_t>(i)] = digits[h & 0xf];
-        h >>= 4;
+    ar.tag("type", "digest_header");
+    ar.field("interval", file.interval);
+    ar.check(file.interval > 0, "interval", "must be positive");
+    ar.field("fingerprint", file.fingerprint);
+}
+
+/** One stride line; `fold` is derived, so a load checks it. */
+template <typename Ar, typename S>
+void
+strideLayout(Ar &ar, S &s)
+{
+    ar.tag("type", "digest");
+    ar.field("cycle", s.cycle);
+    DigestHash fold = Ar::kReading ? 0 : s.fold();
+    ar.hex("fold", fold);
+    ar.hex("global", s.global);
+    ar.hex("sources", s.sources);
+    ar.hex("faults", s.faults);
+    ar.hex("transport", s.transport);
+    ar.hex("routers", s.routers);
+    ar.hex("nics", s.nics);
+    if constexpr (Ar::kReading) {
+        ar.check(fold == s.fold(), "fold",
+                 "mismatch (corrupt or hand-edited ledger)");
     }
-    return s;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-/** Position just past `"key": ` in a single-line JSON object, or
- *  npos when the key is absent. */
-std::size_t
-fieldPos(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return std::string::npos;
-    std::size_t p = at + needle.size();
-    while (p < line.size() && line[p] == ' ')
-        ++p;
-    return p;
-}
-
-bool
-findU64(const std::string &line, const char *key, std::uint64_t *out)
-{
-    const std::size_t p = fieldPos(line, key);
-    if (p == std::string::npos || p >= line.size())
-        return false;
-    *out = std::strtoull(line.c_str() + p, nullptr, 10);
-    return true;
-}
-
-bool
-findString(const std::string &line, const char *key, std::string *out)
-{
-    std::size_t p = fieldPos(line, key);
-    if (p == std::string::npos || p >= line.size() || line[p] != '"')
-        return false;
-    ++p;
-    std::string s;
-    while (p < line.size() && line[p] != '"') {
-        if (line[p] == '\\' && p + 1 < line.size())
-            ++p;
-        s.push_back(line[p]);
-        ++p;
-    }
-    if (p >= line.size())
-        return false; // unterminated string
-    *out = std::move(s);
-    return true;
-}
-
-bool
-parseHex(const std::string &s, DigestHash *out)
-{
-    if (s.empty() || s.size() > 16)
-        return false;
-    char *end = nullptr;
-    *out = std::strtoull(s.c_str(), &end, 16);
-    return end == s.c_str() + s.size();
-}
-
-bool
-findHex(const std::string &line, const char *key, DigestHash *out)
-{
-    std::string s;
-    return findString(line, key, &s) && parseHex(s, out);
-}
-
-bool
-findHexArray(const std::string &line, const char *key,
-             std::vector<DigestHash> *out)
-{
-    std::size_t p = fieldPos(line, key);
-    if (p == std::string::npos || p >= line.size() || line[p] != '[')
-        return false;
-    ++p;
-    out->clear();
-    while (p < line.size() && line[p] != ']') {
-        if (line[p] == '"') {
-            std::size_t close = line.find('"', p + 1);
-            if (close == std::string::npos)
-                return false;
-            DigestHash h = 0;
-            if (!parseHex(line.substr(p + 1, close - p - 1), &h))
-                return false;
-            out->push_back(h);
-            p = close + 1;
-        } else {
-            ++p;
-        }
-    }
-    return p < line.size();
 }
 
 } // namespace
@@ -226,9 +145,9 @@ DigestLedger::writeHeader(const std::string &fingerprint)
 {
     if (!out_)
         return;
-    out_ << "{\"type\": \"digest_header\", \"interval\": "
-         << params_.interval << ", \"fingerprint\": \""
-         << jsonEscape(fingerprint) << "\"}\n";
+    const LedgerFile header{fingerprint, params_.interval, {}};
+    jsonl::Writer w(out_);
+    w.record([&] { headerLayout(w, header); });
     out_.flush();
 }
 
@@ -236,25 +155,10 @@ void
 DigestLedger::record(DigestStride stride)
 {
     if (out_) {
-        out_ << "{\"type\": \"digest\", \"cycle\": " << stride.cycle
-             << ", \"fold\": \"" << hex16(stride.fold())
-             << "\", \"global\": \"" << hex16(stride.global)
-             << "\", \"sources\": \"" << hex16(stride.sources)
-             << "\", \"faults\": \"" << hex16(stride.faults)
-             << "\", \"transport\": \"" << hex16(stride.transport)
-             << "\", \"routers\": [";
-        for (std::size_t i = 0; i < stride.routers.size(); ++i) {
-            out_ << (i ? ", " : "") << "\"" << hex16(stride.routers[i])
-                 << "\"";
-        }
-        out_ << "], \"nics\": [";
-        for (std::size_t i = 0; i < stride.nics.size(); ++i) {
-            out_ << (i ? ", " : "") << "\"" << hex16(stride.nics[i])
-                 << "\"";
-        }
+        jsonl::Writer w(out_);
+        w.record([&] { strideLayout(w, stride); });
         // Flush per stride: a crashed or killed run still leaves a
         // complete ledger prefix for the bisector to work from.
-        out_ << "]}\n";
         out_.flush();
     }
     strides_.push_back(std::move(stride));
@@ -264,57 +168,19 @@ bool
 loadDigestLedger(const std::string &path, LedgerFile *out,
                  std::string *err)
 {
-    std::ifstream in(path);
-    if (!in) {
-        *err = "cannot open '" + path + "'";
-        return false;
-    }
     *out = LedgerFile{};
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        std::string type;
-        if (!findString(line, "type", &type)) {
-            *err = path + ":" + std::to_string(lineno) +
-                   ": missing \"type\" field";
-            return false;
+    return jsonl::load(path, *err, [&](jsonl::Reader &r) {
+        while (r.next()) {
+            const std::string type = r.type();
+            if (type == "digest_header") {
+                r.record([&] { headerLayout(r, *out); });
+            } else if (type == "digest") {
+                DigestStride s;
+                r.record([&] { strideLayout(r, s); });
+                out->strides.push_back(std::move(s));
+            } // other record kinds are tolerated
         }
-        if (type == "digest_header") {
-            std::uint64_t interval = 0;
-            findU64(line, "interval", &interval);
-            out->interval = interval;
-            findString(line, "fingerprint", &out->fingerprint);
-            continue;
-        }
-        if (type != "digest")
-            continue; // foreign record kinds are tolerated
-        DigestStride s;
-        std::uint64_t cycle = 0;
-        DigestHash fold = 0;
-        if (!findU64(line, "cycle", &cycle) ||
-            !findHex(line, "fold", &fold) ||
-            !findHex(line, "global", &s.global) ||
-            !findHex(line, "sources", &s.sources) ||
-            !findHex(line, "faults", &s.faults) ||
-            !findHex(line, "transport", &s.transport) ||
-            !findHexArray(line, "routers", &s.routers) ||
-            !findHexArray(line, "nics", &s.nics)) {
-            *err = path + ":" + std::to_string(lineno) +
-                   ": malformed digest record";
-            return false;
-        }
-        s.cycle = cycle;
-        if (s.fold() != fold) {
-            *err = path + ":" + std::to_string(lineno) +
-                   ": fold mismatch (corrupt or hand-edited ledger)";
-            return false;
-        }
-        out->strides.push_back(std::move(s));
-    }
-    return true;
+    });
 }
 
 DigestDivergence

@@ -1,115 +1,11 @@
 #include "obs/flight_analysis.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 
-#include "common/log.hpp"
 #include "noc/flit.hpp"
 
 namespace nox {
-
-namespace {
-
-/** Find `"key":<integer>` in a single-line JSON object. */
-bool
-findInt(const std::string &line, const char *key, long long &out)
-{
-    const std::string pat = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    const char *start = line.c_str() + pos + pat.size();
-    char *end = nullptr;
-    out = std::strtoll(start, &end, 10);
-    return end != start;
-}
-
-/** Find `"key":"<string>"` in a single-line JSON object. */
-bool
-findString(const std::string &line, const char *key, std::string &out)
-{
-    const std::string pat = std::string("\"") + key + "\":\"";
-    const std::size_t pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    const std::size_t start = pos + pat.size();
-    const std::size_t close = line.find('"', start);
-    if (close == std::string::npos)
-        return false;
-    out = line.substr(start, close - start);
-    return true;
-}
-
-} // namespace
-
-bool
-loadFlightDump(const std::string &path, FlightDump &out,
-               std::string &error)
-{
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
-        return false;
-    }
-
-    std::string line;
-    if (!std::getline(in, line) ||
-        !findString(line, "flight_recorder", out.reason)) {
-        error = path + ": missing flight_recorder header";
-        return false;
-    }
-    long long v = 0;
-    if (findInt(line, "cycle", v))
-        out.dumpCycle = static_cast<Cycle>(v);
-    if (findInt(line, "first_cycle", v))
-        out.firstCycle = static_cast<Cycle>(v);
-    if (findInt(line, "last_cycle", v))
-        out.lastCycle = static_cast<Cycle>(v);
-    const std::size_t imp = line.find("\"implicated\":[");
-    if (imp != std::string::npos) {
-        const char *p = line.c_str() + imp + 14;
-        while (*p != ']' && *p != '\0') {
-            char *end = nullptr;
-            const long long node = std::strtoll(p, &end, 10);
-            if (end == p)
-                break;
-            out.implicated.push_back(static_cast<NodeId>(node));
-            p = (*end == ',') ? end + 1 : end;
-        }
-    }
-
-    std::size_t lineno = 1;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        FlightEvent e;
-        std::string kind;
-        long long c = 0, n = 0, nic = 0, p = 0, id = 0, a = 0;
-        if (!findInt(line, "c", c) || !findString(line, "k", kind) ||
-            !findInt(line, "n", n) || !findInt(line, "nic", nic) ||
-            !findInt(line, "p", p) || !findInt(line, "id", id) ||
-            !findInt(line, "a", a)) {
-            std::ostringstream os;
-            os << path << ":" << lineno << ": malformed event line";
-            error = os.str();
-            return false;
-        }
-        if (!parseTraceEventKind(kind.c_str(), e.kind))
-            continue; // unknown kind: skip, don't fail
-        e.cycle = static_cast<Cycle>(c);
-        e.node = static_cast<NodeId>(n);
-        e.nic = nic != 0;
-        e.port = static_cast<int>(p);
-        e.id = static_cast<std::uint64_t>(id);
-        e.arg = static_cast<std::uint32_t>(a);
-        out.events.push_back(e);
-    }
-    return true;
-}
 
 std::vector<PacketTimeline>
 buildTimelines(const FlightDump &dump)
@@ -122,7 +18,7 @@ buildTimelines(const FlightDump &dump)
         return t;
     };
 
-    for (const FlightEvent &e : dump.events) {
+    for (const TraceEvent &e : dump.events) {
         switch (e.kind) {
           case TraceEventKind::PacketCreate: {
             PacketTimeline &t = timeline(e.id);
@@ -248,7 +144,7 @@ slowestPackets(const FlightDump &dump,
         // E2eRetransmit — that loss is repaired hop-local and still
         // classifies as "retransmission".
         bool e2e_in_window = false;
-        for (const FlightEvent &e : dump.events) {
+        for (const TraceEvent &e : dump.events) {
             if (e.kind == TraceEventKind::E2eRetransmit &&
                 e.id == s.packet && e.cycle >= s.stallStart &&
                 e.cycle <= s.stallEnd) {
@@ -267,7 +163,7 @@ slowestPackets(const FlightDump &dump,
             s.cause = "source_queueing";
         } else {
             std::uint64_t retrans = 0, xor_rec = 0, reroute = 0;
-            for (const FlightEvent &e : dump.events) {
+            for (const TraceEvent &e : dump.events) {
                 if (e.cycle < s.stallStart || e.cycle > s.stallEnd)
                     continue;
                 switch (e.kind) {

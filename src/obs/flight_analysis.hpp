@@ -3,8 +3,8 @@
  * Offline analysis of flight-recorder JSONL dumps.
  *
  * The flight recorder (trace_recorder.hpp) dumps its ring as one JSON
- * header line followed by one JSON object per event. This module is
- * the inverse: it parses a dump back into events, reconstructs
+ * header line followed by one JSON object per event, and
+ * loadFlightDump() parses it back. This module reconstructs
  * per-packet timelines (create -> inject -> per-hop sends -> eject ->
  * done) by grouping flit-scope events through the invertible
  * `flitUid = (packet << 8) | seq` encoding, and ranks the slowest
@@ -26,40 +26,9 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace_event.hpp"
+#include "obs/trace_recorder.hpp"
 
 namespace nox {
-
-/** One parsed flight-dump event line. */
-struct FlightEvent
-{
-    Cycle cycle = 0;
-    std::uint64_t id = 0;
-    std::uint32_t arg = 0;
-    NodeId node = kInvalidNode;
-    int port = -1;
-    TraceEventKind kind = TraceEventKind::PacketCreate;
-    bool nic = false;
-};
-
-/** A parsed flight dump: the header plus every event, in ring order. */
-struct FlightDump
-{
-    std::string reason;          ///< what triggered the dump
-    Cycle dumpCycle = 0;         ///< cycle the dump was taken
-    Cycle firstCycle = 0;        ///< oldest event's cycle
-    Cycle lastCycle = 0;         ///< newest event's cycle
-    std::vector<NodeId> implicated; ///< components named by the trigger
-    std::vector<FlightEvent> events;
-};
-
-/**
- * Parse a flight-recorder JSONL dump. Returns false (with @p error
- * set) on unreadable files or malformed lines; unknown event kinds
- * are skipped (forward compatibility), a malformed line is fatal.
- */
-bool loadFlightDump(const std::string &path, FlightDump &out,
-                    std::string &error);
 
 /** One observed step of a packet's head flit through the mesh. */
 struct TimelineHop

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "common/log.hpp"
+#include "obs/jsonl.hpp"
 #include "snapshot/io.hpp"
 
 namespace nox {
@@ -64,21 +65,24 @@ MetricsSampler::writeJsonl(const std::string &path) const
         warn("metrics: cannot write ", path);
         return false;
     }
-    for (const MetricsWindow &w : windows_) {
-        out << "{\"start\":" << w.start << ",\"end\":" << w.end
-            << ",\"flits_ejected\":" << w.flitsEjected
-            << ",\"flits_ejected_measured\":" << w.flitsEjectedMeasured
-            << ",\"active_routers\":" << w.activeRouters
-            << ",\"active_nics\":" << w.activeNics << ",\"routers\":[";
-        for (std::size_t r = 0; r < w.routers.size(); ++r) {
-            const RouterWindowSample &s = w.routers[r];
-            out << (r ? "," : "") << "{\"occ\":" << s.bufferedFlits
-                << ",\"link\":" << s.linkFlits
-                << ",\"coll\":" << s.xorCollisions
-                << ",\"retry\":" << s.retryPending
-                << ",\"active\":" << (s.active ? 1 : 0) << "}";
-        }
-        out << "]}\n";
+    jsonl::Writer w(out);
+    for (const MetricsWindow &win : windows_) {
+        w.record([&] {
+            w.field("start", win.start);
+            w.field("end", win.end);
+            w.field("flits_ejected", win.flitsEjected);
+            w.field("flits_ejected_measured", win.flitsEjectedMeasured);
+            w.field("active_routers", win.activeRouters);
+            w.field("active_nics", win.activeNics);
+            w.objects("routers", win.routers,
+                      [&](const RouterWindowSample &s) {
+                          w.field("occ", s.bufferedFlits);
+                          w.field("link", s.linkFlits);
+                          w.field("coll", s.xorCollisions);
+                          w.field("retry", s.retryPending);
+                          w.field("active", s.active);
+                      });
+        });
     }
     inform("metrics: wrote ", windows_.size(), " window(s) to ", path);
     return true;

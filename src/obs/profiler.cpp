@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <fstream>
 
+#include "obs/jsonl.hpp"
+
 namespace nox {
 
 const char *
@@ -116,36 +118,21 @@ PhaseProfiler::routerWork(NodeId router) const
     return {evals_[i], flitsMoved_[i], arbRounds_[i]};
 }
 
-bool
-PhaseProfiler::writeJsonl(const std::string &path,
-                          const ProfileMeta &meta) const
+ProfileFile
+PhaseProfiler::report(const ProfileMeta &meta) const
 {
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot write profile JSONL: ", path);
-        return false;
-    }
-    out << "{\"type\": \"profile_header\", \"steps\": " << steps_
-        << ", \"total_ns\": " << totalNs_
-        << ", \"phase_ns_sum\": " << phaseNsSum()
-        << ", \"coverage\": " << coverage()
-        << ", \"width\": " << meta.width
-        << ", \"height\": " << meta.height << ", \"arch\": \""
-        << meta.arch << "\", \"sched\": \"" << meta.sched
-        << "\", \"routers\": " << evals_.size() << "}\n";
-    for (std::size_t i = 0; i < kNumSimPhases; ++i) {
-        const PhaseTotals &t = phases_[i];
-        out << "{\"type\": \"phase\", \"name\": \""
-            << simPhaseName(static_cast<SimPhase>(i))
-            << "\", \"ns\": " << t.ns << ", \"enters\": " << t.enters
-            << "}\n";
-    }
-    for (std::size_t r = 0; r < evals_.size(); ++r) {
-        out << "{\"type\": \"router\", \"id\": " << r
-            << ", \"evals\": " << evals_[r]
-            << ", \"flits\": " << flitsMoved_[r]
-            << ", \"arb\": " << arbRounds_[r] << "}\n";
-    }
+    ProfileFile f;
+    f.steps = steps_;
+    f.totalNs = totalNs_;
+    f.phaseNsSum = phaseNsSum();
+    f.coverage = coverage();
+    f.meta = meta;
+    f.routerCount = evals_.size();
+    for (std::size_t i = 0; i < kNumSimPhases; ++i)
+        f.phases.push_back(
+            {simPhaseName(static_cast<SimPhase>(i)), phases_[i]});
+    for (std::size_t r = 0; r < evals_.size(); ++r)
+        f.routers.push_back({r, routerWork(static_cast<NodeId>(r))});
     // Precomputed imbalance for the default 4-way row-stripe
     // partition (trace_tool profile recomputes for any shards=).
     if (meta.width > 0 && meta.height > 0 &&
@@ -155,14 +142,130 @@ PhaseProfiler::writeJsonl(const std::string &path,
         const int shards = std::min(4, meta.height);
         const std::vector<int> part =
             rowStripePartition(meta.width, meta.height, shards);
-        out << "{\"type\": \"imbalance\", \"by\": \"evals\", "
-            << "\"shards\": " << shards << ", \"index\": "
-            << loadImbalance(evals_, part, shards) << "}\n";
-        out << "{\"type\": \"imbalance\", \"by\": \"flits\", "
-            << "\"shards\": " << shards << ", \"index\": "
-            << loadImbalance(flitsMoved_, part, shards) << "}\n";
+        f.imbalances.push_back(
+            {"evals", shards, loadImbalance(evals_, part, shards)});
+        f.imbalances.push_back(
+            {"flits", shards, loadImbalance(flitsMoved_, part, shards)});
     }
+    return f;
+}
+
+namespace {
+
+template <typename Ar, typename F>
+void
+headerLayout(Ar &ar, F &f)
+{
+    ar.tag("type", "profile_header");
+    ar.field("steps", f.steps);
+    ar.field("total_ns", f.totalNs);
+    ar.field("phase_ns_sum", f.phaseNsSum);
+    ar.field("coverage", f.coverage);
+    ar.field("width", f.meta.width);
+    ar.check(f.meta.width >= 0, "width", "must not be negative");
+    ar.field("height", f.meta.height);
+    ar.check(f.meta.height >= 0, "height", "must not be negative");
+    ar.field("arch", f.meta.arch);
+    ar.field("sched", f.meta.sched);
+    ar.field("routers", f.routerCount);
+}
+
+template <typename Ar, typename P>
+void
+phaseLayout(Ar &ar, P &p)
+{
+    ar.tag("type", "phase");
+    ar.field("name", p.name);
+    ar.field("ns", p.totals.ns);
+    ar.field("enters", p.totals.enters);
+}
+
+template <typename Ar, typename R>
+void
+routerLayout(Ar &ar, R &r)
+{
+    ar.tag("type", "router");
+    ar.field("id", r.id);
+    ar.field("evals", r.work.evaluations);
+    ar.field("flits", r.work.flitsMoved);
+    ar.field("arb", r.work.arbRounds);
+}
+
+template <typename Ar, typename I>
+void
+imbalanceLayout(Ar &ar, I &i)
+{
+    ar.tag("type", "imbalance");
+    ar.field("by", i.by);
+    ar.field("shards", i.shards);
+    ar.field("index", i.index);
+}
+
+} // namespace
+
+bool
+PhaseProfiler::writeJsonl(const std::string &path,
+                          const ProfileMeta &meta) const
+{
+    std::ofstream out(path);
+    if (!out) {
+        warn("cannot write profile JSONL: ", path);
+        return false;
+    }
+    const ProfileFile f = report(meta);
+    jsonl::Writer w(out);
+    w.record([&] { headerLayout(w, f); });
+    for (const ProfileFile::Phase &p : f.phases)
+        w.record([&] { phaseLayout(w, p); });
+    for (const ProfileFile::Router &r : f.routers)
+        w.record([&] { routerLayout(w, r); });
+    for (const ProfileFile::Imbalance &i : f.imbalances)
+        w.record([&] { imbalanceLayout(w, i); });
     return out.good();
+}
+
+bool
+loadProfile(const std::string &path, ProfileFile &out, std::string &error)
+{
+    out = ProfileFile{};
+    return jsonl::load(path, error, [&](jsonl::Reader &r) {
+        std::size_t header = 0; // line of the header, 0 = none yet
+        while (r.next()) {
+            const std::string type = r.type();
+            if (type == "profile_header") {
+                header = r.line();
+                r.record([&] { headerLayout(r, out); });
+            } else if (type == "phase") {
+                r.record([&] { phaseLayout(r, out.phases.emplace_back()); });
+            } else if (type == "router") {
+                r.record(
+                    [&] { routerLayout(r, out.routers.emplace_back()); });
+            } else if (type == "imbalance") {
+                r.record([&] {
+                    imbalanceLayout(r, out.imbalances.emplace_back());
+                });
+            } // other record kinds are tolerated
+        }
+        if (header == 0) {
+            r.fail("type", "no profile_header record (not a "
+                           "profile_file= export?)");
+        }
+        std::uint64_t sum = 0;
+        for (const ProfileFile::Phase &p : out.phases)
+            sum += p.totals.ns;
+        if (sum != out.phaseNsSum) {
+            r.fail("phase_ns_sum",
+                   std::to_string(out.phaseNsSum) +
+                       " but the phase lines sum to " + std::to_string(sum),
+                   header);
+        }
+        if (out.routerCount != out.routers.size()) {
+            r.fail("routers",
+                   std::to_string(out.routerCount) + " but " +
+                       std::to_string(out.routers.size()) + " router lines",
+                   header);
+        }
+    });
 }
 
 } // namespace nox

@@ -94,6 +94,46 @@ struct ProfileMeta
     std::string sched;
 };
 
+/** A profile export: what PhaseProfiler::writeJsonl writes and
+ *  loadProfile() reads back, one layout per line kind. */
+struct ProfileFile
+{
+    /** One phase's line. */
+    struct Phase
+    {
+        std::string name;
+        PhaseTotals totals;
+    };
+    /** One router's line. */
+    struct Router
+    {
+        std::uint64_t id = 0;
+        RouterWork work;
+    };
+    /** A load-imbalance line (a default row-stripe partition). */
+    struct Imbalance
+    {
+        std::string by; ///< "evals" or "flits"
+        int shards = 0;
+        double index = 0.0;
+    };
+
+    std::uint64_t steps = 0;
+    std::uint64_t totalNs = 0;
+    std::uint64_t phaseNsSum = 0; ///< a load checks it against phases
+    double coverage = 0.0;
+    ProfileMeta meta;
+    std::uint64_t routerCount = 0; ///< a load checks it against routers
+    std::vector<Phase> phases;
+    std::vector<Router> routers;
+    std::vector<Imbalance> imbalances;
+};
+
+/** Parse a profile export. @return false with @p error naming
+ *  `path:line` and the key on an unreadable or malformed file. */
+bool loadProfile(const std::string &path, ProfileFile &out,
+                 std::string &error);
+
 /**
  * Load-imbalance index of a work distribution over a partition:
  * max-shard load divided by mean-shard load. 1.0 is perfectly
@@ -228,11 +268,12 @@ class PhaseProfiler
         return evals_;
     }
 
-    /**
-     * Write the profile as JSONL: one header object, one object per
-     * phase, one per router, and precomputed imbalance lines for a
-     * default 4-way row-stripe partition. @return false on I/O error.
-     */
+    /** The profile as exported: a header, every phase, every router,
+     *  and the imbalance of a default 4-way row-stripe partition. */
+    ProfileFile report(const ProfileMeta &meta) const;
+
+    /** Write report(@p meta) as JSONL, one line per header, phase,
+     *  router and imbalance entry. @return false on I/O error. */
     bool writeJsonl(const std::string &path,
                     const ProfileMeta &meta) const;
 

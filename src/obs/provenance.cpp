@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/log.hpp"
+#include "obs/jsonl.hpp"
 #include "snapshot/io.hpp"
 
 namespace nox {
@@ -182,22 +183,6 @@ LatencyProvenance::forgetFlits(const std::vector<std::uint64_t> &uids)
         tracks_.erase(uid);
 }
 
-namespace {
-
-void
-writeBreakdownFields(std::ostream &os, const LatencyBreakdown &b)
-{
-    os << "\"packets\":" << b.packets
-       << ",\"total_cycles\":" << b.totalCycles;
-    for (std::size_t i = 0; i < kNumLatencyComponents; ++i) {
-        os << ",\"" << latencyComponentName(
-                           static_cast<LatencyComponent>(i))
-           << "\":" << b.comp[i];
-    }
-}
-
-} // namespace
-
 bool
 LatencyProvenance::writeJsonl(const std::string &path) const
 {
@@ -206,18 +191,29 @@ LatencyProvenance::writeJsonl(const std::string &path) const
         warn("provenance: cannot write ", path);
         return false;
     }
-    os << "{\"scope\":\"total\",";
-    writeBreakdownFields(os, total_);
-    os << "}\n";
+    jsonl::Writer w(os);
+    const auto breakdown = [&](const LatencyBreakdown &b) {
+        w.field("packets", b.packets);
+        w.field("total_cycles", b.totalCycles);
+        for (std::size_t i = 0; i < kNumLatencyComponents; ++i) {
+            w.field(latencyComponentName(static_cast<LatencyComponent>(i)),
+                    b.comp[i]);
+        }
+    };
+    w.record([&] {
+        w.tag("scope", "total");
+        breakdown(total_);
+    });
     static const char *kClassNames[] = {"synthetic", "request",
                                         "reply"};
     for (std::size_t i = 0; i < byClass_.size(); ++i) {
         if (byClass_[i].packets == 0)
             continue;
-        os << "{\"scope\":\"class\",\"class\":\"" << kClassNames[i]
-           << "\",";
-        writeBreakdownFields(os, byClass_[i]);
-        os << "}\n";
+        w.record([&] {
+            w.tag("scope", "class");
+            w.field("class", kClassNames[i]);
+            breakdown(byClass_[i]);
+        });
     }
     // Deterministic flow order (unordered_map iteration is not).
     std::vector<std::uint64_t> keys;
@@ -226,11 +222,12 @@ LatencyProvenance::writeJsonl(const std::string &path) const
         keys.push_back(key);
     std::sort(keys.begin(), keys.end());
     for (std::uint64_t key : keys) {
-        const LatencyBreakdown &b = byFlow_.at(key);
-        os << "{\"scope\":\"flow\",\"src\":" << (key >> 32)
-           << ",\"dest\":" << (key & 0xFFFFFFFFu) << ",";
-        writeBreakdownFields(os, b);
-        os << "}\n";
+        w.record([&] {
+            w.tag("scope", "flow");
+            w.field("src", key >> 32);
+            w.field("dest", key & 0xFFFFFFFFu);
+            breakdown(byFlow_.at(key));
+        });
     }
     return os.good();
 }

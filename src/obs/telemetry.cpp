@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "obs/jsonl.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -27,6 +28,38 @@ compactRate(double v)
     else
         os << v;
     return os.str();
+}
+
+/** One heartbeat line. */
+void
+writeJson(std::ostream &os, const TelemetryRecord &rec, Cycle target_cycles)
+{
+    const TelemetrySample &s = rec.sample;
+    jsonl::Writer w(os);
+    w.record([&] {
+        w.tag("type", "telemetry");
+        w.field("cycle", s.cycle);
+        w.field("target_cycles", target_cycles);
+        w.field("wall_s", rec.wallSeconds);
+        w.field("cps_inst", rec.instCyclesPerSec);
+        w.field("cps_cum", rec.cumCyclesPerSec);
+        w.field("eta_s", rec.etaSeconds);
+        w.field("active_routers", s.activeRouters);
+        w.field("active_nics", s.activeNics);
+        w.field("inflight", s.packetsInFlight);
+        w.field("injected", s.packetsInjected);
+        w.field("ejected", s.packetsEjected);
+        w.field("faults_injected", s.faultsInjected);
+        w.field("retransmissions", s.retransmissions);
+        w.field("e2e_retransmits", s.e2eRetransmits);
+        w.field("dup_suppressed", s.dupSuppressed);
+        w.field("heals_applied", s.healsApplied);
+        w.field("dead_entities", s.deadEntities);
+        w.field("peak_rss_kb", rec.peakRssKb);
+        w.field("ckpt_age", s.checkpointAge);
+        w.field("digest_strides", s.digestStrides);
+        w.field("last_digest_cycle", s.lastDigestCycle);
+    });
 }
 
 } // namespace
@@ -83,8 +116,10 @@ RunTelemetry::beat(const TelemetrySample &sample)
     }
     rec.peakRssKb = peakRssKb();
 
-    if (out_.is_open())
-        out_ << formatJson(rec, targetCycles_) << '\n' << std::flush;
+    if (out_.is_open()) {
+        writeJson(out_, rec, targetCycles_);
+        out_.flush();
+    }
     if (params_.progress)
         std::cerr << "[telemetry] " << formatLine(rec, targetCycles_)
                   << '\n';
@@ -93,37 +128,6 @@ RunTelemetry::beat(const TelemetrySample &sample)
     lastBeatWall_ = rec.wallSeconds;
     last_ = rec;
     ++beats_;
-}
-
-std::string
-RunTelemetry::formatJson(const TelemetryRecord &rec,
-                         Cycle target_cycles)
-{
-    const TelemetrySample &s = rec.sample;
-    std::ostringstream os;
-    os.precision(6);
-    os << "{\"type\": \"telemetry\", \"cycle\": " << s.cycle
-       << ", \"target_cycles\": " << target_cycles
-       << ", \"wall_s\": " << rec.wallSeconds
-       << ", \"cps_inst\": " << rec.instCyclesPerSec
-       << ", \"cps_cum\": " << rec.cumCyclesPerSec
-       << ", \"eta_s\": " << rec.etaSeconds
-       << ", \"active_routers\": " << s.activeRouters
-       << ", \"active_nics\": " << s.activeNics
-       << ", \"inflight\": " << s.packetsInFlight
-       << ", \"injected\": " << s.packetsInjected
-       << ", \"ejected\": " << s.packetsEjected
-       << ", \"faults_injected\": " << s.faultsInjected
-       << ", \"retransmissions\": " << s.retransmissions
-       << ", \"e2e_retransmits\": " << s.e2eRetransmits
-       << ", \"dup_suppressed\": " << s.dupSuppressed
-       << ", \"heals_applied\": " << s.healsApplied
-       << ", \"dead_entities\": " << s.deadEntities
-       << ", \"peak_rss_kb\": " << rec.peakRssKb
-       << ", \"ckpt_age\": " << s.checkpointAge
-       << ", \"digest_strides\": " << s.digestStrides
-       << ", \"last_digest_cycle\": " << s.lastDigestCycle << "}";
-    return os.str();
 }
 
 std::string

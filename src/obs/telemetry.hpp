@@ -125,10 +125,6 @@ class RunTelemetry
     static std::string formatLine(const TelemetryRecord &rec,
                                   Cycle target_cycles);
 
-    /** One JSONL object (no trailing newline) for a heartbeat. */
-    static std::string formatJson(const TelemetryRecord &rec,
-                                  Cycle target_cycles);
-
     /** Peak resident set size of this process in KiB (0 where the
      *  platform offers no getrusage). */
     static std::int64_t peakRssKb();

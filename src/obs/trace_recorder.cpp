@@ -4,6 +4,7 @@
 #include <string_view>
 
 #include "common/log.hpp"
+#include "obs/jsonl.hpp"
 #include "snapshot/io.hpp"
 
 namespace nox {
@@ -103,14 +104,41 @@ TraceRecorder::snapshot() const
 
 namespace {
 
+/** The dump's header line; @p events is the event-line count. */
+template <typename Ar, typename D>
 void
-writeEventJson(std::ostream &os, const TraceEvent &e)
+headerLayout(Ar &ar, D &d, std::uint64_t &events)
 {
-    os << "{\"c\":" << e.cycle << ",\"k\":\""
-       << traceEventKindName(e.kind) << "\",\"n\":" << e.node
-       << ",\"nic\":" << (e.nic ? 1 : 0)
-       << ",\"p\":" << static_cast<int>(e.port) << ",\"id\":" << e.id
-       << ",\"a\":" << e.arg << "}\n";
+    ar.field("flight_recorder", d.reason);
+    ar.field("cycle", d.dumpCycle);
+    ar.field("events", events);
+    ar.field("first_cycle", d.firstCycle);
+    ar.field("last_cycle", d.lastCycle);
+    ar.field("implicated", d.implicated);
+}
+
+/** One event line. A load clears @p known for a kind this build
+ *  cannot name; the name must still look like one (snake_case). */
+template <typename Ar, typename E>
+void
+eventLayout(Ar &ar, E &e, bool &known)
+{
+    ar.field("c", e.cycle);
+    std::string kind = Ar::kReading ? "" : traceEventKindName(e.kind);
+    ar.field("k", kind);
+    if constexpr (Ar::kReading) {
+        known = parseTraceEventKind(kind.c_str(), e.kind);
+        ar.check(known || (!kind.empty() &&
+                           kind.find_first_not_of(
+                               "abcdefghijklmnopqrstuvwxyz0123456789_") ==
+                               std::string::npos),
+                 "k", "is not an event kind name");
+    }
+    ar.field("n", e.node);
+    ar.field("nic", e.nic);
+    ar.field("p", e.port);
+    ar.field("id", e.id);
+    ar.field("a", e.arg);
 }
 
 } // namespace
@@ -131,21 +159,50 @@ TraceRecorder::triggerFlightDump(const std::string &reason,
         warn("flight recorder: cannot write ", params_.flightPath);
         return false;
     }
-    const std::vector<TraceEvent> events = snapshot();
-    out << "{\"flight_recorder\":\"" << reason << "\",\"cycle\":" << now_
-        << ",\"events\":" << events.size() << ",\"first_cycle\":"
-        << (events.empty() ? now_ : events.front().cycle)
-        << ",\"last_cycle\":"
-        << (events.empty() ? now_ : events.back().cycle)
-        << ",\"implicated\":[";
-    for (std::size_t i = 0; i < implicated.size(); ++i)
-        out << (i ? "," : "") << implicated[i];
-    out << "]}\n";
-    for (const TraceEvent &e : events)
-        writeEventJson(out, e);
-    inform("flight recorder: ", reason, " -> wrote ", events.size(),
+    FlightDump dump{reason, now_, now_, now_, implicated, snapshot()};
+    if (!dump.events.empty()) {
+        dump.firstCycle = dump.events.front().cycle;
+        dump.lastCycle = dump.events.back().cycle;
+    }
+    std::uint64_t events = dump.events.size();
+    jsonl::Writer w(out);
+    w.record([&] { headerLayout(w, dump, events); });
+    bool known = true;
+    for (const TraceEvent &e : dump.events)
+        w.record([&] { eventLayout(w, e, known); });
+    inform("flight recorder: ", reason, " -> wrote ", events,
            " event(s) to ", params_.flightPath);
     return true;
+}
+
+bool
+loadFlightDump(const std::string &path, FlightDump &out,
+               std::string &error)
+{
+    out = FlightDump{};
+    return jsonl::load(path, error, [&](jsonl::Reader &r) {
+        if (!r.next())
+            r.fail("flight_recorder", "no header line", 1);
+        const std::size_t header = r.line();
+        std::uint64_t declared = 0;
+        r.record([&] { headerLayout(r, out, declared); });
+        std::uint64_t lines = 0;
+        while (r.next()) {
+            TraceEvent e;
+            bool known = false;
+            r.record([&] { eventLayout(r, e, known); });
+            ++lines;
+            if (known)
+                out.events.push_back(e);
+        }
+        if (lines != declared) {
+            r.fail("events",
+                   "the header declares " + std::to_string(declared) +
+                       " events but " + std::to_string(lines) +
+                       " event lines follow (a cut dump?)",
+                   header);
+        }
+    });
 }
 
 template <typename Ar, typename Self>

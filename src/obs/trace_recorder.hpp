@@ -53,6 +53,29 @@ struct TraceParams
     bool flightOnExit = false;
 };
 
+/** A flight dump: one header line (the trigger's reason and cycle, the
+ *  event count, the cycles covered, the implicated components), then
+ *  one line per event, oldest first. */
+struct FlightDump
+{
+    std::string reason;          ///< what triggered the dump
+    Cycle dumpCycle = 0;         ///< cycle the dump was taken
+    Cycle firstCycle = 0;        ///< oldest event's cycle
+    Cycle lastCycle = 0;         ///< newest event's cycle
+    std::vector<NodeId> implicated; ///< components named by the trigger
+    std::vector<TraceEvent> events;
+};
+
+/**
+ * Parse a flight dump written by TraceRecorder::triggerFlightDump.
+ * Returns false (with @p error naming `path:line` and the key) on an
+ * unreadable file, a malformed line, or fewer or more event lines
+ * than the header declares. Events of a kind this build does not know
+ * are skipped (forward compatibility).
+ */
+bool loadFlightDump(const std::string &path, FlightDump &out,
+                    std::string &error);
+
 /** Ring-buffer event recorder shared by one Network's components. */
 class TraceRecorder
 {

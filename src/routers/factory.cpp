@@ -16,8 +16,10 @@ makeRouter(RouterArch arch, NodeId id, const Mesh &mesh,
         // §2.8: virtual channels are only explored on the
         // non-speculative baseline; a VC NoX is the paper's (and this
         // repo's) future work.
-        NOX_ASSERT(arch == RouterArch::NonSpeculative,
-                   "vcCount > 1 requires the non-speculative router");
+        if (arch != RouterArch::NonSpeculative) {
+            fatal("vc_count=", params.vcCount,
+                  " requires the non-speculative router (arch=nonspec)");
+        }
         return std::make_unique<VcRouter>(id, mesh, table, params,
                                           params.vcCount);
     }

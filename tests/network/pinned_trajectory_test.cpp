@@ -8,7 +8,7 @@
  *
  * Every router architecture (plus the two-VC exploration router) runs
  * a 4x4 mesh of mixed single- and multi-flit request/reply traffic in
- * three regimes chosen to reach paths the throughput benchmark never
+ * five regimes chosen to reach paths the throughput benchmark never
  * takes:
  *   - plain: fault-free, observers off;
  *   - provenance: latency provenance on under recoverable soft faults,
@@ -27,6 +27,13 @@
  *     every architecture has a busy window and out-of-order entries in
  *     its per-flow duplicate filters, so the transport's whole
  *     serialized state is pinned byte for byte.
+ *   - storm: a retransmission storm at 4x4 scale, a 40-cycle
+ *     transport timeout under drops alone, with the wave's heal 8
+ *     cycles after its kill: the heal re-wires links whose far inputs
+ *     still hold flits, the path whose credit bookkeeping once
+ *     overflowed a Spec-Fast input FIFO (crediting the full depth
+ *     there panics this row; a 200-cycle outage drains those inputs
+ *     first and would not).
  *
  * Every case runs under both scheduling kernels. Each run drains and
  * must reproduce the recorded final state-digest fold, packet counts,
@@ -70,6 +77,8 @@ constexpr Cycle kRun = 600;
 constexpr Cycle kKillCycle = 150;
 constexpr Cycle kHealAfter = 200;
 constexpr Cycle kE2eTimeout = 120;
+constexpr Cycle kStormTimeout = 40;
+constexpr Cycle kStormHealAfter = 8;
 constexpr Cycle kMidCycle = 400; ///< in-run fold and image cycle
 constexpr Cycle kDrainLimit = 200000;
 constexpr double kPacketRate = 0.16; ///< packets per node per cycle
@@ -109,7 +118,7 @@ class MixedSource : public TrafficSource
     Rng rng_;
 };
 
-enum class Regime { Plain, Provenance, RouterKill, Transport };
+enum class Regime { Plain, Provenance, RouterKill, Transport, Storm };
 
 /** The recorded outcome of one run. */
 struct Pinned
@@ -125,7 +134,7 @@ struct Pinned
      *  activity and the always-tick kernel. */
     std::uint64_t clockActivity = 0;
     std::uint64_t clockAlwaysTick = 0;
-    /** Digest fold at kMidCycle (transport regime only, else 0). */
+    /** Digest fold at kMidCycle (transport and storm, else 0). */
     std::uint64_t midFold = 0;
     /** Length and FNV-1a-64 of the Snapshot-scope image at kMidCycle
      *  under the activity and the always-tick kernel. */
@@ -187,12 +196,19 @@ runCase(const Case &c, SchedulingMode mode)
         params.faults.hardRouterFaults = 1;
         params.faults.hardFaultCycle = kKillCycle;
     }
-    if (c.regime == Regime::Transport) {
+    const bool transport =
+        c.regime == Regime::Transport || c.regime == Regime::Storm;
+    if (transport) {
         params.faults.e2eTransport = true;
         params.faults.e2eTimeout = kE2eTimeout;
         params.faults.churnWaves = 1;
         params.faults.churnStart = kKillCycle;
         params.faults.churnHealAfter = kHealAfter;
+    }
+    if (c.regime == Regime::Storm) {
+        params.faults.e2eTimeout = kStormTimeout;
+        params.faults.churnHealAfter = kStormHealAfter;
+        params.faults.dropRate = 0.001;
     }
     auto net = makeNetwork(params, c.arch);
     net->addSource(std::make_unique<MixedSource>(net->numNodes(),
@@ -200,7 +216,7 @@ runCase(const Case &c, SchedulingMode mode)
     Pinned got;
     const bool activity = mode == SchedulingMode::ActivityDriven;
     net->run(kMidCycle);
-    if (c.regime == Regime::Transport)
+    if (transport)
         got.midFold = net->computeDigestStride().fold();
     snap::Writer image;
     net->serialize(image);
@@ -214,15 +230,21 @@ runCase(const Case &c, SchedulingMode mode)
         << c.name << ": " << net->lastDrainReport().summary();
 
     const NetworkStats &s = net->stats();
-    if (c.regime == Regime::Transport) {
+    if (transport) {
         // The regime reaches what it exists for: casualties of the
         // wave retransmit, late copies die at the duplicate filter,
-        // the victims heal, and every packet is delivered once.
+        // the victims heal, and every packet is delivered once (the
+        // storm's retry limit abandons some; none is delivered twice).
         EXPECT_GT(s.faults.e2eRetransmits, 0u) << c.name;
         EXPECT_GT(s.faults.dupSuppressed, 0u) << c.name;
         EXPECT_GT(s.faults.linkHeals + s.faults.routerHeals, 0u)
             << c.name;
-        EXPECT_EQ(s.packetsEjected, s.packetsInjected) << c.name;
+        EXPECT_EQ(s.packetsEjected + s.faults.deliveryFailures,
+                  s.packetsInjected)
+            << c.name;
+        if (c.regime == Regime::Transport) {
+            EXPECT_EQ(s.faults.deliveryFailures, 0u) << c.name;
+        }
     }
     const EnergyEvents ev = net->totalEnergyEvents();
     got.fold = net->computeDigestStride().fold();
@@ -418,6 +440,26 @@ const Case kCases[] = {
      {0x2e76168b15528645ULL, 1529, 1529, 17970, 36604.999999999978,
       {9548, 8713, 9175, 1322, 3026, 0, 4821, 0}, 9290, 10016, 0xc9fc07948a43fd0cULL,
       136133, 0xa16314ad0b89bbb9ULL, 136133, 0x5ade78a3ef089845ULL}},
+    {"nonspec_storm", RouterArch::NonSpeculative, 1, Regime::Storm,
+     {0x22f6924a97178fc0ULL, 1580, 1580, 20145, 27904.999999999989,
+      {10158, 8982, 5923, 819, 1386, 0, 634, 3}, 10796, 13088, 0x71044906f1daf47cULL,
+      114436, 0x1af4487bc0b04234ULL, 114436, 0x9771b17ea741569fULL}},
+    {"specfast_storm", RouterArch::SpecFast, 1, Regime::Storm,
+     {0xa4d1614d3ed9b18aULL, 1580, 1155, 148100, 202916.99999999991,
+      {176713, 6529, 12914, 1951, 3469, 0, 1341, 0}, 102593, 117248, 0x2612eebc2279d09dULL,
+      744574, 0x43177d24b85a63ffULL, 744574, 0xea02fa86129eef10ULL}},
+    {"specaccurate_storm", RouterArch::SpecAccurate, 1, Regime::Storm,
+     {0x42d8413c2c6a1f99ULL, 1580, 1580, 32424, 76175,
+      {55138, 8978, 7959, 1225, 2168, 0, 707, 0}, 22008, 28384, 0x9a13f1d8f0163895ULL,
+      163675, 0x00f91b822fdaa67aULL, 163675, 0x1966b6e8dbbfa1d7ULL}},
+    {"nox_storm", RouterArch::Nox, 1, Regime::Storm,
+     {0x265e96d0ef2f5bf6ULL, 1580, 1580, 32189, 70292.000000000015,
+      {48814, 8982, 8447, 1494, 1436, 236, 880, 3}, 19300, 24816, 0x5b27f74b50606d38ULL,
+      172623, 0xcdef7dcd986a8dc9ULL, 172623, 0xd5bc126f6670bbecULL}},
+    {"nonspec_vc2_storm", RouterArch::NonSpeculative, 2, Regime::Storm,
+     {0x948993514f8bd883ULL, 1580, 1580, 18530, 20228,
+      {4175, 8982, 4121, 276, 2023, 0, 651, 0}, 9470, 9952, 0x3ce07614160e9829ULL,
+      99244, 0xc71f61eb30b417c4ULL, 99244, 0x0be402a5d6527333ULL}},
 };
 
 INSTANTIATE_TEST_SUITE_P(

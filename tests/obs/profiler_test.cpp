@@ -10,13 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "routers/factory.hpp"
@@ -194,16 +194,6 @@ buildObservedNetwork(const ObsParams &obs)
     return net;
 }
 
-/** Every key the telemetry JSONL schema promises. */
-const char *const kTelemetryKeys[] = {
-    "\"type\": \"telemetry\"", "\"cycle\":",   "\"target_cycles\":",
-    "\"wall_s\":",             "\"cps_inst\":", "\"cps_cum\":",
-    "\"eta_s\":",              "\"active_routers\":",
-    "\"active_nics\":",        "\"inflight\":", "\"injected\":",
-    "\"ejected\":",            "\"faults_injected\":",
-    "\"retransmissions\":",    "\"peak_rss_kb\":", "\"ckpt_age\":",
-};
-
 TEST(RunTelemetry, JsonlHeartbeatSchemaRoundTrip)
 {
     const std::string path =
@@ -225,17 +215,45 @@ TEST(RunTelemetry, JsonlHeartbeatSchemaRoundTrip)
     EXPECT_GT(last.cumCyclesPerSec, 0.0);
     EXPECT_EQ(last.sample.checkpointAge, -1);
 
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open()) << path;
-    std::string line;
+    // Each heartbeat parses with every key of the schema named once,
+    // in order, with its type; an extra or missing key fails.
+    jsonl::Reader r(path);
     std::size_t lines = 0;
-    while (std::getline(in, line)) {
+    while (r.next()) {
         ++lines;
-        for (const char *key : kTelemetryKeys) {
-            EXPECT_NE(line.find(key), std::string::npos)
-                << "line " << lines << " missing " << key << ": "
-                << line;
-        }
+        TelemetryRecord rec;
+        TelemetrySample &s = rec.sample;
+        Cycle target = 0;
+        r.record([&] {
+            r.tag("type", "telemetry");
+            r.field("cycle", s.cycle);
+            r.field("target_cycles", target);
+            r.field("wall_s", rec.wallSeconds);
+            r.field("cps_inst", rec.instCyclesPerSec);
+            r.field("cps_cum", rec.cumCyclesPerSec);
+            r.field("eta_s", rec.etaSeconds);
+            r.field("active_routers", s.activeRouters);
+            r.field("active_nics", s.activeNics);
+            r.field("inflight", s.packetsInFlight);
+            r.field("injected", s.packetsInjected);
+            r.field("ejected", s.packetsEjected);
+            r.field("faults_injected", s.faultsInjected);
+            r.field("retransmissions", s.retransmissions);
+            r.field("e2e_retransmits", s.e2eRetransmits);
+            r.field("dup_suppressed", s.dupSuppressed);
+            r.field("heals_applied", s.healsApplied);
+            r.field("dead_entities", s.deadEntities);
+            r.field("peak_rss_kb", rec.peakRssKb);
+            r.field("ckpt_age", s.checkpointAge);
+            r.field("digest_strides", s.digestStrides);
+            r.field("last_digest_cycle", s.lastDigestCycle);
+        });
+        EXPECT_EQ(s.cycle, 100u * lines);
+        EXPECT_EQ(target, 1000u);
+        EXPECT_GT(rec.cumCyclesPerSec, 0.0);
+        EXPECT_GT(rec.peakRssKb, 0);
+        EXPECT_EQ(s.checkpointAge, -1);
+        EXPECT_EQ(s.digestStrides, -1);
     }
     EXPECT_EQ(lines, 10u);
     std::remove(path.c_str());
@@ -290,35 +308,22 @@ TEST(PhaseProfiler, NetworkProfileJsonlExport)
     for (NodeId r = 0; r < 16; ++r)
         EXPECT_EQ(prof->evaluations(r), net->now());
 
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open()) << path;
-    std::string line;
-    std::size_t headers = 0, phases = 0, routers = 0, imbalances = 0;
-    while (std::getline(in, line)) {
-        if (line.find("\"type\": \"profile_header\"") !=
-            std::string::npos) {
-            ++headers;
-            EXPECT_NE(line.find("\"steps\":"), std::string::npos);
-            EXPECT_NE(line.find("\"coverage\":"),
-                      std::string::npos);
-            EXPECT_NE(line.find("\"arch\": \"NoX\""),
-                      std::string::npos)
-                << line;
-        } else if (line.find("\"type\": \"phase\"") !=
-                   std::string::npos) {
-            ++phases;
-        } else if (line.find("\"type\": \"router\"") !=
-                   std::string::npos) {
-            ++routers;
-        } else if (line.find("\"type\": \"imbalance\"") !=
-                   std::string::npos) {
-            ++imbalances;
-        }
-    }
-    EXPECT_EQ(headers, 1u);
-    EXPECT_EQ(phases, kNumSimPhases);
-    EXPECT_EQ(routers, 16u);
-    EXPECT_EQ(imbalances, 2u);
+    ProfileFile p;
+    std::string err;
+    ASSERT_TRUE(loadProfile(path, p, err)) << err;
+    EXPECT_EQ(p.steps, prof->steps());
+    EXPECT_EQ(p.totalNs, prof->totalNs());
+    EXPECT_EQ(p.phaseNsSum, prof->phaseNsSum());
+    EXPECT_EQ(p.coverage, prof->coverage());
+    EXPECT_EQ(p.meta.arch, "NoX");
+    EXPECT_EQ(p.meta.width, 4);
+    EXPECT_EQ(p.meta.height, 4);
+    ASSERT_EQ(p.phases.size(), kNumSimPhases);
+    EXPECT_EQ(p.phases[2].name, "router_evaluate");
+    ASSERT_EQ(p.routers.size(), 16u);
+    for (NodeId r = 0; r < 16; ++r)
+        EXPECT_EQ(p.routers[r].work.evaluations, net->now());
+    EXPECT_EQ(p.imbalances.size(), 2u);
     std::remove(path.c_str());
 }
 

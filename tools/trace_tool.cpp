@@ -51,7 +51,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -292,145 +291,45 @@ cmdSnapshotInfo(const Config &config)
 
 // ---- profile: render a self-profiling JSONL export ----------------
 
-/** Find `"key": <number>` in a single-line JSON object (tolerates
- *  optional whitespace after the colon). */
-bool
-profFindNum(const std::string &line, const char *key, double &out)
-{
-    const std::string pat = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    const char *start = line.c_str() + pos + pat.size();
-    char *end = nullptr;
-    out = std::strtod(start, &end);
-    return end != start;
-}
-
-/** Find `"key": "<string>"` in a single-line JSON object. */
-bool
-profFindStr(const std::string &line, const char *key, std::string &out)
-{
-    const std::string pat = std::string("\"") + key + "\":";
-    std::size_t pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    pos += pat.size();
-    while (pos < line.size() && line[pos] == ' ')
-        ++pos;
-    if (pos >= line.size() || line[pos] != '"')
-        return false;
-    const std::size_t close = line.find('"', pos + 1);
-    if (close == std::string::npos)
-        return false;
-    out = line.substr(pos + 1, close - pos - 1);
-    return true;
-}
-
 int
 cmdProfile(const Config &config)
 {
     const std::string path = config.getString("in");
     if (path.empty())
         fatal("profile requires in=<profile.jsonl>");
-    std::ifstream in(path);
-    if (!in)
-        fatal("profile: cannot open ", path);
-
-    struct PhaseRow
-    {
-        std::string name;
-        double ns = 0.0;
-        double enters = 0.0;
-    };
-    struct RouterRow
-    {
-        std::uint64_t id = 0, evals = 0, flits = 0, arb = 0;
-    };
-    double steps = 0, totalNs = 0, phaseNsSum = 0, coverage = 0;
-    double width = 0, height = 0, numRouters = 0;
-    std::string arch, sched;
-    bool haveHeader = false;
-    std::vector<PhaseRow> phases;
-    std::vector<RouterRow> routers;
-    struct ImbalanceRow
-    {
-        std::string by;
-        double shards = 0, index = 0;
-    };
-    std::vector<ImbalanceRow> imbalances;
-
-    std::string line;
-    while (std::getline(in, line)) {
-        std::string type;
-        if (!profFindStr(line, "type", type))
-            continue;
-        if (type == "profile_header") {
-            haveHeader = true;
-            profFindNum(line, "steps", steps);
-            profFindNum(line, "total_ns", totalNs);
-            profFindNum(line, "phase_ns_sum", phaseNsSum);
-            profFindNum(line, "coverage", coverage);
-            profFindNum(line, "width", width);
-            profFindNum(line, "height", height);
-            profFindNum(line, "routers", numRouters);
-            profFindStr(line, "arch", arch);
-            profFindStr(line, "sched", sched);
-        } else if (type == "phase") {
-            PhaseRow p;
-            profFindStr(line, "name", p.name);
-            profFindNum(line, "ns", p.ns);
-            profFindNum(line, "enters", p.enters);
-            phases.push_back(p);
-        } else if (type == "router") {
-            double id = 0, evals = 0, flits = 0, arb = 0;
-            profFindNum(line, "id", id);
-            profFindNum(line, "evals", evals);
-            profFindNum(line, "flits", flits);
-            profFindNum(line, "arb", arb);
-            routers.push_back(
-                {static_cast<std::uint64_t>(id),
-                 static_cast<std::uint64_t>(evals),
-                 static_cast<std::uint64_t>(flits),
-                 static_cast<std::uint64_t>(arb)});
-        } else if (type == "imbalance") {
-            ImbalanceRow r;
-            profFindStr(line, "by", r.by);
-            profFindNum(line, "shards", r.shards);
-            profFindNum(line, "index", r.index);
-            imbalances.push_back(r);
-        }
-    }
-    if (!haveHeader)
-        fatal("profile: ", path, ": no profile_header record — not a "
-              "profiler export (profile_file= output)?");
+    ProfileFile p;
+    std::string error;
+    if (!loadProfile(path, p, error))
+        fatal("profile: ", error);
+    const std::vector<ProfileFile::Router> &routers = p.routers;
+    const double totalNs = static_cast<double>(p.totalNs);
 
     Table h({"field", "value"});
-    h.addRow({"arch", arch});
-    h.addRow({"scheduling", sched});
-    h.addRow({"mesh", Table::num(width, 0) + "x" +
-                          Table::num(height, 0)});
-    h.addRow({"steps", Table::num(steps, 0)});
+    h.addRow({"arch", p.meta.arch});
+    h.addRow({"scheduling", p.meta.sched});
+    h.addRow({"mesh", std::to_string(p.meta.width) + "x" +
+                          std::to_string(p.meta.height)});
+    h.addRow({"steps", std::to_string(p.steps)});
     h.addRow({"stepped wall", Table::num(totalNs * 1e-9, 4) + " s"});
     h.addRow({"scoped wall",
-              Table::num(phaseNsSum * 1e-9, 4) + " s"});
-    h.addRow({"coverage", Table::num(coverage, 4)});
+              Table::num(static_cast<double>(p.phaseNsSum) * 1e-9, 4) +
+                  " s"});
+    h.addRow({"coverage", Table::num(p.coverage, 4)});
     h.print(std::cout);
 
-    if (!phases.empty()) {
+    if (!p.phases.empty()) {
         std::cout << "\nhost cost per phase (share of stepped "
                      "wall time):\n";
         Table t({"phase", "seconds", "share", "enters", "ns/enter"});
-        for (const PhaseRow &p : phases) {
-            t.addRow({p.name, Table::num(p.ns * 1e-9, 4),
+        for (const ProfileFile::Phase &ph : p.phases) {
+            const auto ns = static_cast<double>(ph.totals.ns);
+            const auto enters = static_cast<double>(ph.totals.enters);
+            t.addRow({ph.name, Table::num(ns * 1e-9, 4),
                       totalNs > 0
-                          ? Table::num(100.0 * p.ns / totalNs, 1) +
-                                "%"
+                          ? Table::num(100.0 * ns / totalNs, 1) + "%"
                           : "-",
-                      Table::num(p.enters, 0),
-                      p.enters > 0
-                          ? Table::num(p.ns / p.enters, 0)
-                          : "-"});
+                      std::to_string(ph.totals.enters),
+                      enters > 0 ? Table::num(ns / enters, 0) : "-"});
         }
         t.print(std::cout);
     }
@@ -441,11 +340,11 @@ cmdProfile(const Config &config)
         // the scheduler actually woke each router.
         const auto k = static_cast<std::size_t>(
             config.getUint("topk", 10));
-        std::vector<RouterRow> sorted = routers;
+        std::vector<ProfileFile::Router> sorted = routers;
         std::sort(sorted.begin(), sorted.end(),
-                  [](const RouterRow &a, const RouterRow &b) {
-                      if (a.flits != b.flits)
-                          return a.flits > b.flits;
+                  [](const auto &a, const auto &b) {
+                      if (a.work.flitsMoved != b.work.flitsMoved)
+                          return a.work.flitsMoved > b.work.flitsMoved;
                       return a.id < b.id;
                   });
         if (sorted.size() > k)
@@ -453,44 +352,49 @@ cmdProfile(const Config &config)
         std::cout << "\ntop " << sorted.size()
                   << " hottest routers (by flits moved):\n";
         Table t({"router", "evals", "flits", "arb rounds"});
-        for (const RouterRow &r : sorted) {
+        for (const ProfileFile::Router &r : sorted) {
             t.addRow({std::to_string(r.id),
-                      std::to_string(r.evals),
-                      std::to_string(r.flits),
-                      std::to_string(r.arb)});
+                      std::to_string(r.work.evaluations),
+                      std::to_string(r.work.flitsMoved),
+                      std::to_string(r.work.arbRounds)});
         }
         t.print(std::cout);
     }
 
     // Imbalance: report the export's own rows, then optionally
     // recompute over a caller-chosen shard count (shards=N).
-    if (!imbalances.empty()) {
+    if (!p.imbalances.empty()) {
         std::cout << "\nload imbalance (max shard / mean shard; "
                      "1.0 = balanced):\n";
         Table t({"by", "shards", "index"});
-        for (const ImbalanceRow &r : imbalances) {
-            t.addRow({r.by, Table::num(r.shards, 0),
+        for (const ProfileFile::Imbalance &r : p.imbalances) {
+            t.addRow({r.by, std::to_string(r.shards),
                       Table::num(r.index, 4)});
         }
         t.print(std::cout);
     }
-    if (config.has("shards") &&
-        static_cast<double>(routers.size()) == width * height) {
+    const std::size_t meshRouters =
+        static_cast<std::size_t>(p.meta.width) *
+        static_cast<std::size_t>(p.meta.height);
+    if (config.has("shards") && !routers.empty() &&
+        routers.size() == meshRouters) {
         const int shards =
             static_cast<int>(config.getInt("shards", 4));
-        std::vector<std::uint64_t> evals, flits;
-        std::vector<RouterRow> byId = routers;
+        if (shards < 1)
+            fatal("profile: shards=", shards,
+                  " is out of range (valid: 1 or more)");
+        std::vector<ProfileFile::Router> byId = routers;
         std::sort(byId.begin(), byId.end(),
-                  [](const RouterRow &a, const RouterRow &b) {
+                  [](const auto &a, const auto &b) {
                       return a.id < b.id;
                   });
-        for (const RouterRow &r : byId) {
-            evals.push_back(r.evals);
-            flits.push_back(r.flits);
+        std::vector<std::uint64_t> evals, flits;
+        for (const ProfileFile::Router &r : byId) {
+            evals.push_back(r.work.evaluations);
+            flits.push_back(r.work.flitsMoved);
         }
-        const std::vector<int> shardOf =
-            rowStripePartition(static_cast<int>(width),
-                               static_cast<int>(height), shards);
+        const std::vector<int> shardOf = rowStripePartition(
+            p.meta.width, p.meta.height, shards);
         Table t({"by", "shards", "index"});
         t.addRow({"evals", std::to_string(shards),
                   Table::num(loadImbalance(evals, shardOf, shards),
