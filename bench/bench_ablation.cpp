@@ -28,9 +28,9 @@ runWith(const Config &config, RouterArch arch, double mbps,
     c.pattern = PatternKind::UniformRandom;
     c.injectionMBps = mbps;
     c.packetFlits = flits;
-    c.bufferDepth = depth;
-    c.sinkBufferDepth = depth;
-    c.arbiterKind = arb;
+    c.net.router.bufferDepth = depth;
+    c.net.sinkBufferDepth = depth;
+    c.net.router.arbiterKind = arb;
     bench::applyCommon(config, &c);
     return runSynthetic(c);
 }

@@ -35,14 +35,14 @@ configFor(bool cmesh, RouterArch arch, double mbps,
     c.pattern = PatternKind::UniformRandom;
     c.injectionMBps = mbps;
     if (cmesh) {
-        c.width = 4;
-        c.height = 4;
-        c.concentration = 4;
+        c.net.width = 4;
+        c.net.height = 4;
+        c.net.concentration = 4;
     }
     bench::applyCommon(config, &c);
     if (cmesh) { // applyCommon may override width/height from CLI
-        c.width = 4;
-        c.height = 4;
+        c.net.width = 4;
+        c.net.height = 4;
     }
     return c;
 }

@@ -69,7 +69,7 @@ runPattern(PatternKind pattern, bool self_similar,
             c.selfSimilar = self_similar;
             c.injectionMBps = rate;
             bench::applyCommon(config, &c);
-            c.obs.prov.enabled = breakdown;
+            c.net.obs.prov.enabled = breakdown;
             const RunResult r = runSynthetic(c);
             if (breakdown && !r.saturated &&
                 r.breakdown.packets > 0) {

@@ -87,8 +87,7 @@ main(int argc, char **argv)
     const RouterArch arch =
         parseArch(config.getString("arch", "nox").c_str());
     const double rate = config.getDouble("rate_mbps", 1200.0);
-    const int repeats =
-        static_cast<int>(config.getInt("repeats", 5));
+    const int repeats = config.getInt("repeats", 5, 1);
 
     const Variant variants[] = {
         {"off", false, false, false, false, false},
@@ -109,13 +108,13 @@ main(int argc, char **argv)
         c.pattern = PatternKind::UniformRandom;
         c.injectionMBps = rate;
         bench::applyCommon(config, &c);
-        c.obs.trace.enabled = v.trace;
-        c.obs.metrics.enabled = v.metrics;
-        c.obs.prov.enabled = v.provenance;
-        c.obs.profile.enabled = v.profile;
+        c.net.obs.trace.enabled = v.trace;
+        c.net.obs.metrics.enabled = v.metrics;
+        c.net.obs.prov.enabled = v.provenance;
+        c.net.obs.profile.enabled = v.profile;
         // Digest at the default stride (1000): a full-state hash
         // every thousand cycles, the cost divergence gating pays.
-        c.obs.digest.enabled = v.digest;
+        c.net.obs.digest.enabled = v.digest;
         configs.push_back(c);
     }
 

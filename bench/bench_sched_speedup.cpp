@@ -87,9 +87,9 @@ main(int argc, char **argv)
             c.injectionMBps = flitsPerCycleToMbps(
                 load, timing.clockPeriodNs(arch));
 
-            c.schedulingMode = SchedulingMode::AlwaysTick;
+            c.net.schedulingMode = SchedulingMode::AlwaysTick;
             const RunResult tick = runSynthetic(c);
-            c.schedulingMode = SchedulingMode::ActivityDriven;
+            c.net.schedulingMode = SchedulingMode::ActivityDriven;
             const RunResult act = runSynthetic(c);
 
             const bool match = resultsAgree(tick, act);

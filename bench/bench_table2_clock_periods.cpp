@@ -22,8 +22,7 @@ main(int argc, char **argv)
 
     const Technology tech = Technology::tsmc65();
     PhysicalParams phys;
-    phys.bufferDepth =
-        static_cast<int>(config.getInt("buffer_depth", 4));
+    phys.bufferDepth = config.getInt("buffer_depth", 4, 1, kMaxBufferDepth);
     phys.linkLengthMm = config.getDouble("link_mm", 2.0);
     const TimingModel tm(tech, phys);
 

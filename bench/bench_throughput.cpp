@@ -44,8 +44,7 @@ main(int argc, char **argv)
         config);
 
     const double rate = config.getDouble("rate_mbps", 1200.0);
-    const int repeats =
-        static_cast<int>(config.getInt("repeats", 3));
+    const int repeats = config.getInt("repeats", 3, 1);
     // profile=true times the run *with* the self-profiler enabled and
     // exports the per-phase breakdown in the perf JSON. Off by
     // default: the checked-in baseline is an observers-off number.
@@ -74,7 +73,7 @@ main(int argc, char **argv)
             c.pattern = pattern;
             c.injectionMBps = rate;
             bench::applyCommon(config, &c);
-            c.obs.profile.enabled = profile;
+            c.net.obs.profile.enabled = profile;
             points.push_back({arch, pattern, c});
         }
     }

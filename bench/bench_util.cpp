@@ -70,11 +70,11 @@ applyCommon(const Config &config, SyntheticConfig *synth)
     synth->drainLimitCycles =
         config.getUint("drain_limit", synth->drainLimitCycles);
     synth->seed = config.getUint("seed", synth->seed);
-    synth->width = static_cast<int>(config.getInt("width", 8));
-    synth->height = static_cast<int>(config.getInt("height", 8));
+    synth->net.width = config.getInt("width", 8, 1, kMaxMeshSide);
+    synth->net.height = config.getInt("height", 8, 1, kMaxMeshSide);
     const std::string sched = config.getString("scheduling");
     if (!sched.empty())
-        synth->schedulingMode = parseSchedulingMode(sched.c_str());
+        synth->net.schedulingMode = parseSchedulingMode(sched.c_str());
 }
 
 std::vector<double>

@@ -23,10 +23,8 @@ main(int argc, char **argv)
     config.parseArgs(argc, argv);
     const RouterArch arch =
         parseArch(config.getString("arch", "nox").c_str());
-    const int channels =
-        static_cast<int>(config.getInt("channels", 2));
-    const int packets =
-        static_cast<int>(config.getInt("packets", 2000));
+    const int channels = config.getInt("channels", 2, 1);
+    const int packets = config.getInt("packets", 2000, 0);
 
     NetworkParams params;
     PhysicalChannelGroup group(params, arch, channels);

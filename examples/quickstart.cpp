@@ -28,7 +28,7 @@ main(int argc, char **argv)
     c.injectionMBps = config.getDouble("rate_mbps", 1000.0);
     c.pattern = parsePattern(config.getString("pattern", "uniform"));
 
-    std::cout << "simulating a " << c.width << "x" << c.height
+    std::cout << "simulating a " << c.net.width << "x" << c.net.height
               << " mesh of " << archName(c.arch) << " routers, "
               << patternName(c.pattern) << " traffic at "
               << c.injectionMBps << " MB/s/node...\n\n";

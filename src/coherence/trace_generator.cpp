@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 
 namespace nox {
@@ -406,6 +407,16 @@ CoherenceTraceGenerator::generate(double horizon_ns, double warmup_ns)
             horizon_ns, trace.records.back().timeNs);
     }
     return trace;
+}
+
+Trace
+traceFromConfig(const Config &config)
+{
+    CoherenceTraceGenerator gen(
+        CmpParams{}, findWorkload(config.getString("workload", "tpcc")),
+        config.getUint("seed", 99));
+    return gen.generate(config.getDouble("horizon_ns", 25000.0, 0.0),
+                        config.getDouble("warmup_ns", 50000.0, 0.0));
 }
 
 } // namespace nox

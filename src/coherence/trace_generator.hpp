@@ -104,6 +104,13 @@ class CoherenceTraceGenerator
     TraceGenStats stats_;
 };
 
+class Config;
+
+/** The trace of the workload= (default tpcc), seed= (99), horizon_ns=
+ *  (25000) and warmup_ns= (50000) keys of @p config on the default
+ *  CMP: one reader for `noxsim mode=app` and `trace_tool gen`. */
+Trace traceFromConfig(const Config &config);
+
 } // namespace nox
 
 #endif // NOX_COHERENCE_TRACE_GENERATOR_HPP

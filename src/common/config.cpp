@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/log.hpp"
 
@@ -21,6 +24,48 @@ trim(const std::string &s)
     while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
         --e;
     return s.substr(b, e - b);
+}
+
+/** @p text as one whole T by jsonl::Reader's rules (a double finite). */
+template <typename T>
+bool
+parseWhole(const std::string &text, T &v)
+{
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(v))
+            return false;
+    }
+    return ec == std::errc() && stop == end;
+}
+
+/** The value @p text of @p key as a T in [@p lo, @p hi], or fatal. */
+template <typename T>
+T
+readNumber(const std::string &key, const std::string &text, T lo, T hi)
+{
+    T v{};
+    if (parseWhole(text, v) && lo <= v && v <= hi)
+        return v;
+    // Digits T or the range cannot hold are out of range (an integer
+    // key takes plain digits only); anything else is not a number.
+    long double wide = 0;
+    const bool number =
+        parseWhole(text, wide) &&
+        (std::is_floating_point_v<T> ||
+         text.find_first_not_of("-0123456789") == std::string::npos);
+    std::ostringstream range;
+    range << lo;
+    if (std::is_floating_point_v<T> && hi == std::numeric_limits<T>::max())
+        range << " or more";
+    else
+        range << ".." << hi;
+    fatal(key, "=", text,
+          number                   ? " is out of range"
+          : std::is_integral_v<T> ? " is not an integer"
+                                   : " is not a finite number",
+          " (valid: ", range.str(), ")");
 }
 
 } // namespace
@@ -139,44 +184,26 @@ Config::getString(const std::string &key, const std::string &def) const
     return v ? *v : def;
 }
 
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
+template <std::integral T>
+T
+Config::getInt(const std::string &key, T def, T lo, T hi) const
 {
     const std::string *v = find(key);
-    if (!v)
-        return def;
-    try {
-        return std::stoll(*v);
-    } catch (...) {
-        fatal("config key '", key, "' is not an integer: '", *v, "'");
-    }
+    return v ? readNumber(key, *v, lo, hi) : def;
 }
 
-std::uint64_t
-Config::getUint(const std::string &key, std::uint64_t def) const
-{
-    const std::string *v = find(key);
-    if (!v)
-        return def;
-    try {
-        return std::stoull(*v);
-    } catch (...) {
-        fatal("config key '", key, "' is not an unsigned integer: '", *v,
-              "'");
-    }
-}
+template int Config::getInt(const std::string &, int, int, int) const;
+template std::int64_t Config::getInt(const std::string &, std::int64_t,
+                                     std::int64_t, std::int64_t) const;
+template std::uint64_t Config::getInt(const std::string &, std::uint64_t,
+                                      std::uint64_t, std::uint64_t) const;
 
 double
-Config::getDouble(const std::string &key, double def) const
+Config::getDouble(const std::string &key, double def, double lo,
+                  double hi) const
 {
     const std::string *v = find(key);
-    if (!v)
-        return def;
-    try {
-        return std::stod(*v);
-    } catch (...) {
-        fatal("config key '", key, "' is not a number: '", *v, "'");
-    }
+    return v ? readNumber(key, *v, lo, hi) : def;
 }
 
 bool
@@ -200,12 +227,9 @@ Config::getDoubleList(const std::string &key) const
 {
     std::vector<double> out;
     for (const auto &tok : getStringList(key)) {
-        try {
-            out.push_back(std::stod(tok));
-        } catch (...) {
-            fatal("config key '", key, "' has a non-numeric element: '",
-                  tok, "'");
-        }
+        if (!parseWhole(tok, out.emplace_back()))
+            fatal(key, "=", *find(key), " has an element that is not a "
+                  "finite number: '", tok, "'");
     }
     return out;
 }
@@ -257,14 +281,6 @@ std::vector<std::pair<std::string, std::string>>
 Config::items() const
 {
     return {values_.begin(), values_.end()};
-}
-
-void
-checkRange(const char *key, std::int64_t v, std::int64_t lo,
-           std::int64_t hi)
-{
-    if (v < lo || v > hi)
-        fatal(key, "=", v, " is out of range (valid: ", lo, "..", hi, ")");
 }
 
 } // namespace nox

@@ -6,12 +6,19 @@
  * command line (and `--file <path>` to load the same syntax from a
  * file). Typed getters with defaults keep call sites terse; unknown
  * keys can be audited with unusedKeys() so typos fail loudly.
+ *
+ * This is the one place where a value's text turns into a number, by
+ * the JSONL reader's rules (obs/jsonl.hpp): one whole decimal number,
+ * a '-' only on a signed integer, an exponent or fraction only on a
+ * double, and a double finite.
  */
 
 #ifndef NOX_COMMON_CONFIG_HPP
 #define NOX_COMMON_CONFIG_HPP
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -47,13 +54,30 @@ class Config
     /** Typed getters; fall back to @p def when the key is absent. */
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
-    std::int64_t getInt(const std::string &key, std::int64_t def = 0) const;
-    std::uint64_t getUint(const std::string &key,
-                          std::uint64_t def = 0) const;
-    double getDouble(const std::string &key, double def = 0.0) const;
     bool getBool(const std::string &key, bool def = false) const;
 
-    /** Parse a comma-separated list of doubles. */
+    /**
+     * Value of @p key in [@p lo, @p hi] as T, the type of the field it
+     * sets (int, std::int64_t, std::uint64_t), or @p def when the key
+     * is absent. Anything else stops the run with `fatal: <key>=<value>
+     * ...` naming the range: nothing is narrowed.
+     */
+    template <std::integral T = std::int64_t>
+    T getInt(const std::string &key, T def = 0,
+             T lo = std::numeric_limits<T>::min(),
+             T hi = std::numeric_limits<T>::max()) const;
+    std::uint64_t getUint(const std::string &key, std::uint64_t def = 0,
+                          std::uint64_t lo = 0,
+                          std::uint64_t hi = UINT64_MAX) const
+    {
+        return getInt(key, def, lo, hi);
+    }
+    /** Finite double; otherwise as getInt. */
+    double getDouble(const std::string &key, double def = 0.0,
+                     double lo = std::numeric_limits<double>::lowest(),
+                     double hi = std::numeric_limits<double>::max()) const;
+
+    /** Parse a comma-separated list of finite doubles. */
     std::vector<double> getDoubleList(const std::string &key) const;
 
     /** Parse a comma-separated list of strings (empty iff the key is
@@ -80,11 +104,6 @@ class Config
     std::map<std::string, std::string> values_;
     mutable std::set<std::string> touched_;
 };
-
-/** Fatal error naming config key @p key and its valid range unless
- *  @p lo <= @p v <= @p hi. */
-void checkRange(const char *key, std::int64_t v, std::int64_t lo,
-                std::int64_t hi);
 
 } // namespace nox
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -41,107 +42,104 @@ parseSyntheticConfig(const Config &config)
     SyntheticConfig c;
     c.arch = parseArch(config.getString("arch", "nox").c_str());
     c.pattern = parsePattern(config.getString("pattern", "uniform"));
-    c.injectionMBps = config.getDouble("rate_mbps", 1000.0);
+    c.injectionMBps = config.getDouble("rate_mbps", 1000.0, 0.0);
     c.selfSimilar = config.getBool("selfsimilar", false);
-    if (!(c.injectionMBps >= 0.0 && std::isfinite(c.injectionMBps)) ||
-        (c.selfSimilar && c.injectionMBps == 0.0)) {
-        fatal("rate_mbps=", c.injectionMBps, " is out of range (valid: ",
-              c.selfSimilar ? "above 0" : "0 or more", ", finite)");
+    if (c.selfSimilar && c.injectionMBps == 0.0) {
+        fatal("rate_mbps=0 is out of range (valid: above 0 with "
+              "selfsimilar=true)");
     }
     // A flit's uid keeps 8 bits of sequence (flitUid).
-    const std::int64_t packet_flits = config.getInt("packet_flits", 1);
-    checkRange("packet_flits", packet_flits, 1, 256);
-    c.packetFlits = static_cast<int>(packet_flits);
-    c.width = static_cast<int>(config.getInt("width", 8));
-    c.height = static_cast<int>(config.getInt("height", 8));
-    c.concentration =
-        static_cast<int>(config.getInt("concentration", 1));
-    c.bufferDepth =
-        static_cast<int>(config.getInt("buffer_depth", 4));
-    c.sinkBufferDepth = c.bufferDepth;
-    c.vcCount = static_cast<int>(config.getInt("vc_count", 1));
+    c.packetFlits = config.getInt("packet_flits", c.packetFlits, 1, 256);
+
+    c.net = networkParamsFromConfig(config);
+    const Mesh mesh(c.net.width, c.net.height, c.net.concentration);
+    if (const char *need = patternMeshNeed(c.pattern, mesh)) {
+        fatal("pattern=", patternName(c.pattern), " needs ", need,
+              " (width=", mesh.width(), " height=", mesh.height(),
+              " concentration=", mesh.concentration(), ")");
+    }
+
     c.warmupCycles = config.getUint("warmup", c.warmupCycles);
-    c.measureCycles = config.getUint("measure", c.measureCycles);
-    if (c.measureCycles == 0)
-        fatal("measure=0 is out of range (valid: 1 or more)");
+    c.measureCycles = config.getUint("measure", c.measureCycles, 1);
     c.drainLimitCycles =
         config.getUint("drain_limit", c.drainLimitCycles);
+    // Phase boundaries are absolute cycles: the drain deadline
+    // warmup + measure + drain_limit must be one.
+    constexpr Cycle kMaxCycle = std::numeric_limits<Cycle>::max();
+    if (c.measureCycles > kMaxCycle - c.warmupCycles ||
+        c.drainLimitCycles >
+            kMaxCycle - c.warmupCycles - c.measureCycles) {
+        fatal("warmup=", c.warmupCycles, " measure=", c.measureCycles,
+              " drain_limit=", c.drainLimitCycles,
+              " is out of range (valid: a sum of at most ", kMaxCycle,
+              ")");
+    }
     c.seed = config.getUint("seed", c.seed);
-    c.schedulingMode = parseSchedulingMode(
+    c.net.schedulingMode = parseSchedulingMode(
         config.getString("scheduling", "alwaystick").c_str());
-    c.faults = faultParamsFromConfig(config);
-    c.obs = obsParamsFromConfig(config);
 
     const std::string arb = config.getString("arbiter", "roundrobin");
     if (arb == "fixed")
-        c.arbiterKind = ArbiterKind::FixedPriority;
+        c.net.router.arbiterKind = ArbiterKind::FixedPriority;
     else if (arb == "matrix")
-        c.arbiterKind = ArbiterKind::Matrix;
+        c.net.router.arbiterKind = ArbiterKind::Matrix;
+    else if (arb != "roundrobin")
+        fatal("arbiter=", arb, " is not an arbiter (valid: roundrobin, "
+              "fixed, matrix)");
 
     c.checkpointInterval =
         config.getUint("checkpoint_interval", c.checkpointInterval);
     c.checkpointFile =
         config.getString("checkpoint_file", c.checkpointFile);
-    c.checkpointKeep = static_cast<int>(
-        config.getInt("checkpoint_keep", c.checkpointKeep));
+    c.checkpointKeep = config.getInt("checkpoint_keep", c.checkpointKeep,
+                                     1, snap::kMaxCheckpointKeep);
     c.resumePath = config.getString("resume");
 
-    c.perturbCycle = config.getUint("perturb_cycle", 0);
-    c.perturbRouter = config.getInt("perturb_router", 0);
+    c.net.debugPerturbCycle = config.getUint("perturb_cycle", 0);
+    c.net.debugPerturbRouter =
+        config.getInt("perturb_router", 0, 0, mesh.numRouters() - 1);
     return c;
 }
 
-double
-syntheticOfferedFlitsPerCycle(const SyntheticConfig &config)
+namespace {
+
+/** The physical model follows the topology: concentrated meshes have
+ *  higher-radix routers and (same die area, fewer routers)
+ *  proportionally longer channels — §8's future-work setting. */
+PhysicalParams
+meshPhysical(const SyntheticConfig &config)
 {
-    // The physical model follows the topology: concentrated meshes
-    // have higher-radix routers and (same die area, fewer routers)
-    // proportionally longer channels — §8's future-work setting.
     PhysicalParams phys = config.phys;
-    if (config.concentration > 1) {
-        phys.ports = meshRadix(config.concentration);
-        phys.linkLengthMm *= std::sqrt(
-            static_cast<double>(config.concentration));
+    const int conc = config.net.concentration;
+    if (conc > 1) {
+        phys.ports = meshRadix(conc);
+        phys.linkLengthMm *= std::sqrt(static_cast<double>(conc));
     }
-    const TimingModel timing(config.tech, phys);
-    return mbpsToFlitsPerCycle(config.injectionMBps,
-                               timing.clockPeriodNs(config.arch));
+    return phys;
 }
+
+} // namespace
 
 SyntheticNet
 buildSyntheticNetwork(const SyntheticConfig &config)
 {
+    const double offered = mbpsToFlitsPerCycle(
+        config.injectionMBps, TimingModel(config.tech, meshPhysical(config))
+                                  .clockPeriodNs(config.arch));
     SyntheticNet built;
-    built.offeredFlitsPerCycle =
-        syntheticOfferedFlitsPerCycle(config);
-
-    NetworkParams params;
-    params.width = config.width;
-    params.height = config.height;
-    params.concentration = config.concentration;
-    params.router.bufferDepth = config.bufferDepth;
-    params.router.vcCount = config.vcCount;
-    params.router.arbiterKind = config.arbiterKind;
-    params.sinkBufferDepth = config.sinkBufferDepth;
-    params.schedulingMode = config.schedulingMode;
-    params.faults = config.faults;
-    params.obs = config.obs;
-    params.debugPerturbCycle = config.perturbCycle;
-    params.debugPerturbRouter = config.perturbRouter;
-    built.net = makeNetwork(params, config.arch);
-
+    built.net = makeNetwork(config.net, config.arch);
     built.pattern = std::make_unique<DestinationPattern>(
-        config.pattern, built.net->mesh(), config.hotspotFraction);
+        config.pattern, built.net->mesh());
     Rng seeder(config.seed);
     for (NodeId n = 0; n < built.net->numNodes(); ++n) {
         if (config.selfSimilar) {
             built.net->addSource(std::make_unique<ParetoSource>(
-                n, *built.pattern, built.offeredFlitsPerCycle,
-                config.packetFlits, seeder.next()));
+                n, *built.pattern, offered, config.packetFlits,
+                seeder.next()));
         } else {
             built.net->addSource(std::make_unique<BernoulliSource>(
-                n, *built.pattern, built.offeredFlitsPerCycle,
-                config.packetFlits, seeder.next()));
+                n, *built.pattern, offered, config.packetFlits,
+                seeder.next()));
         }
     }
     built.net->setMeasurementWindow(
@@ -164,7 +162,7 @@ syntheticRunnerFingerprint(const SyntheticConfig &config)
                                : patternName(config.pattern))
         << " rate_mbps=" << config.injectionMBps
         << " flits=" << config.packetFlits
-        << " hotspot=" << config.hotspotFraction
+        << " hotspot=" << kHotspotFraction
         << " warmup=" << config.warmupCycles
         << " measure=" << config.measureCycles
         << " drain_limit=" << config.drainLimitCycles
@@ -207,14 +205,8 @@ runSynthetic(const SyntheticConfig &config)
     RunResult res;
     res.arch = config.arch;
 
-    PhysicalParams phys = config.phys;
-    if (config.concentration > 1) {
-        phys.ports = meshRadix(config.concentration);
-        phys.linkLengthMm *= std::sqrt(
-            static_cast<double>(config.concentration));
-    }
-    const TimingModel timing(config.tech, phys);
-    res.periodNs = timing.clockPeriodNs(config.arch);
+    const PhysicalParams phys = meshPhysical(config);
+    res.periodNs = TimingModel(config.tech, phys).clockPeriodNs(config.arch);
     res.offeredMBps = config.injectionMBps;
     res.offeredFlitsPerCycle =
         mbpsToFlitsPerCycle(config.injectionMBps, res.periodNs);
@@ -327,9 +319,9 @@ runSynthetic(const SyntheticConfig &config)
         res.profiledTotalSeconds =
             static_cast<double>(prof->totalNs()) * 1e-9;
         res.profileCoverage = prof->coverage();
-        const int shards = std::min(4, config.height);
-        const std::vector<int> shardOf =
-            rowStripePartition(config.width, config.height, shards);
+        const int shards = std::min(4, config.net.height);
+        const std::vector<int> shardOf = rowStripePartition(
+            config.net.width, config.net.height, shards);
         std::vector<std::uint64_t> evals, flits;
         for (NodeId r = 0;
              r < static_cast<NodeId>(prof->numRouters()); ++r) {
@@ -350,7 +342,7 @@ runSynthetic(const SyntheticConfig &config)
     if (net->metrics() && net->metrics()->params().heatmap) {
         std::ostringstream os;
         net->metrics()
-            ->heatmapTable(config.width, config.height)
+            ->heatmapTable(config.net.width, config.net.height)
             .print(os);
         res.metricsHeatmap = os.str();
     }

@@ -40,21 +40,14 @@ struct SyntheticConfig
     bool selfSimilar = false;     ///< Pareto ON/OFF instead of
                                   ///< Bernoulli
     int packetFlits = 1;          ///< paper synthetic: single-flit
-    int width = 8;
-    int height = 8;
-    int concentration = 1; ///< terminals per router (>1 = CMesh, §8)
-    int bufferDepth = 4;
-    int sinkBufferDepth = 4;
-    int vcCount = 1; ///< >1 builds the §2.8 VC router (NonSpec only)
-    ArbiterKind arbiterKind = ArbiterKind::RoundRobin;
-    double hotspotFraction = 0.2;
+    /** The network: mesh, router, scheduling kernel, faults,
+     *  observers and the deliberate-divergence knob
+     *  (debugPerturbCycle/debugPerturbRouter, test/debug only). */
+    NetworkParams net;
     Cycle warmupCycles = 10000;
     Cycle measureCycles = 30000;
     Cycle drainLimitCycles = 150000;
     std::uint64_t seed = 0xA11CE5;
-    SchedulingMode schedulingMode = SchedulingMode::AlwaysTick;
-    FaultParams faults; ///< link-fault injection (disabled by default)
-    ObsParams obs;      ///< tracing + metrics (disabled by default)
     Technology tech = Technology::tsmc65();
     PhysicalParams phys;
 
@@ -69,13 +62,6 @@ struct SyntheticConfig
      *  checked); the resumed run completes with NetworkStats and
      *  provenance bit-identical to the uninterrupted run. */
     std::string resumePath;
-
-    /** Deliberate-divergence knob (test/debug only), forwarded to
-     *  NetworkParams::debugPerturbCycle: corrupt one arbiter draw in
-     *  this router at the end of this cycle (0 = off). Seeds a known
-     *  divergence for the digest ledger / trace_tool bisect flow. */
-    Cycle perturbCycle = 0;
-    std::int64_t perturbRouter = 0; ///< range-checked by Network
 };
 
 /** Result of one measurement point. */
@@ -173,18 +159,18 @@ RunResult runSynthetic(const SyntheticConfig &config);
 class Config;
 
 /**
- * Parse the shared synthetic-run keys (arch, pattern, rate_mbps,
- * checkpoint/resume knobs, perturb knobs, ...) from a key=value
- * Config — one parser for every front end (noxsim, trace_tool
- * bisect), so a bisection re-run accepts exactly the keys of the run
- * it reproduces. Does not call requireAllUsed: callers own their
- * leftover-key policy.
+ * Parse the synthetic-run keys (README.md, "Run parameters") — one
+ * parser for every front end (noxsim, trace_tool bisect, perfbench),
+ * so a bisection re-run accepts exactly the keys of the run it
+ * reproduces; the network keys go through networkParamsFromConfig().
+ * Fatal, naming the key, on a value out of range or a broken
+ * cross-key rule: every pattern but uniform and hotspot needs
+ * concentration=1, transpose a square mesh, bitcomp, bitrev and
+ * shuffle a power-of-two node count, selfsimilar a positive rate,
+ * and warmup + measure + drain_limit must fit a cycle count. Does not
+ * call requireAllUsed: callers own their leftover-key policy.
  */
 SyntheticConfig parseSyntheticConfig(const Config &config);
-
-/** Offered load in flits/node/cycle for one synthetic point (clock
- *  period from the arch's timing model, concentration-adjusted). */
-double syntheticOfferedFlitsPerCycle(const SyntheticConfig &config);
 
 /**
  * A constructed-but-not-yet-run synthetic network: the Network plus
@@ -194,7 +180,6 @@ double syntheticOfferedFlitsPerCycle(const SyntheticConfig &config);
  */
 struct SyntheticNet
 {
-    double offeredFlitsPerCycle = 0.0;
     std::unique_ptr<DestinationPattern> pattern;
     std::unique_ptr<Network> net; ///< destroyed before pattern
 };

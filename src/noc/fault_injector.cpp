@@ -36,41 +36,31 @@ FaultParams
 faultParamsFromConfig(const Config &config)
 {
     FaultParams p;
-    p.bitflipRate = config.getDouble("fault_bitflip_rate", 0.0);
-    p.dropRate = config.getDouble("fault_drop_rate", 0.0);
+    p.bitflipRate = config.getDouble("fault_bitflip_rate", 0.0, 0.0, 1.0);
+    p.dropRate = config.getDouble("fault_drop_rate", 0.0, 0.0, 1.0);
     p.creditLossRate =
-        config.getDouble("fault_credit_loss_rate", 0.0);
+        config.getDouble("fault_credit_loss_rate", 0.0, 0.0, 1.0);
     p.seed = config.getUint("fault_seed", p.seed);
     p.protect = config.getBool("fault_recovery", true);
     p.retryTimeout = config.getUint("fault_retry_timeout", p.retryTimeout);
     p.watchdogPeriod =
         config.getUint("fault_watchdog_period", p.watchdogPeriod);
-    p.hardLinkFaults = static_cast<int>(
-        config.getUint("hard_link_faults", 0));
-    p.hardRouterFaults = static_cast<int>(
-        config.getUint("hard_router_faults", 0));
+    p.hardLinkFaults = config.getInt("hard_link_faults", 0, 0);
+    p.hardRouterFaults = config.getInt("hard_router_faults", 0, 0);
     p.hardFaultCycle = config.getUint("hard_fault_cycle", 0);
     p.packetAgeLimit = config.getUint("fault_age_limit", 0);
     p.e2eTransport = config.getBool("e2e_transport", false);
-    p.e2eTimeout = config.getUint("e2e_timeout", p.e2eTimeout);
-    p.e2eRetryLimit = static_cast<int>(
-        config.getUint("e2e_retry_limit",
-                       static_cast<std::uint64_t>(p.e2eRetryLimit)));
+    p.e2eTimeout = config.getUint("e2e_timeout", p.e2eTimeout, 1);
+    p.e2eRetryLimit =
+        config.getInt("e2e_retry_limit", p.e2eRetryLimit, 0, 255);
     p.e2eAckDelay = config.getUint("e2e_ack_delay", p.e2eAckDelay);
-    p.churnWaves =
-        static_cast<int>(config.getUint("churn_waves", 0));
+    p.churnWaves = config.getInt("churn_waves", 0, 0, kMaxChurnWaves);
     p.churnStart = config.getUint("churn_start", p.churnStart);
     p.churnPeriod = config.getUint("churn_period", p.churnPeriod);
     p.churnHealAfter =
         config.getUint("churn_heal_after", p.churnHealAfter);
-    p.churnLinks = static_cast<int>(
-        config.getUint("churn_links",
-                       static_cast<std::uint64_t>(p.churnLinks)));
-    p.churnRouters = static_cast<int>(
-        config.getUint("churn_routers",
-                       static_cast<std::uint64_t>(p.churnRouters)));
-    NOX_ASSERT(p.e2eRetryLimit >= 0 && p.e2eRetryLimit < 256,
-               "e2e_retry_limit must fit the attempt encoding");
+    p.churnLinks = config.getInt("churn_links", p.churnLinks, 0);
+    p.churnRouters = config.getInt("churn_routers", p.churnRouters, 0);
     p.enabled = p.anyRate() || p.anyHard() || p.e2eTransport ||
                 config.has("fault_seed") ||
                 config.has("fault_recovery") ||
@@ -97,64 +87,98 @@ FaultInjector::scheduleOneShot(FaultKind kind, Cycle cycle,
     oneShots_.push_back({kind, cycle, router, port, flip_mask, false});
 }
 
-void
-FaultInjector::planHardFaults(const Mesh &mesh)
+std::vector<FaultInjector::Link>
+FaultInjector::planKills(const Mesh &mesh, int wave,
+                         std::vector<std::uint8_t> &dead,
+                         const std::vector<Link> &exclude)
 {
-    const int nr = mesh.numRouters();
-    routers_ = nr;
-    std::vector<std::uint8_t> dead(static_cast<std::size_t>(nr), 0);
+    const bool churn = wave >= 0;
+    const Cycle killAt =
+        churn ? params_.churnStart +
+                    static_cast<Cycle>(wave) * params_.churnPeriod
+              : params_.hardFaultCycle;
+    const Cycle healAt = killAt + params_.churnHealAfter;
+    const auto queue = [&](FaultKind kill, FaultKind heal, NodeId r,
+                           int port) {
+        hardFaults_.push_back({kill, killAt, r, port});
+        if (churn)
+            hardFaults_.push_back({heal, healAt, r, port});
+    };
+    const std::uint64_t waveSalt =
+        churn ? static_cast<std::uint64_t>(wave) << 40 : 0;
+    const auto nr = static_cast<NodeId>(dead.size());
 
     // Routers first: the link pool below excludes their stubs.
-    NOX_ASSERT(params_.hardRouterFaults < nr,
-               "hard_router_faults must leave at least one router");
-    for (int i = 0; i < params_.hardRouterFaults; ++i) {
-        std::uint64_t attempt = 0;
-        for (;;) {
+    const int routers =
+        churn ? params_.churnRouters : params_.hardRouterFaults;
+    const auto live = std::count(dead.begin(), dead.end(), 0);
+    if (routers >= live) {
+        fatal(churn ? "churn_routers=" : "hard_router_faults=", routers,
+              " is out of range for the ", mesh.width(), "x",
+              mesh.height(), " mesh (valid: 0..", live - 1,
+              ", leaving a live router)");
+    }
+    const std::uint64_t routerSalt =
+        (churn ? 0xC4A0ULL : 0xD0A1ULL) ^ waveSalt;
+    for (int i = 0; i < routers; ++i) {
+        for (std::uint64_t attempt = 0;; ++attempt) {
             const auto r = static_cast<NodeId>(
                 mix64(seedMix_ ^
-                      mix64(0xD0A1ULL ^
+                      mix64(routerSalt ^
                             (static_cast<std::uint64_t>(i) << 32) ^
                             attempt)) %
                 static_cast<std::uint64_t>(nr));
-            ++attempt;
             if (dead[r])
                 continue;
             dead[r] = 1;
-            hardFaults_.push_back({FaultKind::RouterDead,
-                                   params_.hardFaultCycle, r, -1});
+            queue(FaultKind::RouterDead, FaultKind::RouterHeal, r, -1);
             break;
         }
     }
 
     // Canonical internal links (East/South from each router) whose
     // endpoints both survive the router kills above.
-    std::vector<std::pair<NodeId, int>> pool;
-    for (NodeId r = 0; r < static_cast<NodeId>(nr); ++r) {
+    std::vector<Link> pool;
+    for (NodeId r = 0; r < nr; ++r) {
         if (dead[r])
             continue;
         for (int port : {static_cast<int>(kPortEast),
                          static_cast<int>(kPortSouth)}) {
             const NodeId n = mesh.neighbor(r, port);
-            if (n != kInvalidNode && !dead[n])
+            if (n != kInvalidNode && !dead[n] &&
+                std::find(exclude.begin(), exclude.end(),
+                          Link{r, port}) == exclude.end())
                 pool.emplace_back(r, port);
         }
     }
-    NOX_ASSERT(params_.hardLinkFaults <=
-                   static_cast<int>(pool.size()),
-               "hard_link_faults exceeds the surviving internal links");
-    std::vector<std::pair<NodeId, int>> permanentLinks;
-    for (int i = 0; i < params_.hardLinkFaults; ++i) {
+    const int links = churn ? params_.churnLinks : params_.hardLinkFaults;
+    if (links > static_cast<int>(pool.size())) {
+        fatal(churn ? "churn_links=" : "hard_link_faults=", links,
+              " is out of range for the ", mesh.width(), "x",
+              mesh.height(), " mesh (valid: 0..", pool.size(),
+              ", the internal links left by the other kills)");
+    }
+    const std::uint64_t linkSalt =
+        (churn ? 0x71AEULL : 0x11F0ULL) ^ waveSalt;
+    std::vector<Link> drawn;
+    for (int i = 0; i < links; ++i) {
         const auto idx = static_cast<std::size_t>(
             mix64(seedMix_ ^
-                  mix64(0x11F0ULL ^
-                        (static_cast<std::uint64_t>(i) << 32))) %
+                  mix64(linkSalt ^ (static_cast<std::uint64_t>(i) << 32))) %
             pool.size());
-        const auto [r, port] = pool[idx];
+        const auto [r, port] = drawn.emplace_back(pool[idx]);
         pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
-        permanentLinks.emplace_back(r, port);
-        hardFaults_.push_back({FaultKind::LinkDead,
-                               params_.hardFaultCycle, r, port});
+        queue(FaultKind::LinkDead, FaultKind::LinkHeal, r, port);
     }
+    return drawn;
+}
+
+void
+FaultInjector::planHardFaults(const Mesh &mesh)
+{
+    routers_ = mesh.numRouters();
+    std::vector<std::uint8_t> dead(static_cast<std::size_t>(routers_), 0);
+    const std::vector<Link> permanent = planKills(mesh, -1, dead, {});
 
     // Churn waves: paired kill/heal events. Victims are hash-drawn
     // per wave, disjoint from the permanent kills above (the heal of
@@ -164,69 +188,8 @@ FaultInjector::planHardFaults(const Mesh &mesh)
     // a fully healed mesh, and overlapping schedules degrade safely
     // into no-op kills/heals at application time.
     for (int w = 0; w < params_.churnWaves; ++w) {
-        const Cycle killAt =
-            params_.churnStart +
-            static_cast<Cycle>(w) * params_.churnPeriod;
-        const Cycle healAt = killAt + params_.churnHealAfter;
-        const auto waveSalt = static_cast<std::uint64_t>(w) << 40;
-
         std::vector<std::uint8_t> waveDead = dead;
-        NOX_ASSERT(params_.churnRouters < nr,
-                   "churn_routers must leave at least one router");
-        for (int i = 0; i < params_.churnRouters; ++i) {
-            std::uint64_t attempt = 0;
-            for (;;) {
-                const auto r = static_cast<NodeId>(
-                    mix64(seedMix_ ^
-                          mix64(0xC4A0ULL ^ waveSalt ^
-                                (static_cast<std::uint64_t>(i)
-                                 << 32) ^
-                                attempt)) %
-                    static_cast<std::uint64_t>(nr));
-                ++attempt;
-                if (waveDead[r])
-                    continue;
-                waveDead[r] = 1;
-                hardFaults_.push_back(
-                    {FaultKind::RouterDead, killAt, r, -1});
-                hardFaults_.push_back(
-                    {FaultKind::RouterHeal, healAt, r, -1});
-                break;
-            }
-        }
-
-        std::vector<std::pair<NodeId, int>> wavePool;
-        for (NodeId r = 0; r < static_cast<NodeId>(nr); ++r) {
-            if (waveDead[r])
-                continue;
-            for (int port : {static_cast<int>(kPortEast),
-                             static_cast<int>(kPortSouth)}) {
-                const NodeId n = mesh.neighbor(r, port);
-                if (n != kInvalidNode && !waveDead[n] &&
-                    std::find(permanentLinks.begin(),
-                              permanentLinks.end(),
-                              std::make_pair(r, port)) ==
-                        permanentLinks.end())
-                    wavePool.emplace_back(r, port);
-            }
-        }
-        NOX_ASSERT(params_.churnLinks <=
-                       static_cast<int>(wavePool.size()),
-                   "churn_links exceeds the surviving internal links");
-        for (int i = 0; i < params_.churnLinks; ++i) {
-            const auto idx = static_cast<std::size_t>(
-                mix64(seedMix_ ^
-                      mix64(0x71AEULL ^ waveSalt ^
-                            (static_cast<std::uint64_t>(i) << 32))) %
-                wavePool.size());
-            const auto [r, port] = wavePool[idx];
-            wavePool.erase(wavePool.begin() +
-                           static_cast<std::ptrdiff_t>(idx));
-            hardFaults_.push_back(
-                {FaultKind::LinkDead, killAt, r, port});
-            hardFaults_.push_back(
-                {FaultKind::LinkHeal, healAt, r, port});
-        }
+        planKills(mesh, w, waveDead, permanent);
     }
 }
 

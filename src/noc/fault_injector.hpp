@@ -22,6 +22,7 @@
 #define NOX_NOC_FAULT_INJECTOR_HPP
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "noc/network_stats.hpp"
@@ -59,6 +60,14 @@ faultKindHard(FaultKind kind)
            kind == FaultKind::RouterHeal;
 }
 
+/** Cycles between a received nack and the retransmission (nack
+ *  turnaround of the link-level protocol). */
+inline constexpr Cycle kNackDelay = 1;
+
+/** Most churn waves a configured run may plan (each wave queues its
+ *  kill and heal events at construction). */
+inline constexpr int kMaxChurnWaves = 1024;
+
 /** Fault-injection configuration (all rates are per link event). */
 struct FaultParams
 {
@@ -85,10 +94,6 @@ struct FaultParams
     /** Cycles a sender waits for the (synchronous) ack before it
      *  declares the flit dropped and retransmits. */
     Cycle retryTimeout = 8;
-
-    /** Cycles between a received nack and the retransmission
-     *  (nack turnaround of the link-level protocol). */
-    Cycle nackDelay = 1;
 
     /** Period of the credit watchdog's divergence audit. */
     Cycle watchdogPeriod = 64;
@@ -169,16 +174,18 @@ struct FaultParams
 
 /**
  * Read `fault_*` keys from @p config:
- *   fault_bitflip_rate=, fault_drop_rate=, fault_credit_loss_rate=,
- *   fault_seed=, fault_recovery= (default true),
- *   fault_retry_timeout=, fault_watchdog_period=,
- *   hard_link_faults=, hard_router_faults=, hard_fault_cycle=,
- *   fault_age_limit=, e2e_transport=, e2e_timeout=,
- *   e2e_retry_limit=, e2e_ack_delay=, churn_waves=, churn_start=,
- *   churn_period=, churn_heal_after=, churn_links=, churn_routers=.
+ *   fault_bitflip_rate=, fault_drop_rate=, fault_credit_loss_rate=
+ *   (0..1), fault_seed=, fault_recovery= (default true),
+ *   fault_retry_timeout=, fault_watchdog_period=, hard_link_faults=,
+ *   hard_router_faults=, hard_fault_cycle=, fault_age_limit=,
+ *   e2e_transport=, e2e_timeout= (1 or more), e2e_retry_limit=
+ *   (0..255), e2e_ack_delay=, churn_waves= (0..kMaxChurnWaves),
+ *   churn_start=, churn_period=, churn_heal_after=, churn_links=,
+ *   churn_routers=. Fatal, naming the key, on a value out of range
+ *   (planHardFaults() refuses victim counts the mesh cannot hold).
  * `enabled` is set when any rate, hard-fault count, churn wave or the
- * E2E transport is requested, or fault_seed/fault_recovery is given
- * explicitly.
+ * E2E transport is requested, or fault_seed/fault_recovery/
+ * fault_age_limit is given explicitly.
  */
 FaultParams faultParamsFromConfig(const Config &config);
 
@@ -265,7 +272,9 @@ class FaultInjector
      * disjoint from the permanent kills (a churn heal must never
      * resurrect a permanently killed entity). Pure function of the
      * seed and @p mesh — every scheduling kernel sees the identical
-     * schedule. Call once at network construction.
+     * schedule. Fatal, naming the key and its bound, when the mesh
+     * cannot hold a victim count (every kill must leave a live
+     * router). Call once at network construction.
      */
     void planHardFaults(const Mesh &mesh);
 
@@ -356,6 +365,16 @@ class FaultInjector
 
     void record(FaultKind kind, NodeId router, int port,
                 std::uint64_t flip_mask);
+
+    using Link = std::pair<NodeId, int>; ///< (router, East/South port)
+
+    /** Hash-draw and queue the permanent kills (@p wave < 0) or churn
+     *  wave @p wave's kill+heal pairs: distinct routers outside
+     *  @p dead (marked there), then distinct canonical links between
+     *  the survivors that are not in @p exclude. @return the links. */
+    std::vector<Link> planKills(const Mesh &mesh, int wave,
+                                std::vector<std::uint8_t> &dead,
+                                const std::vector<Link> &exclude);
 
     static constexpr std::size_t kLogCap = 4096;
 

@@ -124,34 +124,45 @@ parseSchedulingMode(const char *name)
     fatal("unknown scheduling mode '", n, "' (alwaystick | activity)");
 }
 
-namespace {
-
-/** Refuse the mesh and router values no Network can be built from,
- *  before anything is allocated, naming each one's config key. */
-const NetworkParams &
-checkedParams(const NetworkParams &p)
+NetworkParams
+networkParamsFromConfig(const Config &config)
 {
-    checkRange("width", p.width, 1, kMaxMeshSide);
-    checkRange("height", p.height, 1, kMaxMeshSide);
-    checkRange("concentration", p.concentration, 1, 16);
-    checkRange("buffer_depth", p.router.bufferDepth, 1, kMaxBufferDepth);
-    checkRange("vc_count", p.router.vcCount, 1, 8);
-    checkRange("perturb_router", p.debugPerturbRouter, 0,
-               std::int64_t{p.width} * p.height - 1);
+    NetworkParams p;
+    p.width = config.getInt("width", p.width, 1, kMaxMeshSide);
+    p.height = config.getInt("height", p.height, 1, kMaxMeshSide);
+    p.concentration = config.getInt("concentration", p.concentration, 1,
+                                    kMaxConcentration);
+    p.router.bufferDepth = config.getInt(
+        "buffer_depth", p.router.bufferDepth, 1, kMaxBufferDepth);
+    p.sinkBufferDepth = p.router.bufferDepth;
+    p.router.vcCount =
+        config.getInt("vc_count", p.router.vcCount, 1, kMaxVcCount);
+    // One node has no destination to send to: every traffic draw
+    // would spin forever looking for one.
+    if (p.width * p.height * p.concentration < 2) {
+        fatal("width=", p.width, " height=", p.height,
+              " concentration=", p.concentration,
+              " is a single node (valid: at least 2 nodes)");
+    }
+    p.faults = faultParamsFromConfig(config);
+    p.obs = obsParamsFromConfig(config);
     return p;
 }
 
-} // namespace
-
 Network::Network(const NetworkParams &params, RouterFactory factory)
-    : params_(checkedParams(params)),
+    : params_(params),
       mesh_(params.width, params.height, params.concentration),
-      table_(mesh_, params.routing), faultMap_(mesh_),
+      table_(mesh_, RoutingAlgo::DorXY), faultMap_(mesh_),
       // Per-flow tables are only touched with faults enabled.
       flowNextSeq_(params.faults.enabled ? mesh_.numNodes() : 0),
       flowMaxDone_(params.faults.enabled ? mesh_.numNodes() : 0)
 {
     NOX_ASSERT(factory, "router factory required");
+    NOX_ASSERT(params.debugPerturbRouter >= 0 &&
+                   params.debugPerturbRouter < mesh_.numRouters(),
+               "perturb_router=", params.debugPerturbRouter,
+               " is out of range (valid: 0..", mesh_.numRouters() - 1,
+               ")");
 
     // Router radix follows the topology's concentration factor.
     RouterParams rp = params.router;
@@ -1065,7 +1076,7 @@ Network::fingerprint() const
        << " vcs=" << params_.router.vcCount
        << " sink=" << params_.sinkBufferDepth
        << " arb=" << static_cast<int>(params_.router.arbiterKind)
-       << " routing=" << static_cast<int>(params_.routing)
+       << " routing=" << static_cast<int>(RoutingAlgo::DorXY)
        << " sched=" << schedulingModeName(params_.schedulingMode);
     const FaultParams &f = params_.faults;
     os << " faults=" << (f.enabled ? 1 : 0);
@@ -1074,7 +1085,7 @@ Network::fingerprint() const
            << bits(f.dropRate) << "," << bits(f.creditLossRate)
            << std::dec << " seed=" << f.seed
            << " protect=" << (f.protect ? 1 : 0)
-           << " retry=" << f.retryTimeout << "," << f.nackDelay
+           << " retry=" << f.retryTimeout << "," << kNackDelay
            << " watchdog=" << f.watchdogPeriod
            << " hard=" << f.hardLinkFaults << ","
            << f.hardRouterFaults << "@" << f.hardFaultCycle

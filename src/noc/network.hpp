@@ -60,18 +60,19 @@ const char *schedulingModeName(SchedulingMode mode);
 /** Parse a scheduling-mode name (fatal on unknown names). */
 SchedulingMode parseSchedulingMode(const char *name);
 
-/** Largest mesh side and input-buffer depth a Network accepts: they
- *  bound the allocations made at construction (routers, NICs and
- *  FIFO slots grow with side² × depth). */
+/** Largest mesh side and input-buffer depth a configured run may
+ *  ask for: they bound the allocations made at construction (routers,
+ *  NICs and FIFO slots grow with side² × depth). */
 inline constexpr int kMaxMeshSide = 32;
 inline constexpr int kMaxBufferDepth = 32;
+inline constexpr int kMaxConcentration = 16;
+inline constexpr int kMaxVcCount = 8;
 
 /**
- * Network construction parameters. The constructor refuses (fatal,
- * naming the config key) a width or height outside 1..kMaxMeshSide,
- * a concentration outside 1..16, a buffer depth outside
- * 1..kMaxBufferDepth, a VC count outside 1..8 and a perturb router
- * outside the mesh.
+ * Network construction parameters. Configured runs get them from
+ * networkParamsFromConfig(), which refuses every out-of-range value;
+ * the constructor only asserts them, as invariants of programmatic
+ * callers. Routing is dimension-order X-then-Y.
  */
 struct NetworkParams
 {
@@ -80,7 +81,6 @@ struct NetworkParams
     int concentration = 1; ///< terminals per router (>1 = CMesh, §8)
     RouterParams router;   ///< numPorts is derived from concentration
     int sinkBufferDepth = 4;
-    RoutingAlgo routing = RoutingAlgo::DorXY;
     SchedulingMode schedulingMode = SchedulingMode::AlwaysTick;
     FaultParams faults; ///< link-fault injection (disabled by default)
     ObsParams obs;      ///< tracing + metrics (disabled by default)
@@ -94,13 +94,22 @@ struct NetworkParams
      * disabled. Applied after the kernel commits and before the
      * digest stride is captured, so the first differing stride is
      * labeled with exactly this cycle. The router id must name a
-     * router of the mesh (fatal at construction otherwise); it is
-     * 64-bit so an out-of-range config value reaches that check
-     * unnarrowed.
+     * router of the mesh.
      */
     Cycle debugPerturbCycle = 0;
-    std::int64_t debugPerturbRouter = 0;
+    NodeId debugPerturbRouter = 0;
 };
+
+class Config;
+
+/**
+ * Read the mesh and router keys (width, height, concentration,
+ * buffer_depth, which also sizes the sinks, and vc_count, each up to
+ * its kMax constant), then faultParamsFromConfig() and
+ * obsParamsFromConfig(). Fatal, naming the key, on a value out of
+ * range or a mesh of fewer than 2 nodes.
+ */
+NetworkParams networkParamsFromConfig(const Config &config);
 
 /**
  * Structured diagnosis of a drain attempt. When a drain times out —

@@ -92,7 +92,7 @@ Router::linkNack(int out_port)
     NOX_ASSERT(retry_[out_port].has_value(),
                "link nack with no pending retry entry on ",
                portName(out_port));
-    retry_[out_port]->due = faults_->now() + faults_->params().nackDelay;
+    retry_[out_port]->due = faults_->now() + kNackDelay;
     retry_[out_port]->nacked = true;
     trace(TraceEventKind::LinkNack, out_port,
           retry_[out_port]->flit.parts.front().uid);

@@ -11,8 +11,8 @@ obsParamsFromConfig(const Config &config)
 
     obs.trace.enabled =
         config.getBool("trace", false) || config.has("trace_file");
-    obs.trace.capacity = static_cast<std::size_t>(config.getUint(
-        "trace_capacity", obs.trace.capacity));
+    obs.trace.capacity = config.getUint(
+        "trace_capacity", obs.trace.capacity, 1, kMaxTraceCapacity);
     obs.trace.chromePath = config.getString("trace_file", "");
     obs.trace.flightPath =
         config.getString("trace_flight_file", obs.trace.flightPath);
@@ -24,7 +24,7 @@ obsParamsFromConfig(const Config &config)
     obs.metrics.enabled =
         config.getBool("metrics", false) || config.has("metrics_file");
     obs.metrics.interval =
-        config.getUint("metrics_interval", obs.metrics.interval);
+        config.getUint("metrics_interval", obs.metrics.interval, 1);
     obs.metrics.jsonlPath =
         config.getString("metrics_file", "nox-metrics.jsonl");
     obs.metrics.heatmap =
@@ -42,14 +42,14 @@ obsParamsFromConfig(const Config &config)
     obs.telemetry.enabled = config.getBool("telemetry", false) ||
                             config.has("telemetry_file") ||
                             obs.telemetry.progress;
-    obs.telemetry.interval = config.getUint("telemetry_interval",
-                                            obs.telemetry.interval);
+    obs.telemetry.interval = config.getUint(
+        "telemetry_interval", obs.telemetry.interval, 1);
     obs.telemetry.jsonlPath = config.getString("telemetry_file", "");
 
     obs.digest.enabled = config.getBool("digest", false) ||
                          config.has("digest_file");
     obs.digest.interval =
-        config.getUint("digest_interval", obs.digest.interval);
+        config.getUint("digest_interval", obs.digest.interval, 1);
     obs.digest.jsonlPath = config.getString("digest_file", "");
 
     return obs;

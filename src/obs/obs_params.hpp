@@ -40,7 +40,7 @@ struct ObsParams
 /**
  * Read the observability keys from @p config:
  *   trace=            master switch for event tracing (default false)
- *   trace_capacity=   ring size in events (default 65536)
+ *   trace_capacity=   ring size in events (1..kMaxTraceCapacity, 65536)
  *   trace_file=       Chrome trace_event JSON export path; setting it
  *                     implies trace=true (default: no export)
  *   trace_flight_file= flight-recorder dump path (default
@@ -49,7 +49,7 @@ struct ObsParams
  *                     failure trigger (for offline `trace_tool
  *                     analyze`); implies trace=true (default false)
  *   metrics=          master switch for time-series sampling
- *   metrics_interval= cycles per sampling window (default 256)
+ *   metrics_interval= cycles per sampling window (1 or more, 256)
  *   metrics_file=     JSONL export path; setting it implies
  *                     metrics=true (default nox-metrics.jsonl)
  *   metrics_heatmap=  print the link-utilization heatmap (default
@@ -65,16 +65,17 @@ struct ObsParams
  *                     profile=true (default: no export)
  *   telemetry=        master switch for the run-telemetry heartbeat
  *                     (default false)
- *   telemetry_interval= cycles between heartbeats (default 50000)
+ *   telemetry_interval= cycles between heartbeats (1 or more, 50000)
  *   telemetry_file=   heartbeat JSONL export path; setting it
  *                     implies telemetry=true (default: no export)
  *   progress=         mirror a one-line heartbeat to stderr; implies
  *                     telemetry=true (tools also accept --progress)
  *   digest=           master switch for the state-digest ledger
  *                     (default false)
- *   digest_interval=  cycles between ledger strides (default 1000)
+ *   digest_interval=  cycles between ledger strides (1 or more, 1000)
  *   digest_file=      JSONL ledger export path; setting it implies
  *                     digest=true (default: in-memory only)
+ * Fatal, naming the key, on a value out of range.
  */
 ObsParams obsParamsFromConfig(const Config &config);
 

@@ -33,6 +33,9 @@ class Writer;
 class Reader;
 } // namespace snap
 
+/** Largest ring a configured run may ask for: 4 Mi events, 128 MiB. */
+inline constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 22;
+
 /** Tracing configuration (see obsParamsFromConfig for the keys). */
 struct TraceParams
 {

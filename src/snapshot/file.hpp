@@ -77,6 +77,10 @@ std::vector<std::uint8_t> encodeSnapshotFile(const SnapshotFile &f);
 SnapshotFile decodeSnapshotFile(const std::uint8_t *data,
                                 std::size_t size);
 
+/** Most snapshots a configured run may retain (checkpoint_keep=):
+ *  every write renames the whole chain. */
+inline constexpr int kMaxCheckpointKeep = 1000;
+
 /**
  * Crash-safe write: temp file + fsync + rotation + atomic rename.
  * @p keep is the total number of snapshots retained (the live file

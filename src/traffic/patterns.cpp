@@ -9,13 +9,13 @@ namespace nox {
 PatternKind
 parsePattern(const std::string &name)
 {
-    if (name == "uniform" || name == "uniform_random")
+    if (name == "uniform")
         return PatternKind::UniformRandom;
     if (name == "transpose")
         return PatternKind::Transpose;
-    if (name == "bitcomp" || name == "bit_complement")
+    if (name == "bitcomp")
         return PatternKind::BitComplement;
-    if (name == "bitrev" || name == "bit_reverse")
+    if (name == "bitrev")
         return PatternKind::BitReverse;
     if (name == "shuffle")
         return PatternKind::Shuffle;
@@ -44,18 +44,31 @@ patternName(PatternKind kind)
     return "?";
 }
 
+const char *
+patternMeshNeed(PatternKind kind, const Mesh &mesh)
+{
+    if (kind == PatternKind::UniformRandom || kind == PatternKind::Hotspot)
+        return nullptr;
+    if (mesh.concentration() > 1)
+        return "concentration=1";
+    if (kind == PatternKind::Transpose && mesh.width() != mesh.height())
+        return "a square mesh";
+    const bool bits = kind == PatternKind::BitComplement ||
+                      kind == PatternKind::BitReverse ||
+                      kind == PatternKind::Shuffle;
+    if (bits && !std::has_single_bit(static_cast<unsigned>(mesh.numNodes())))
+        return "a power-of-two node count";
+    return nullptr;
+}
+
 DestinationPattern::DestinationPattern(PatternKind kind, const Mesh &mesh,
                                        double hotspot_fraction)
     : kind_(kind), mesh_(mesh), hotspotFraction_(hotspot_fraction)
 {
-    const auto n = static_cast<unsigned>(mesh.numNodes());
-    indexBits_ = std::bit_width(n) - 1;
-    if (kind == PatternKind::BitComplement ||
-        kind == PatternKind::BitReverse ||
-        kind == PatternKind::Shuffle) {
-        NOX_ASSERT(std::has_single_bit(n),
-                   "bit-permutation patterns need a power-of-two mesh");
-    }
+    NOX_ASSERT(!patternMeshNeed(kind, mesh), patternName(kind),
+               " needs ", patternMeshNeed(kind, mesh));
+    indexBits_ =
+        std::bit_width(static_cast<unsigned>(mesh.numNodes())) - 1;
     hotNode_ = mesh.nodeAt(
         {mesh.width() / 2, mesh.height() / 2});
 }
@@ -102,10 +115,7 @@ DestinationPattern::deterministicDest(NodeId src) const
     const Coord c = mesh_.coordOf(src);
     const int k = mesh_.width();
     switch (kind_) {
-      case PatternKind::Transpose:
-        // (x,y) -> (y,x); needs a square mesh.
-        NOX_ASSERT(mesh_.width() == mesh_.height(),
-                   "transpose needs a square mesh");
+      case PatternKind::Transpose: // (x,y) -> (y,x)
         return mesh_.nodeAt({c.y, c.x});
       case PatternKind::BitComplement:
         return mesh_.nodeAt(

@@ -31,11 +31,21 @@ enum class PatternKind : std::uint8_t {
     Hotspot,
 };
 
+/** Probability that a Hotspot source addresses the hot node in a
+ *  synthetic run. */
+inline constexpr double kHotspotFraction = 0.2;
+
 /** Parse a pattern name ("uniform", "transpose", ...). */
 PatternKind parsePattern(const std::string &name);
 
 /** Display name of a pattern. */
 const char *patternName(PatternKind kind);
+
+/** What @p kind needs of @p mesh that it lacks (nullptr: nothing):
+ *  every pattern but uniform and hotspot maps router coordinates, so
+ *  needs concentration 1; transpose also a square mesh, and the bit
+ *  patterns a power-of-two node count. */
+const char *patternMeshNeed(PatternKind kind, const Mesh &mesh);
 
 /** All patterns in presentation order. */
 inline constexpr PatternKind kAllPatterns[] = {
@@ -51,13 +61,12 @@ class DestinationPattern
   public:
     /**
      * @param kind pattern to implement
-     * @param mesh target topology (bit patterns need power-of-two
-     *        node counts; asserted)
+     * @param mesh target topology (patternMeshNeed() asserted empty)
      * @param hotspot_fraction probability of addressing the hot node
      *        (Hotspot pattern only)
      */
     DestinationPattern(PatternKind kind, const Mesh &mesh,
-                       double hotspot_fraction = 0.2);
+                       double hotspot_fraction = kHotspotFraction);
 
     /**
      * Destination for a packet from @p src; kInvalidNode when this

@@ -50,9 +50,9 @@ TEST(RunnerExtras, WasteCountersByArchitecture)
 TEST(RunnerExtras, CMeshConfigurationRuns)
 {
     SyntheticConfig c = quick(RouterArch::Nox, 700);
-    c.width = 4;
-    c.height = 4;
-    c.concentration = 4;
+    c.net.width = 4;
+    c.net.height = 4;
+    c.net.concentration = 4;
     const RunResult r = runSynthetic(c);
     EXPECT_FALSE(r.saturated);
     EXPECT_GT(r.packetsMeasured, 500u);
@@ -67,9 +67,9 @@ TEST(RunnerExtras, CMeshLowerZeroLoadCycles)
     // 8x8 mesh, in cycles.
     SyntheticConfig mesh = quick(RouterArch::Nox, 300);
     SyntheticConfig cmesh = quick(RouterArch::Nox, 300);
-    cmesh.width = 4;
-    cmesh.height = 4;
-    cmesh.concentration = 4;
+    cmesh.net.width = 4;
+    cmesh.net.height = 4;
+    cmesh.net.concentration = 4;
     const RunResult rm = runSynthetic(mesh);
     const RunResult rc = runSynthetic(cmesh);
     EXPECT_LT(rc.avgLatencyCycles, rm.avgLatencyCycles);

@@ -199,41 +199,26 @@ main(int argc, char **argv)
 
     const RouterArch arch =
         parseArch(config.getString("arch", "nox").c_str());
-    const double seconds = config.getDouble("seconds", 5.0);
+    const double seconds = config.getDouble("seconds", 5.0, 0.0);
     const std::uint64_t seed = config.getUint("seed", 12345);
     // phases=N runs exactly N phases instead of a wall-clock budget —
     // the deterministic mode the checkpoint/resume CI check relies on.
-    const int maxPhases =
-        static_cast<int>(config.getInt("phases", 0));
+    const int maxPhases = config.getInt("phases", 0, 0);
     const Cycle checkpointInterval =
         config.getUint("checkpoint_interval", 0);
     const std::string checkpointFile =
         config.getString("checkpoint_file", "nox-checkpoint.snap");
     const int checkpointKeep =
-        static_cast<int>(config.getInt("checkpoint_keep", 2));
+        config.getInt("checkpoint_keep", 2, 1, snap::kMaxCheckpointKeep);
     const std::string resumePath = config.getString("resume");
 
-    NetworkParams params;
-    params.width = static_cast<int>(config.getInt("width", 8));
-    params.height = static_cast<int>(config.getInt("height", 8));
-    params.concentration =
-        static_cast<int>(config.getInt("concentration", 1));
-    params.router.bufferDepth =
-        static_cast<int>(config.getInt("buffer_depth", 4));
-    params.router.vcCount =
-        static_cast<int>(config.getInt("vc_count", 1));
-    params.sinkBufferDepth = params.router.bufferDepth;
+    // Mesh, router, fault and observer keys. With fault recovery on
+    // (the default) every invariant below must still hold, so the soak
+    // fuzzes the CRC/retransmission and watchdog machinery and the
+    // observers' hot paths too. Per-phase networks overwrite the
+    // export files; the last phase's exports survive.
+    NetworkParams params = networkParamsFromConfig(config);
     params.schedulingMode = SchedulingMode::ActivityDriven;
-    // Optional deterministic link-fault injection (fault_bitflip_rate=
-    // etc.). With recovery enabled (the default) every invariant below
-    // must still hold — the soak then fuzzes the CRC/retransmission
-    // and watchdog machinery on top of the router logic.
-    params.faults = faultParamsFromConfig(config);
-    // Optional observability (trace=/metrics= keys): the soak then
-    // doubles as a stress test for the recorder/sampler hot paths.
-    // Per-phase networks overwrite the export files; the last phase's
-    // exports survive.
-    params.obs = obsParamsFromConfig(config);
     config.requireAllUsed("nettest");
     // The reference twin: always-tick, observers off.
     NetworkParams twinParams = params;

@@ -74,7 +74,8 @@ runSyntheticMode(const Config &config)
     t.addRow({"ed2_pj_ns2", Table::num(r.ed2, 1)});
     t.addRow({"link_energy_share",
               Table::num(r.energy.linkFraction(), 4)});
-    if (c.faults.enabled) {
+    const FaultParams &faults = c.net.faults;
+    if (faults.enabled) {
         t.addRow({"faults_injected",
                   std::to_string(r.faults.faultsInjected)});
         t.addRow({"faults_detected",
@@ -103,7 +104,7 @@ runSyntheticMode(const Config &config)
                   std::to_string(r.faults.flowReorders)});
         t.addRow({"age_alarms",
                   std::to_string(r.faults.ageAlarms)});
-        if (c.faults.e2eTransport) {
+        if (faults.e2eTransport) {
             t.addRow({"e2e_retransmits",
                       std::to_string(r.faults.e2eRetransmits)});
             t.addRow({"dup_suppressed",
@@ -111,7 +112,7 @@ runSyntheticMode(const Config &config)
             t.addRow({"delivery_failures",
                       std::to_string(r.faults.deliveryFailures)});
         }
-        if (c.faults.churnWaves > 0) {
+        if (faults.churnWaves > 0) {
             t.addRow({"link_heals",
                       std::to_string(r.faults.linkHeals)});
             t.addRow({"router_heals",
@@ -193,19 +194,9 @@ runAppMode(const Config &config)
     AppConfig c;
     c.arch = parseArch(config.getString("arch", "nox").c_str());
 
-    Trace trace;
-    if (config.has("trace")) {
-        trace = readTraceFile(config.getString("trace"));
-    } else {
-        CmpParams params;
-        CoherenceTraceGenerator gen(
-            params,
-            findWorkload(config.getString("workload", "tpcc")),
-            config.getUint("seed", 99));
-        trace = gen.generate(
-            config.getDouble("horizon_ns", 25000.0),
-            config.getDouble("warmup_ns", 50000.0));
-    }
+    const Trace trace = config.has("trace")
+                            ? readTraceFile(config.getString("trace"))
+                            : traceFromConfig(config);
 
     const std::string csvPath = config.getString("csv");
     config.requireAllUsed("noxsim");

@@ -76,13 +76,7 @@ using namespace nox;
 int
 cmdGen(const Config &config)
 {
-    CmpParams params;
-    CoherenceTraceGenerator gen(
-        params, findWorkload(config.getString("workload", "tpcc")),
-        config.getUint("seed", 99));
-    const Trace trace =
-        gen.generate(config.getDouble("horizon_ns", 25000.0),
-                     config.getDouble("warmup_ns", 50000.0));
+    const Trace trace = traceFromConfig(config);
     const std::string out = config.getString("out");
     if (out.empty())
         fatal("gen requires out=<path>");
@@ -138,10 +132,10 @@ cmdFilter(const Config &config)
             r.network != config.getUint("network"))
             continue;
         if (config.has("src") &&
-            r.src != static_cast<NodeId>(config.getInt("src")))
+            r.src != config.getInt("src", NodeId{0}))
             continue;
         if (config.has("dst") &&
-            r.dst != static_cast<NodeId>(config.getInt("dst")))
+            r.dst != config.getInt("dst", NodeId{0}))
             continue;
         out.records.push_back(r);
     }
@@ -155,7 +149,8 @@ int
 cmdHistogram(const Config &config)
 {
     const Trace trace = readTraceFile(config.getString("in"));
-    const int bins = static_cast<int>(config.getInt("bins", 20));
+    // One output line per bin.
+    const int bins = config.getInt("bins", 20, 1, 10000);
     if (trace.records.empty() || trace.durationNs <= 0.0) {
         std::cout << "empty trace\n";
         return 0;
@@ -223,8 +218,7 @@ cmdAnalyze(const Config &config)
     t.addRow({"latency mismatches", std::to_string(mismatches)});
     t.print(std::cout);
 
-    const auto k =
-        static_cast<std::size_t>(config.getUint("topk", 10));
+    const std::size_t k = config.getUint("topk", 10);
     const std::vector<SlowPacket> slow =
         slowestPackets(dump, timelines, k);
     if (!slow.empty()) {
@@ -338,8 +332,7 @@ cmdProfile(const Config &config)
         // "Hottest" = most flits moved; under activity-driven
         // scheduling the evals column additionally shows how often
         // the scheduler actually woke each router.
-        const auto k = static_cast<std::size_t>(
-            config.getUint("topk", 10));
+        const std::size_t k = config.getUint("topk", 10);
         std::vector<ProfileFile::Router> sorted = routers;
         std::sort(sorted.begin(), sorted.end(),
                   [](const auto &a, const auto &b) {
@@ -378,11 +371,8 @@ cmdProfile(const Config &config)
         static_cast<std::size_t>(p.meta.height);
     if (config.has("shards") && !routers.empty() &&
         routers.size() == meshRouters) {
-        const int shards =
-            static_cast<int>(config.getInt("shards", 4));
-        if (shards < 1)
-            fatal("profile: shards=", shards,
-                  " is out of range (valid: 1 or more)");
+        const int shards = config.getInt(
+            "shards", 4, 1, static_cast<int>(meshRouters));
         std::vector<ProfileFile::Router> byId = routers;
         std::sort(byId.begin(), byId.end(),
                   [](const auto &a, const auto &b) {
@@ -502,8 +492,8 @@ bisectSideConfig(const Config &config, const char *label)
     config.requireAllUsed(label);
     c.checkpointInterval = 0;
     c.resumePath.clear();
-    c.obs.digest.enabled = false;
-    c.obs.digest.jsonlPath.clear();
+    c.net.obs.digest.enabled = false;
+    c.net.obs.digest.jsonlPath.clear();
     return c;
 }
 
