@@ -85,10 +85,7 @@ Config::parseArgs(int argc, const char *const *argv)
         if (arg == "--resume") {
             if (i + 1 >= argc)
                 fatal("--resume requires a snapshot path argument");
-            // std::string() forces the string overload: a bare
-            // const char* would pick set(key, bool) via the standard
-            // pointer-to-bool conversion.
-            set("resume", std::string(argv[++i]));
+            set("resume", argv[++i]);
             continue;
         }
         if (arg == "--progress") {
@@ -131,6 +128,12 @@ Config::loadFile(const std::string &path)
 
 void
 Config::set(const std::string &key, const std::string &value)
+{
+    values_[key] = value;
+}
+
+void
+Config::set(const std::string &key, const char *value)
 {
     values_[key] = value;
 }

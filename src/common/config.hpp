@@ -42,8 +42,10 @@ class Config
     /** Load `key = value` lines from a file ('#' starts a comment). */
     void loadFile(const std::string &path);
 
-    /** Set (or overwrite) a key. */
+    /** Set (or overwrite) a key. A string literal stores its text
+     *  (without its own overload it would convert to bool). */
     void set(const std::string &key, const std::string &value);
+    void set(const std::string &key, const char *value);
     void set(const std::string &key, std::int64_t value);
     void set(const std::string &key, double value);
     void set(const std::string &key, bool value);

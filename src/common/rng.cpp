@@ -7,16 +7,6 @@
 
 namespace nox {
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 std::uint64_t
 splitmix64(std::uint64_t &state)
 {
@@ -47,22 +37,6 @@ Rng::seed(std::uint64_t seed_value)
     // four zero outputs in a row, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 0x9e3779b97f4a7c15ULL;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
 }
 
 std::uint64_t
@@ -108,6 +82,15 @@ Rng::nextBernoulli(double p)
     if (p >= 1.0)
         return true;
     return nextDouble() < p;
+}
+
+std::uint64_t
+Rng::threshold53(double p)
+{
+    NOX_ASSERT(p > 0.0 && p < 1.0, "threshold53 needs p in (0, 1)");
+    // Scaling by 2^53 is exact, and an integer is below a real
+    // exactly when it is below the real's ceiling.
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 double

@@ -13,6 +13,7 @@
 #define NOX_COMMON_RNG_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace nox {
@@ -36,7 +37,21 @@ class Rng
     void seed(std::uint64_t seed);
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound), bias-free via rejection. */
     std::uint64_t nextBounded(std::uint64_t bound);
@@ -52,6 +67,20 @@ class Rng
 
     /** Bernoulli trial with probability p of returning true. */
     bool nextBernoulli(double p);
+
+    /**
+     * The integer form of a probability @p p in (0, 1):
+     * ceil(p * 2^53). nextDouble() < p holds exactly when the 53 high
+     * bits of the same draw are below it, so nextBelow() on this
+     * value is nextBernoulli(p), draw for draw.
+     */
+    static std::uint64_t threshold53(double p);
+
+    /** One trial against a threshold53() value. */
+    bool nextBelow(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
 
     /**
      * Pareto-distributed value with shape @p alpha and minimum

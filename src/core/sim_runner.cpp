@@ -103,13 +103,15 @@ parseSyntheticConfig(const Config &config)
 
 namespace {
 
-/** The physical model follows the topology: concentrated meshes have
- *  higher-radix routers and (same die area, fewer routers)
- *  proportionally longer channels — §8's future-work setting. */
+/** The physical model follows the topology: the input FIFOs are as
+ *  deep as the network's, and concentrated meshes have higher-radix
+ *  routers and (same die area, fewer routers) proportionally longer
+ *  channels — §8's future-work setting. */
 PhysicalParams
 meshPhysical(const SyntheticConfig &config)
 {
     PhysicalParams phys = config.phys;
+    phys.bufferDepth = config.net.router.bufferDepth;
     const int conc = config.net.concentration;
     if (conc > 1) {
         phys.ports = meshRadix(conc);
@@ -123,9 +125,21 @@ meshPhysical(const SyntheticConfig &config)
 SyntheticNet
 buildSyntheticNetwork(const SyntheticConfig &config)
 {
-    const double offered = mbpsToFlitsPerCycle(
-        config.injectionMBps, TimingModel(config.tech, meshPhysical(config))
-                                  .clockPeriodNs(config.arch));
+    const double period = TimingModel(config.tech, meshPhysical(config))
+                              .clockPeriodNs(config.arch);
+    const double offered = mbpsToFlitsPerCycle(config.injectionMBps,
+                                               period);
+    // A Bernoulli source offers at most one packet a cycle, and an ON
+    // burst of a self-similar one exactly that, so its mean is less.
+    const double peak = config.packetFlits;
+    if (offered > peak || (config.selfSimilar && offered >= peak)) {
+        fatal("rate_mbps=", config.injectionMBps,
+              " is out of range (valid: ",
+              config.selfSimilar ? "below " : "up to ",
+              flitsPerCycleToMbps(peak, period),
+              ", packet_flits=", config.packetFlits,
+              " flits per node per cycle at a ", period, " ns clock)");
+    }
     SyntheticNet built;
     built.net = makeNetwork(config.net, config.arch);
     built.pattern = std::make_unique<DestinationPattern>(

@@ -185,8 +185,10 @@ struct SyntheticNet
 };
 
 /** Build network + per-node sources + measurement window for one
- *  synthetic point. Fatal when the offered load saturates the
- *  injection channel (callers check via runSynthetic for sweeps). */
+ *  synthetic point. Fatal, naming rate_mbps and the limit, when the
+ *  sources cannot offer the load: more than packet_flits flits per
+ *  node per cycle, or that many with selfsimilar (runSynthetic calls
+ *  a load of a flit a cycle or more saturated before building). */
 SyntheticNet buildSyntheticNetwork(const SyntheticConfig &config);
 
 /** Runner-level fingerprint (pattern/rate/window/seed) guarding

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <functional>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
@@ -575,6 +577,88 @@ Network::addSource(std::unique_ptr<TrafficSource> source)
 {
     NOX_ASSERT(source, "null traffic source");
     sources_.push_back(std::move(source));
+    sourceDue_.push_back(now_); // a new source acts at once
+    const std::size_t words = (sources_.size() + 63) / 64;
+    if (words == sourceWords_) {
+        scheduleSource(sources_.size() - 1, now_);
+        return;
+    }
+    sourceWords_ = words;
+    sourceWheel_.assign(kWheelSlots * words, 0);
+    rearmSources();
+}
+
+void
+Network::setSourcesEnabled(bool enabled)
+{
+    if (enabled == sourcesEnabled_)
+        return;
+    sourcesEnabled_ = enabled;
+    if (!enabled) {
+        pausedAt_ = now_;
+        return;
+    }
+    const Cycle paused = now_ - pausedAt_;
+    for (std::size_t id = 0; id < sources_.size(); ++id) {
+        Cycle &due = sourceDue_[id];
+        if (due != kNeverDue)
+            due = std::max(sources_[id]->resume(due, paused), now_);
+    }
+    rearmSources();
+}
+
+void
+Network::scheduleSource(std::size_t id, Cycle due)
+{
+    NOX_ASSERT(due >= now_, "traffic source ", id, " named past cycle ",
+               due, " at cycle ", now_);
+    sourceDue_[id] = due;
+    if (due == kNeverDue)
+        return;
+    if (due - now_ < kWheelSlots) {
+        sourceWheel_[(due % kWheelSlots) * sourceWords_ + id / 64] |=
+            std::uint64_t{1} << (id % 64);
+        return;
+    }
+    sourceFar_.emplace_back(due, id);
+    std::push_heap(sourceFar_.begin(), sourceFar_.end(),
+                   std::greater<>{});
+}
+
+void
+Network::rearmSources()
+{
+    std::fill(sourceWheel_.begin(), sourceWheel_.end(), 0);
+    sourceFar_.clear();
+    for (std::size_t id = 0; id < sources_.size(); ++id)
+        scheduleSource(id, sourceDue_[id]);
+}
+
+void
+Network::tickDueSources()
+{
+    // A far date moves onto the wheel once it is less than one turn
+    // ahead, which is before its slot comes round.
+    while (!sourceFar_.empty() &&
+           sourceFar_.front().first - now_ < kWheelSlots) {
+        std::pop_heap(sourceFar_.begin(), sourceFar_.end(),
+                      std::greater<>{});
+        const auto [due, id] = sourceFar_.back();
+        sourceFar_.pop_back();
+        scheduleSource(id, due);
+    }
+    // A tick names a later date, never this slot again (a date a
+    // whole turn ahead goes to the far heap).
+    std::uint64_t *const slot =
+        sourceWheel_.data() + (now_ % kWheelSlots) * sourceWords_;
+    for (std::size_t w = 0; w < sourceWords_; ++w) {
+        for (std::uint64_t bits = std::exchange(slot[w], 0); bits != 0;
+             bits &= bits - 1) {
+            const std::size_t id =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            scheduleSource(id, sources_[id]->tick(now_, *this));
+        }
+    }
 }
 
 void
@@ -606,12 +690,12 @@ Network::step()
         traceWakes();
     }
 
-    // 1. Traffic generation: sources draw from their RNG every cycle,
-    // so both modes see the same traffic. Injection re-arms the NIC.
+    // 1. Traffic generation: the sources due this cycle, whatever the
+    // kernel, so both modes see the same traffic. Injection re-arms
+    // the NIC.
     if (sourcesEnabled_) {
         ProfScope ps(prof, SimPhase::TrafficInject);
-        for (auto &src : sources_)
-            src->tick(now_, *this);
+        tickDueSources();
     }
 
     // 1b. Link-layer maintenance (retransmissions, credit watchdog)
@@ -857,11 +941,11 @@ Network::drain(Cycle limit)
     // and burn the whole cycle limit; suspend them for the duration
     // and restore the caller's setting on exit.
     const bool sources_were_enabled = sourcesEnabled_;
-    sourcesEnabled_ = false;
+    setSourcesEnabled(false);
     const Cycle deadline = now_ + limit;
     while (!drainComplete() && now_ < deadline)
         step();
-    sourcesEnabled_ = sources_were_enabled;
+    setSourcesEnabled(sources_were_enabled);
 
     drainReport_ = DrainReport{};
     drainReport_.drained = drainComplete();
@@ -1233,8 +1317,12 @@ Network::layout(Ar &ar, Self &self, snap::Scope scope)
         snap::io(ar, *nic);
     snap::ioExpect(ar, std::uint64_t{self.sources_.size()},
                    "traffic source count mismatch (wrong config)");
-    for (auto &src : self.sources_)
-        snap::io(ar, *src);
+    for (auto &src : self.sources_) {
+        if constexpr (Ar::kReading)
+            src->restore(ar);
+        else
+            src->serialize(ar, self.sourceClock());
+    }
     const auto optional = [&ar](auto &component, const char *what) {
         snap::ioExpect(ar, component != nullptr, what);
         if (component)
@@ -1247,6 +1335,13 @@ Network::layout(Ar &ar, Self &self, snap::Scope scope)
     optional(self.prov_, "provenance presence mismatch (wrong config)");
     optional(self.transport_,
              "E2E-transport presence mismatch (wrong config)");
+    if constexpr (Ar::kReading) {
+        // Restored sources act at once; a paused one from here on.
+        self.pausedAt_ = self.now_;
+        std::fill(self.sourceDue_.begin(), self.sourceDue_.end(),
+                  self.now_);
+        self.rearmSources();
+    }
 }
 
 void
@@ -1273,7 +1368,7 @@ Network::computeDigestStride(snap::Writer &scratch) const
     s.global = hash();
 
     for (const auto &src : sources_)
-        src->serialize(scratch);
+        src->serialize(scratch, sourceClock());
     s.sources = hash();
 
     if (faults_) {

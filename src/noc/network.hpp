@@ -162,8 +162,9 @@ class Network : public PacketInjector,
     /** Attach a per-node traffic source (at most one per node). */
     void addSource(std::unique_ptr<TrafficSource> source);
 
-    /** Enable/disable source ticking (off while draining a run). */
-    void setSourcesEnabled(bool enabled) { sourcesEnabled_ = enabled; }
+    /** Enable/disable source ticking (off while draining a run). A
+     *  paused source makes no draws; see TrafficSource::resume(). */
+    void setSourcesEnabled(bool enabled);
 
     /** Advance one clock cycle. */
     void step();
@@ -350,6 +351,24 @@ class Network : public PacketInjector,
      *  since the previous cycle (tracing only). */
     void traceWakes();
 
+    /** Tick the sources due at now_, in ascending id order. */
+    void tickDueSources();
+
+    /** Record that source @p id is due at @p due (>= now_) and index
+     *  the date on the wheel or the far heap. */
+    void scheduleSource(std::size_t id, Cycle due);
+
+    /** Re-index every source's due date (after a resume or restore,
+     *  or when the wheel grows). */
+    void rearmSources();
+
+    /** The clock a source serializes against (TrafficSource::
+     *  serialize): now_, or the cycle the sources were paused at. */
+    Cycle sourceClock() const
+    {
+        return sourcesEnabled_ ? now_ : pausedAt_;
+    }
+
     /** Close the metrics window ending at the current cycle. */
     void sampleMetricsWindow();
 
@@ -420,6 +439,18 @@ class Network : public PacketInjector,
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<Nic>> nics_;
     std::vector<std::unique_ptr<TrafficSource>> sources_;
+    /** The source calendar: the cycle each source is due at
+     *  (kNeverDue: never again), indexed by a timing wheel — one
+     *  bitset over source ids per slot, for dates less than
+     *  kWheelSlots cycles ahead — and a min-heap of later dates. The
+     *  index goes stale while the sources are paused and is rebuilt
+     *  from sourceDue_ on resume and on restore. */
+    static constexpr Cycle kWheelSlots = 256;
+    std::vector<Cycle> sourceDue_;
+    std::vector<std::uint64_t> sourceWheel_; ///< slot-major bitsets
+    std::size_t sourceWords_ = 0;            ///< words per slot
+    std::vector<std::pair<Cycle, std::size_t>> sourceFar_;
+    Cycle pausedAt_ = 0; ///< first paused cycle (sources paused)
     std::unique_ptr<FaultInjector> faults_;
     std::unique_ptr<E2eTransport> transport_;
     std::unique_ptr<TraceRecorder> tracer_;

@@ -54,7 +54,7 @@ ParetoSource::startOff(Cycle now)
                           std::max(1.0, len)));
 }
 
-void
+Cycle
 ParetoSource::tick(Cycle now, PacketInjector &inj)
 {
     if (!primed_) {
@@ -76,7 +76,9 @@ ParetoSource::tick(Cycle now, PacketInjector &inj)
     if (on_ && burstDest_ != kInvalidNode) {
         inj.injectPacket(self_, burstDest_, packetFlits_, now,
                          TrafficClass::Synthetic);
+        return now + 1;
     }
+    return phaseEnd_;
 }
 
 
@@ -89,7 +91,7 @@ ParetoSource::layout(Ar &ar, Self &self)
 }
 
 void
-ParetoSource::serialize(snap::Writer &w) const
+ParetoSource::serialize(snap::Writer &w, Cycle) const
 {
     layout(w, *this);
 }

@@ -39,9 +39,11 @@ class ParetoSource : public TrafficSource
                  std::uint64_t seed, double alpha = 1.4,
                  double b = 8.0);
 
-    void tick(Cycle now, PacketInjector &inj) override;
+    /** Due the next cycle while ON toward a destination, else at the
+     *  phase end. */
+    Cycle tick(Cycle now, PacketInjector &inj) override;
 
-    void serialize(snap::Writer &w) const override;
+    void serialize(snap::Writer &w, Cycle clock) const override;
     void restore(snap::Reader &r) override;
 
     /** Mean OFF-scale (T_off) solved for the target rate (test). */

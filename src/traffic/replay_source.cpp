@@ -20,7 +20,7 @@ ReplaySource::ReplaySource(std::vector<TraceRecord> records,
     }
 }
 
-void
+Cycle
 ReplaySource::tick(Cycle now, PacketInjector &inj)
 {
     while (next_ < records_.size()) {
@@ -28,13 +28,14 @@ ReplaySource::tick(Cycle now, PacketInjector &inj)
         const Cycle due = static_cast<Cycle>(
             std::ceil(r.timeNs / periodNs_));
         if (due > now)
-            break;
+            return due;
         if (r.src != r.dst) {
             inj.injectPacket(r.src, r.dst, r.flits(linkBytes_), now,
                              r.cls);
         }
         ++next_;
     }
+    return kNeverDue;
 }
 
 
@@ -48,7 +49,7 @@ ReplaySource::layout(Ar &ar, Self &self)
 }
 
 void
-ReplaySource::serialize(snap::Writer &w) const
+ReplaySource::serialize(snap::Writer &w, Cycle) const
 {
     layout(w, *this);
 }

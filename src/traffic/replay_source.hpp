@@ -31,9 +31,10 @@ class ReplaySource : public TrafficSource
     ReplaySource(std::vector<TraceRecord> records,
                  double clock_period_ns, std::uint32_t link_bytes = 8);
 
-    void tick(Cycle now, PacketInjector &inj) override;
+    /** Due at the cycle of the next record. */
+    Cycle tick(Cycle now, PacketInjector &inj) override;
 
-    void serialize(snap::Writer &w) const override;
+    void serialize(snap::Writer &w, Cycle clock) const override;
     void restore(snap::Reader &r) override;
 
     /** All records consumed? */

@@ -30,6 +30,18 @@ TEST(Config, PositionalArgsReturned)
     EXPECT_EQ(positional[0], "run");
 }
 
+TEST(Config, SetStringLiteralStoresItsText)
+{
+    // A const char* converts to bool ahead of std::string; the text
+    // must not be stored as "true".
+    Config c;
+    c.set("rate_mbps", "100000");
+    c.set("arch", "nox");
+    EXPECT_EQ(c.getString("rate_mbps"), "100000");
+    EXPECT_DOUBLE_EQ(c.getDouble("rate_mbps"), 100000.0);
+    EXPECT_EQ(c.getString("arch"), "nox");
+}
+
 TEST(Config, DefaultsWhenAbsent)
 {
     Config c;

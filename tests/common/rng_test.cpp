@@ -105,6 +105,56 @@ TEST(Rng, BernoulliDegenerate)
     }
 }
 
+TEST(Rng, DegenerateBernoulliDrawsNothing)
+{
+    for (double p : {0.0, -0.5, 1.0, 1.5}) {
+        Rng a(29), b(29);
+        a.nextBernoulli(p);
+        EXPECT_EQ(a.next(), b.next()) << "p=" << p;
+    }
+}
+
+/** nextBelow(threshold53(p)) against nextBernoulli(p) on twin
+ *  streams: the same outcome at every draw, and the same stream. */
+void
+expectThresholdDrawMatches(double p, std::uint64_t seed, int draws)
+{
+    Rng a(seed), b(seed);
+    const std::uint64_t threshold = Rng::threshold53(p);
+    for (int i = 0; i < draws; ++i)
+        ASSERT_EQ(a.nextBelow(threshold), b.nextBernoulli(p))
+            << "p=" << p << " draw " << i;
+    EXPECT_EQ(a.next(), b.next()) << "p=" << p;
+}
+
+TEST(Rng, ThresholdDrawIsNextBernoulli)
+{
+    const double kEdgeCases[] = {
+        0x1p-1074, // the smallest subnormal
+        1e-300,    0x1p-60, 0x1p-53, 3e-9, 0.25, 0.5, 0.3, 0.7,
+        1.0 - 0x1p-53, // the largest double below 1
+    };
+    for (double p : kEdgeCases) {
+        expectThresholdDrawMatches(p, 31, 5000);
+        // The predicate at the integers around the threshold, which
+        // random draws almost never reach: x < ceil(p * 2^53) exactly
+        // when x * 2^-53 < p.
+        const std::uint64_t t = Rng::threshold53(p);
+        for (std::uint64_t x = t > 2 ? t - 2 : 0;
+             x <= t + 2 && x < (std::uint64_t{1} << 53); ++x) {
+            EXPECT_EQ(x < t, static_cast<double>(x) * 0x1.0p-53 < p)
+                << "p=" << p << " x=" << x;
+        }
+    }
+    Rng pick(37);
+    for (int i = 0; i < 200; ++i) {
+        const double p = pick.nextDouble();
+        if (p > 0.0)
+            expectThresholdDrawMatches(p, 41 + static_cast<unsigned>(i),
+                                       500);
+    }
+}
+
 TEST(Rng, ParetoMinimumRespected)
 {
     Rng r(23);

@@ -7,6 +7,7 @@
 
 #include "coherence/trace_generator.hpp"
 #include "core/sim_runner.hpp"
+#include "power/timing_model.hpp"
 
 namespace nox {
 namespace {
@@ -156,6 +157,35 @@ TEST(RunSynthetic, DeterministicAcrossRuns)
     const RunResult b = runSynthetic(quickConfig(RouterArch::Nox, 600));
     EXPECT_DOUBLE_EQ(a.avgLatencyNs, b.avgLatencyNs);
     EXPECT_EQ(a.packetsMeasured, b.packetsMeasured);
+}
+
+TEST(RunSynthetic, BufferDepthPricesClockAndEnergy)
+{
+    // The physical model prices the FIFOs the network simulates: a
+    // depth-8 run reads the period and energy of a depth-8
+    // PhysicalParams, not of the default depth.
+    SyntheticConfig c = quickConfig(RouterArch::Nox, 300);
+    c.net.width = 4;
+    c.net.height = 4;
+    c.warmupCycles = 200;
+    c.measureCycles = 1000;
+    c.net.router.bufferDepth = 8;
+    c.net.sinkBufferDepth = 8;
+    SyntheticConfig spelled = c;
+    spelled.phys.bufferDepth = 8;
+    PhysicalParams shallow = c.phys;
+    shallow.bufferDepth = 4;
+
+    const RunResult r = runSynthetic(c);
+    const RunResult want = runSynthetic(spelled);
+    EXPECT_EQ(r.periodNs, TimingModel(c.tech, spelled.phys)
+                              .clockPeriodNs(RouterArch::Nox));
+    EXPECT_NE(r.periodNs,
+              TimingModel(c.tech, shallow).clockPeriodNs(RouterArch::Nox));
+    EXPECT_EQ(r.periodNs, want.periodNs);
+    ASSERT_GT(r.packetsMeasured, 0u);
+    EXPECT_EQ(r.energyPerPacketPj, want.energyPerPacketPj);
+    EXPECT_EQ(r.energy.totalPj(), want.energy.totalPj());
 }
 
 TEST(RunApplication, ReplaysTraceThroughBothNetworks)

@@ -34,11 +34,11 @@ class TestRandomSource : public TrafficSource
     {
     }
 
-    void
+    Cycle
     tick(Cycle now, PacketInjector &inj) override
     {
         if (!rng_.nextBernoulli(rate_))
-            return;
+            return now + 1;
         NodeId dst = self_;
         while (dst == self_)
             dst = static_cast<NodeId>(
@@ -47,6 +47,7 @@ class TestRandomSource : public TrafficSource
             rng_.nextBernoulli(dataFraction_) ? 9 : 1;
         inj.injectPacket(self_, dst, flits, now,
                          TrafficClass::Synthetic);
+        return now + 1;
     }
 
   private:

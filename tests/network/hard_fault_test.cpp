@@ -286,13 +286,14 @@ TEST(HardFaultsTargeted, SoftAndHardFaultsCompose)
 class ConvergeSource : public TrafficSource
 {
   public:
-    void
+    Cycle
     tick(Cycle now, PacketInjector &inj) override
     {
         const TrafficClass cls =
             now % 2 ? TrafficClass::Reply : TrafficClass::Request;
         inj.injectPacket(0, 2, 1, now, cls);
         inj.injectPacket(1, 2, 1, now, cls);
+        return now + 1;
     }
 };
 

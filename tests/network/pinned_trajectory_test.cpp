@@ -34,6 +34,13 @@
  *     overflowed a Spec-Fast input FIFO (crediting the full depth
  *     there panics this row; a 200-cycle outage drains those inputs
  *     first and would not).
+ *   - library: the traffic library's own per-node sources instead of
+ *     the mixed stream — Bernoulli sources at a low rate (gaps of
+ *     ~100 cycles) on even nodes and self-similar Pareto ON/OFF
+ *     sources on odd ones — with a drain() called mid-run while they
+ *     are live, so every source pauses and resumes. Besides the final
+ *     fold it pins the fold at kMidCycle, after the resume, so each
+ *     source's stream position is pinned.
  *
  * Every case runs under both scheduling kernels. Each run drains and
  * must reproduce the recorded final state-digest fold, packet counts,
@@ -68,6 +75,9 @@
 #include "obs/provenance.hpp"
 #include "routers/factory.hpp"
 #include "snapshot/io.hpp"
+#include "traffic/bernoulli_source.hpp"
+#include "traffic/pareto_source.hpp"
+#include "traffic/patterns.hpp"
 
 namespace nox {
 namespace {
@@ -82,6 +92,7 @@ constexpr Cycle kStormHealAfter = 8;
 constexpr Cycle kMidCycle = 400; ///< in-run fold and image cycle
 constexpr Cycle kDrainLimit = 200000;
 constexpr double kPacketRate = 0.16; ///< packets per node per cycle
+constexpr Cycle kLibraryDrainAt = 250; ///< library regime's mid-run drain
 
 /** Every node injects single-flit or 4-flit packets to uniform random
  *  destinations, alternating request and reply class at random (reply
@@ -95,7 +106,7 @@ class MixedSource : public TrafficSource
     {
     }
 
-    void
+    Cycle
     tick(Cycle now, PacketInjector &inj) override
     {
         for (NodeId n = 0; n < nodes_; ++n) {
@@ -111,6 +122,7 @@ class MixedSource : public TrafficSource
                                          : TrafficClass::Reply;
             inj.injectPacket(n, dst, flits, now, cls);
         }
+        return now + 1;
     }
 
   private:
@@ -118,7 +130,14 @@ class MixedSource : public TrafficSource
     Rng rng_;
 };
 
-enum class Regime { Plain, Provenance, RouterKill, Transport, Storm };
+enum class Regime {
+    Plain,
+    Provenance,
+    RouterKill,
+    Transport,
+    Storm,
+    Library
+};
 
 /** The recorded outcome of one run. */
 struct Pinned
@@ -134,7 +153,8 @@ struct Pinned
      *  activity and the always-tick kernel. */
     std::uint64_t clockActivity = 0;
     std::uint64_t clockAlwaysTick = 0;
-    /** Digest fold at kMidCycle (transport and storm, else 0). */
+    /** Digest fold at kMidCycle (transport, storm and library, else
+     *  0). */
     std::uint64_t midFold = 0;
     /** Length and FNV-1a-64 of the Snapshot-scope image at kMidCycle
      *  under the activity and the always-tick kernel. */
@@ -175,7 +195,8 @@ runCase(const Case &c, SchedulingMode mode)
     params.height = kSide;
     params.schedulingMode = mode;
     params.router.vcCount = c.vcCount;
-    if (c.regime != Regime::Plain) {
+    const bool library = c.regime == Regime::Library;
+    if (c.regime != Regime::Plain && !library) {
         params.obs.prov.enabled = true;
         params.faults.enabled = true;
         params.faults.seed = 0x5EED5;
@@ -210,13 +231,38 @@ runCase(const Case &c, SchedulingMode mode)
         params.faults.churnHealAfter = kStormHealAfter;
         params.faults.dropRate = 0.001;
     }
+    const Mesh mesh(kSide, kSide);
+    const DestinationPattern uniform(PatternKind::UniformRandom, mesh);
     auto net = makeNetwork(params, c.arch);
-    net->addSource(std::make_unique<MixedSource>(net->numNodes(),
-                                                 0x7A1C0DE));
+    if (library) {
+        Rng seeder(0x7A1C0DE);
+        for (NodeId n = 0; n < net->numNodes(); ++n) {
+            if (n % 2 == 0) {
+                net->addSource(std::make_unique<BernoulliSource>(
+                    n, uniform, 0.04, 4, seeder.next()));
+            } else {
+                net->addSource(std::make_unique<ParetoSource>(
+                    n, uniform, 0.05, 1, seeder.next()));
+            }
+        }
+    } else {
+        net->addSource(std::make_unique<MixedSource>(net->numNodes(),
+                                                     0x7A1C0DE));
+    }
     Pinned got;
     const bool activity = mode == SchedulingMode::ActivityDriven;
-    net->run(kMidCycle);
-    if (transport)
+    if (library) {
+        // A drain with the sources live pauses them; they resume on
+        // exit, well before kMidCycle.
+        net->run(kLibraryDrainAt);
+        EXPECT_TRUE(net->drain(kDrainLimit)) << c.name;
+        EXPECT_GT(net->now(), kLibraryDrainAt) << c.name;
+        EXPECT_LT(net->now(), kMidCycle) << c.name;
+        net->run(kMidCycle - net->now());
+    } else {
+        net->run(kMidCycle);
+    }
+    if (transport || library)
         got.midFold = net->computeDigestStride().fold();
     snap::Writer image;
     net->serialize(image);
@@ -339,7 +385,7 @@ TEST_P(PinnedTrajectory, MatchesRecordedRun)
     const auto charged = [&](LatencyComponent lc) {
         return got.prov[static_cast<std::size_t>(lc)];
     };
-    if (c.regime != Regime::Plain) {
+    if (c.regime != Regime::Plain && c.regime != Regime::Library) {
         EXPECT_GT(charged(LatencyComponent::ArbLoss), 0u);
         EXPECT_GT(charged(LatencyComponent::CreditStall), 0u);
     }
@@ -460,6 +506,28 @@ const Case kCases[] = {
      {0x948993514f8bd883ULL, 1580, 1580, 18530, 20228,
       {4175, 8982, 4121, 276, 2023, 0, 651, 0}, 9470, 9952, 0x3ce07614160e9829ULL,
       99244, 0xc71f61eb30b417c4ULL, 99244, 0x0be402a5d6527333ULL}},
+    {"nonspec_library", RouterArch::NonSpeculative, 1, Regime::Library,
+     {0x6544a87c0b2d700cULL, 293, 293, 1804, 2316.9999999999991,
+      {0, 0, 0, 0, 0, 0, 0, 0}, 1685, 9600, 0x07a21b937082fea1ULL,
+      42533, 0xb47293d828a5f70aULL, 42533, 0xa459d748933a032dULL}},
+    {"specfast_library", RouterArch::SpecFast, 1, Regime::Library,
+     {0x47a786ea277fe73dULL, 286, 286, 1776, 6489.0000000000027,
+      {0, 0, 0, 0, 0, 0, 0, 0}, 2455, 9984, 0x8126cd2151d5c661ULL,
+      43493, 0xbf5fe4e2c1bc04c9ULL, 43493, 0xbe2bc2d7df77e950ULL}},
+    {"specaccurate_library", RouterArch::SpecAccurate, 1,
+     Regime::Library,
+     {0xbf94d3142ef28d6fULL, 293, 293, 1804, 3374.9999999999977,
+      {0, 0, 0, 0, 0, 0, 0, 0}, 1786, 9600, 0xd95e1df63d712f76ULL,
+      43493, 0xb4291b1466fcc11bULL, 43493, 0x1b5c7dc66b482ca2ULL}},
+    {"nox_library", RouterArch::Nox, 1, Regime::Library,
+     {0x970b3198114568a7ULL, 293, 293, 1804, 2400.0000000000005,
+      {0, 0, 0, 0, 0, 0, 0, 0}, 1692, 9600, 0x20095acb3d5a35ddULL,
+      48965, 0xa687bc7a76adc5f7ULL, 48965, 0xef3453e9c74642cbULL}},
+    {"nonspec_vc2_library", RouterArch::NonSpeculative, 2,
+     Regime::Library,
+     {0xac0db0c7ecbb8607ULL, 293, 293, 1804, 2316.9999999999991,
+      {0, 0, 0, 0, 0, 0, 0, 0}, 1685, 9600, 0xb9dfd5780fc2f9fbULL,
+      48181, 0x71f66ac7d727ef8cULL, 48181, 0xda454064d119fd6bULL}},
 };
 
 INSTANTIATE_TEST_SUITE_P(
