@@ -171,22 +171,4 @@ Histogram::restore(snap::Reader &r)
     layout(r, *this);
 }
 
-void
-Ewma::add(double x)
-{
-    if (!primed_) {
-        value_ = x;
-        primed_ = true;
-    } else {
-        value_ = alpha_ * x + (1.0 - alpha_) * value_;
-    }
-}
-
-void
-Ewma::reset()
-{
-    value_ = 0.0;
-    primed_ = false;
-}
-
 } // namespace nox

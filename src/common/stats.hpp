@@ -3,8 +3,7 @@
  * Statistics primitives used by the simulator and benchmarks.
  *
  * SampleStats accumulates streaming mean/variance/min/max (Welford);
- * Histogram buckets samples for percentile queries; Counter is a named
- * monotonically increasing event count used by the power model.
+ * Histogram buckets samples for percentile queries.
  */
 
 #ifndef NOX_COMMON_STATS_HPP
@@ -12,7 +11,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace nox {
@@ -132,42 +130,6 @@ class Histogram
     std::vector<std::uint64_t> counts_;
     std::uint64_t overflow_ = 0;
     std::uint64_t total_ = 0;
-};
-
-/** Named monotonically increasing event counter. */
-class Counter
-{
-  public:
-    explicit Counter(std::string name = "") : name_(std::move(name)) {}
-
-    void inc(std::uint64_t by = 1) { value_ += by; }
-    std::uint64_t value() const { return value_; }
-    const std::string &name() const { return name_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::string name_;
-    std::uint64_t value_ = 0;
-};
-
-/**
- * Exponentially weighted moving average, used for warm-up detection in
- * open-loop simulations.
- */
-class Ewma
-{
-  public:
-    explicit Ewma(double alpha) : alpha_(alpha) {}
-
-    void add(double x);
-    double value() const { return value_; }
-    bool valid() const { return primed_; }
-    void reset();
-
-  private:
-    double alpha_;
-    double value_ = 0.0;
-    bool primed_ = false;
 };
 
 } // namespace nox

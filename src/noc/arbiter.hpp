@@ -82,8 +82,6 @@ class Arbiter
      */
     virtual void perturb() {}
 
-    int numInputs() const { return numInputs_; }
-
   protected:
     int numInputs_;
 };

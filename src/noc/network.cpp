@@ -6,7 +6,6 @@
 #include <functional>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/config.hpp"
@@ -154,7 +153,7 @@ networkParamsFromConfig(const Config &config)
 Network::Network(const NetworkParams &params, RouterFactory factory)
     : params_(params),
       mesh_(params.width, params.height, params.concentration),
-      table_(mesh_, RoutingAlgo::DorXY), faultMap_(mesh_),
+      wiring_(mesh_, routers_, nics_),
       // Per-flow tables are only touched with faults enabled.
       flowNextSeq_(params.faults.enabled ? mesh_.numNodes() : 0),
       flowMaxDone_(params.faults.enabled ? mesh_.numNodes() : 0)
@@ -177,42 +176,16 @@ Network::Network(const NetworkParams &params, RouterFactory factory)
     nics_.reserve(static_cast<std::size_t>(nn));
 
     for (NodeId r = 0; r < nr; ++r)
-        routers_.push_back(factory(r, mesh_, table_, rp));
+        routers_.push_back(factory(r, mesh_, wiring_.table(), rp));
     // Sinks hold one buffer's worth per VC (per-VC output credits
     // must all be backed by real sink capacity).
     const int sink_depth = params.sinkBufferDepth * rp.vcCount;
     for (NodeId node = 0; node < nn; ++node)
         nics_.push_back(std::make_unique<Nic>(node, sink_depth));
 
-    // Wire inter-router links: for each router, connect the four mesh
-    // outputs to the neighbour's opposite input, and the matching
-    // credit return path.
-    for (NodeId r = 0; r < nr; ++r) {
-        Router &router = *routers_[r];
-        for (int port = kPortNorth; port <= kPortWest; ++port) {
-            const NodeId nb = mesh_.neighbor(r, port);
-            if (nb == kInvalidNode)
-                continue;
-            const int back = Mesh::oppositePort(port);
-
-            Router::FlitTarget ft;
-            ft.router = routers_[nb].get();
-            ft.port = back;
-            router.connectOutput(port, ft, rp.bufferDepth);
-
-            Router::CreditTarget ct;
-            ct.router = routers_[nb].get();
-            ct.port = back; // our input `port` is fed by nb's output
-            router.connectInputCredit(port, ct);
-        }
-    }
-    // Attach each terminal's NIC to its router's local port.
-    for (NodeId node = 0; node < nn; ++node) {
-        nics_[node]->connectRouter(
-            routers_[mesh_.routerOf(node)].get(),
-            mesh_.localPortOf(node));
-        nics_[node]->setListener(this);
-    }
+    wiring_.wirePristine();
+    for (auto &nic : nics_)
+        nic->setListener(this);
 
     // Fault injection: one shared injector, counters bound to this
     // network's stats so the fault schedule and its detection record
@@ -300,238 +273,26 @@ Network::Network(const NetworkParams &params, RouterFactory factory)
 }
 
 void
-Network::killLink(NodeId router, int port, std::vector<FlitDesc> &lost)
-{
-    if (!faultMap_.killLink(router, port))
-        return; // no live link there (edge, or already dead)
-    const NodeId nb = mesh_.neighbor(router, port);
-    const int back = Mesh::oppositePort(port);
-    // Both directions die at once: the forward flit wire and the
-    // turnaround credit wire share the failed physical channel.
-    routers_[router]->killOutput(port, lost);
-    routers_[nb]->killInput(back, lost);
-    routers_[nb]->killOutput(back, lost);
-    routers_[router]->killInput(port, lost);
-}
-
-void
-Network::killRouter(NodeId router, std::vector<FlitDesc> &lost)
-{
-    if (!faultMap_.killRouter(router))
-        return; // already dead
-    for (int port = kPortNorth; port <= kPortWest; ++port) {
-        const NodeId nb = mesh_.neighbor(router, port);
-        if (nb == kInvalidNode)
-            continue;
-        routers_[router]->killOutput(port, lost);
-        routers_[router]->killInput(port, lost);
-        const int back = Mesh::oppositePort(port);
-        routers_[nb]->killOutput(back, lost);
-        routers_[nb]->killInput(back, lost);
-    }
-    // Terminal connections and their NICs die with the router.
-    for (int t = 0; t < mesh_.concentration(); ++t) {
-        const int lp = kPortLocal + t;
-        routers_[router]->killOutput(lp, lost);
-        routers_[router]->killInput(lp, lost);
-        nics_[mesh_.terminalAt(router, lp)]->killAttached(lost);
-    }
-}
-
-void
-Network::wireLink(NodeId router, int port)
-{
-    const NodeId nb = mesh_.neighbor(router, port);
-    NOX_ASSERT(nb != kInvalidNode, "wiring a link off the mesh edge");
-    const int back = Mesh::oppositePort(port);
-    const RouterParams &rp = params_.router;
-
-    // Both directions come back together, exactly as wired at
-    // construction: forward flit wire plus turnaround credit wire.
-    // A link kill leaves the flits buffered at each far input in
-    // place, and the credits they free while the link is down go
-    // nowhere, so each output gets back only the free slots of the
-    // buffer it feeds.
-    auto free_slots = [&](NodeId at, int in_port) {
-        return rp.bufferDepth -
-               static_cast<int>(routers_[at]->inputFifo(in_port).size());
-    };
-    Router::FlitTarget ft;
-    ft.router = routers_[nb].get();
-    ft.port = back;
-    routers_[router]->connectOutput(port, ft, free_slots(nb, back));
-    Router::CreditTarget ct;
-    ct.router = routers_[nb].get();
-    ct.port = back;
-    routers_[router]->connectInputCredit(port, ct);
-
-    ft.router = routers_[router].get();
-    ft.port = port;
-    routers_[nb]->connectOutput(back, ft, free_slots(router, port));
-    ct.router = routers_[router].get();
-    ct.port = port;
-    routers_[nb]->connectInputCredit(back, ct);
-
-    // Per-port microarchitectural state (VC credit books, lane locks)
-    // resets on both sides, with the same free-slot rule per lane.
-    routers_[router]->onOutputRevived(port);
-    routers_[nb]->onOutputRevived(back);
-}
-
-void
-Network::healLink(NodeId router, int port, bool record)
-{
-    if (!faultMap_.healLink(router, port))
-        return; // no explicit fault recorded there
-    // The explicit fault is lifted either way, but the channel only
-    // carries traffic again once neither endpoint router is dead —
-    // a dead endpoint keeps the link implicitly down until its own
-    // heal re-wires it.
-    if (!faultMap_.linkDead(router, port))
-        wireLink(router, port);
-    if (record)
-        faults_->recordHeal(FaultKind::LinkHeal, router, port);
-}
-
-void
-Network::healRouter(NodeId router, bool record)
-{
-    if (!faultMap_.healRouter(router))
-        return; // not dead
-    for (int port = kPortNorth; port <= kPortWest; ++port) {
-        const NodeId nb = mesh_.neighbor(router, port);
-        if (nb == kInvalidNode)
-            continue;
-        // Re-wire every implicit casualty of the original kill; links
-        // with their own explicit fault, or whose far endpoint is
-        // still dead, stay down until their own heal.
-        if (!faultMap_.linkDead(router, port))
-            wireLink(router, port);
-    }
-    // Terminal NICs come back quiescent and empty: killAttached()
-    // drained their queues, and connectRouter() rebuilds the credit
-    // books against the (freshly constructed-state) local port.
-    for (int t = 0; t < mesh_.concentration(); ++t) {
-        const int lp = kPortLocal + t;
-        const NodeId node = mesh_.terminalAt(router, lp);
-        nics_[node]->revive();
-        nics_[node]->connectRouter(routers_[router].get(), lp);
-        routers_[router]->onOutputRevived(lp);
-    }
-    if (record)
-        faults_->recordHeal(FaultKind::RouterHeal, router, -1);
-}
-
-void
 Network::applyDueHardFaults(bool at_construction)
 {
-    std::vector<FaultInjector::HardFault> due =
+    const std::vector<FaultInjector::HardFault> due =
         faults_->takeDueHardFaults(now_);
     if (due.empty())
         return;
-
-    std::vector<FlitDesc> lost;
-    for (const auto &h : due) {
-        switch (h.kind) {
-          case FaultKind::RouterDead:
-            killRouter(h.router, lost);
-            break;
-          case FaultKind::LinkDead:
-            killLink(h.router, h.port, lost);
-            break;
-          case FaultKind::RouterHeal:
-            healRouter(h.router);
-            break;
-          case FaultKind::LinkHeal:
-            healLink(h.router, h.port);
-            break;
-          default:
-            panic("soft fault kind in the hard-fault schedule");
-        }
-    }
-
-    // A heal changes the topology exactly like a kill: the table
-    // rebuild below (toward DOR as the fault map empties) can orphan
-    // in-flight flits on now-forbidden turns, so the purge fixpoint
-    // runs for heal-only batches too.
-
-    table_.rebuild(faultMap_);
+    const HardFaultLosses lost =
+        wiring_.apply(due, *faults_, at_construction);
     stats_.faults.tableRebuilds += 1;
     if (tracer_) {
         tracer_->record(TraceEventKind::TableRebuild, kInvalidNode, -1,
-                        table_.rebuilds(),
+                        routingTable().rebuilds(),
                         static_cast<std::uint32_t>(due.size()));
     }
-    if (at_construction)
-        return; // nothing in flight; routers stay pristine
-
-    // Mid-run: every router drops wormhole/reservation state that the
-    // new topology may have invalidated, and enters degraded mode.
-    for (auto &r : routers_)
-        r->onTableRebuild();
-
-    // Purge fixpoint: a packet is condemned once any of its flits is
-    // lost or its destination became unreachable from wherever the
-    // flit currently sits; removing flits can condemn further packets
-    // (NoX full-port drops take clean bystanders with them), so sweep
-    // until no new casualties appear. Losses are deduplicated by flit
-    // uid — the same flit can surface twice (e.g. once inside a
-    // downstream decode chain and once in an upstream buffer copy).
-    std::unordered_set<std::uint64_t> lostUids;
-    std::unordered_map<PacketId, NodeId> lostPackets; // id -> dest
-    // The first sweep must run even when the dying components held no
-    // flits: live routers elsewhere can still hold traffic for
-    // destinations the fault just disconnected.
-    std::vector<FlitDesc> pending = std::move(lost);
-    do {
-        for (const FlitDesc &d : pending) {
-            if (lostUids.insert(d.uid).second)
-                lostPackets.emplace(d.packet, d.dest);
-        }
-        pending.clear();
-
-        std::vector<FlitDesc> removed;
-        auto condemned = [&](NodeId at, int in_port,
-                             const FlitDesc &d) {
-            if (lostPackets.count(d.packet) != 0)
-                return true;
-            const int out = table_.lookup(at, d.dest);
-            if (out < 0)
-                return true; // destination now unreachable from here
-            // Stale-epoch guard: a flit already past this input when
-            // the table changed may sit on a channel the new table
-            // never routes through. If its next hop would be the
-            // down-then-up turn up-down routing forbids, its wait
-            // edge is outside the verified CDG and can deadlock the
-            // mesh — write it off. Every surviving flit's future
-            // waits are table edges, covered by the acyclicity check.
-            if (in_port >= kPortNorth && in_port <= kPortWest &&
-                out >= kPortNorth && out <= kPortWest) {
-                const NodeId from = mesh_.neighbor(at, in_port);
-                const NodeId to = mesh_.neighbor(at, out);
-                if (from != kInvalidNode && to != kInvalidNode &&
-                    table_.forbiddenTurn(from, at, to))
-                    return true;
-            }
-            return false;
-        };
-        for (NodeId r = 0; r < numRouters(); ++r)
-            routers_[r]->purgeFlits(condemned, removed);
-        for (NodeId n = 0; n < numNodes(); ++n)
-            nics_[n]->purgeCondemned(condemned, removed);
-        for (const FlitDesc &d : removed) {
-            if (!lostUids.count(d.uid))
-                pending.push_back(d);
-        }
-    } while (!pending.empty());
-
-    stats_.faults.flitsLostHard += lostUids.size();
+    stats_.faults.flitsLostHard += lost.flitUids.size();
     if (prov_) {
         // Written-off flits will never be delivered: their open spans
         // are abandoned (they were never measured anyway).
-        std::vector<std::uint64_t> uids(lostUids.begin(),
-                                        lostUids.end());
-        prov_->forgetFlits(uids);
+        prov_->forgetFlits(std::vector<std::uint64_t>(
+            lost.flitUids.begin(), lost.flitUids.end()));
     }
     if (transport_) {
         // With the E2E transport on, a purged wire packet is a
@@ -539,11 +300,11 @@ Network::applyDueHardFaults(bool at_construction)
         // holds the logical packet and will retransmit on timeout.
         // Only the destination's partial-arrival record of this
         // attempt is scrubbed (the attempt can never complete).
-        for (const auto &[packet, dest] : lostPackets)
+        for (const auto &[packet, dest] : lost.packets)
             nics_[dest]->forgetArrived(packet);
     } else {
-        stats_.faults.packetsLostHard += lostPackets.size();
-        for (const auto &[packet, dest] : lostPackets) {
+        stats_.faults.packetsLostHard += lost.packets.size();
+        for (const auto &[packet, dest] : lost.packets) {
             nics_[dest]->forgetArrived(packet);
             ageInFlight_.erase(packet);
         }
@@ -904,7 +665,7 @@ Network::telemetrySample() const
     s.healsApplied =
         stats_.faults.linkHeals + stats_.faults.routerHeals;
     s.deadEntities = static_cast<std::uint64_t>(
-        faultMap_.deadRouterCount() + faultMap_.explicitDeadLinkCount());
+        faultMap().deadRouterCount() + faultMap().explicitDeadLinkCount());
     if (telemetry_)
         s.checkpointAge = telemetry_->checkpointAge(now_);
     if (digest_) {
@@ -950,7 +711,6 @@ Network::drain(Cycle limit)
     drainReport_ = DrainReport{};
     drainReport_.drained = drainComplete();
     drainReport_.stoppedAt = now_;
-    drainReport_.packetsInFlight = packetsInFlight();
     drainReport_.stalledPackets = packetsInFlight();
     drainReport_.undeliverablePackets = transport_
         ? stats_.faults.deliveryFailures
@@ -1080,7 +840,7 @@ Network::injectPacket(NodeId src, NodeId dst, int num_flits, Cycle now,
 
     // Unreachable-destination detection at the injection boundary:
     // the packet is refused and counted, never silently stranded.
-    if (!table_.reachable(src, dst)) {
+    if (!routingTable().reachable(src, dst)) {
         stats_.faults.unreachableRejected += 1;
         if (tracer_) {
             tracer_->record(TraceEventKind::UnreachableReject, src, -1,
@@ -1160,7 +920,7 @@ Network::fingerprint() const
        << " vcs=" << params_.router.vcCount
        << " sink=" << params_.sinkBufferDepth
        << " arb=" << static_cast<int>(params_.router.arbiterKind)
-       << " routing=" << static_cast<int>(RoutingAlgo::DorXY)
+       << " routing=0" // X-then-Y, the one routing function
        << " sched=" << schedulingModeName(params_.schedulingMode);
     const FaultParams &f = params_.faults;
     os << " faults=" << (f.enabled ? 1 : 0);
@@ -1212,68 +972,7 @@ Network::layout(Ar &ar, Self &self, snap::Scope scope)
     snap::fields(ar, self.now_, self.nextPacket_, self.sourcesEnabled_,
                  self.stats_);
 
-    // The hard-fault topology, as replayable kill lists: dead
-    // routers, then every explicitly-failed link (canonical
-    // direction) — including links whose endpoint router is also
-    // dead, because a later heal of that router must not resurrect
-    // the link's own fault.
-    std::vector<NodeId> deadRouters;
-    std::vector<std::pair<NodeId, int>> deadLinks;
-    if constexpr (!Ar::kReading) {
-        deadRouters = self.faultMap_.deadRouters();
-        deadLinks = self.faultMap_.explicitDeadLinks();
-    }
-    const NodeId lastRouter = self.numRouters() - 1;
-    snap::ioSeq(ar, deadRouters, 4, [lastRouter](auto &a, auto &router) {
-        snap::ioBounded(a, router, 0, lastRouter,
-                        "dead-router id out of range");
-    });
-    snap::ioSeq(ar, deadLinks, 8, [lastRouter](auto &a, auto &link) {
-        const char *outside = "dead-link endpoint out of range";
-        snap::ioBounded(a, link.first, 0, lastRouter, outside);
-        snap::ioBounded(a, link.second, kPortNorth, kPortWest, outside);
-    });
-    if constexpr (Ar::kReading) {
-        // Replay the snapshot's fault topology onto this (freshly
-        // built) network before touching any component: Router
-        // layouts cross-check output wiring, and the routing table
-        // must describe the faulted mesh when traffic resumes. With
-        // healing in the mix the snapshot's dead set is no longer a
-        // superset of the construction-time one, so replay in two
-        // moves that are always legal on an empty network: heal every
-        // current fault back to the pristine mesh (uncounted — the
-        // restored stats already include any real heals), then re-kill
-        // exactly the snapshot's lists. Explicit link kills replay
-        // before router kills because killLink requires both
-        // endpoints alive.
-        bool replayed = false;
-        std::vector<FlitDesc> discard; // freshly built: nothing in flight
-        for (const auto &[router, port] : self.faultMap_.explicitDeadLinks()) {
-            self.healLink(router, port, /*record=*/false);
-            replayed = true;
-        }
-        for (NodeId router : self.faultMap_.deadRouters()) {
-            self.healRouter(router, /*record=*/false);
-            replayed = true;
-        }
-        for (const auto &[router, port] : deadLinks) {
-            self.killLink(router, port, discard);
-            replayed = true;
-        }
-        for (NodeId router : deadRouters) {
-            self.killRouter(router, discard);
-            replayed = true;
-        }
-        NOX_ASSERT(discard.empty(),
-                   "fault replay on a restore target with traffic");
-        if (replayed)
-            self.table_.rebuild(self.faultMap_);
-    }
-    std::uint64_t rebuilds = self.table_.rebuilds();
-    snap::io(ar, rebuilds);
-    if constexpr (Ar::kReading)
-        self.table_.setRebuildCount(rebuilds);
-
+    snap::io(ar, self.wiring_); // dead set, replayed on a load
     ioFlowTable(ar, self.flowNextSeq_, 4);
     ioFlowTable(ar, self.flowMaxDone_, 4);
     snap::ioSeq(ar, self.ageQueue_, 16);
@@ -1417,7 +1116,7 @@ Network::onE2eResend(PacketId base, const TransportEntry &e)
     // An impossible resend leaves the entry armed: the next timeout
     // tries again, so the packet rides out any outage shorter than
     // its remaining retry budget.
-    if (nics_[e.src]->dead() || !table_.reachable(e.src, e.dest))
+    if (nics_[e.src]->dead() || !routingTable().reachable(e.src, e.dest))
         return false;
 
     const std::vector<FlitDesc> &flits =

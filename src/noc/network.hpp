@@ -1,6 +1,7 @@
 /**
  * @file
- * The mesh network: routers, NICs, wiring and the cycle loop.
+ * The mesh network: routers, NICs and the cycle loop (MeshWiring
+ * connects them and owns the live topology).
  *
  * The Network is architecture-agnostic — a router factory supplied at
  * construction builds each node's router, so the same substrate hosts
@@ -23,6 +24,7 @@
 #include "noc/energy_events.hpp"
 #include "noc/fault_injector.hpp"
 #include "noc/flow_table.hpp"
+#include "noc/mesh_wiring.hpp"
 #include "noc/network_stats.hpp"
 #include "noc/nic.hpp"
 #include "noc/router.hpp"
@@ -122,7 +124,6 @@ struct DrainReport
 {
     bool drained = true;
     Cycle stoppedAt = 0;
-    std::uint64_t packetsInFlight = 0;
 
     /** Packets deliberately written off by the hard-fault machinery
      *  (in flight on a dying link or stranded unreachable; cumulative
@@ -209,10 +210,10 @@ class Network : public PacketInjector,
     int numRouters() const { return mesh_.numRouters(); }
 
     /** The shared routing table (tests inspect rebuilds/reachability). */
-    const RoutingTable &routingTable() const { return table_; }
+    const RoutingTable &routingTable() const { return wiring_.table(); }
 
     /** The applied hard-fault map. */
-    const FaultMap &faultMap() const { return faultMap_; }
+    const FaultMap &faultMap() const { return wiring_.faultMap(); }
     Router &router(NodeId r) { return *routers_[r]; }
     const Router &router(NodeId r) const { return *routers_[r]; }
     Nic &nic(NodeId n) { return *nics_[n]; }
@@ -380,37 +381,12 @@ class Network : public PacketInjector,
                std::uint32_t flow_seq);
 
     /**
-     * Apply every hard fault due at the current cycle: kill the
-     * targeted links/routers (in-flight flits on them are lost),
-     * rebuild the routing table, and — mid-run only — notify the
-     * routers and purge every flit that the new topology can no
-     * longer deliver. @p at_construction skips the notification and
-     * purge: nothing is in flight yet, and the routers must not enter
-     * degraded mode for faults that predate all traffic.
+     * Hand every hard fault due at the current cycle to the wiring
+     * (MeshWiring::apply) and account for what it wrote off: lost
+     * flits and packets, abandoned provenance spans, and the partial
+     * arrivals and age-watchdog entries of the lost packets.
      */
     void applyDueHardFaults(bool at_construction);
-
-    /** Sever the link out of @p router via @p port (both directions),
-     *  collecting in-flight casualties. */
-    void killLink(NodeId router, int port, std::vector<FlitDesc> &lost);
-
-    /** Kill @p router, all its mesh links and its terminal NICs. */
-    void killRouter(NodeId router, std::vector<FlitDesc> &lost);
-
-    /** Re-wire the mesh link out of @p router via @p port in both
-     *  directions (as at construction) and refresh both endpoints'
-     *  per-port state. Both endpoint routers must be alive. */
-    void wireLink(NodeId router, int port);
-
-    /** Heal the explicit link fault on (@p router, @p port), re-wiring
-     *  the channel when neither endpoint router remains dead.
-     *  @p record counts the heal (false during snapshot replay, where
-     *  the restored stats already include it). */
-    void healLink(NodeId router, int port, bool record = true);
-
-    /** Revive @p router: re-wire every mesh link not still explicitly
-     *  dead and re-attach its terminal NICs (quiescent and empty). */
-    void healRouter(NodeId router, bool record = true);
 
     /** True when traffic has fully settled: nothing in flight and —
      *  with the transport on — no open retransmission window and all
@@ -434,10 +410,11 @@ class Network : public PacketInjector,
 
     NetworkParams params_;
     Mesh mesh_;
-    RoutingTable table_;  ///< shared by all routers (built first)
-    FaultMap faultMap_;   ///< accumulated hard faults
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<Nic>> nics_;
+    /** Wiring, fault map and routing table (the table is built before
+     *  the routers that share it). */
+    MeshWiring wiring_;
     std::vector<std::unique_ptr<TrafficSource>> sources_;
     /** The source calendar: the cycle each source is due at
      *  (kNeverDue: never again), indexed by a timing wheel — one

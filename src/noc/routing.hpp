@@ -13,18 +13,11 @@
 
 namespace nox {
 
-/** Routing function: output port at @p current for @p dest. */
-using RoutingFunction = int (*)(const Mesh &, NodeId current, NodeId dest);
-
 /**
  * Dimension-ordered (X then Y) routing. Deterministic and deadlock
  * free on a mesh. Returns kPortLocal when current == dest.
  */
 int dorRoute(const Mesh &mesh, NodeId current, NodeId dest);
-
-/** Y-then-X variant (used by tests and the second physical network
- *  could use it; the paper keeps DOR on both). */
-int dorRouteYX(const Mesh &mesh, NodeId current, NodeId dest);
 
 } // namespace nox
 

@@ -26,18 +26,12 @@ linkIndex(NodeId router, int port)
 // ---------------------------------------------------------------- FaultMap
 
 FaultMap::FaultMap(const Mesh &mesh)
-    : mesh_(&mesh),
+    : mesh_(mesh),
       routerDead_(static_cast<std::size_t>(mesh.numRouters()), 0),
       linkDead_(static_cast<std::size_t>(mesh.numRouters()) *
                     kMeshPorts,
                 0)
 {
-}
-
-bool
-FaultMap::routerDead(NodeId router) const
-{
-    return routerDead_[static_cast<std::size_t>(router)] != 0;
 }
 
 bool
@@ -48,27 +42,18 @@ FaultMap::linkDead(NodeId router, int port) const
     if (routerDead(router) ||
         linkDead_[linkIndex(router, port)] != 0)
         return true;
-    const NodeId nb = mesh_->neighbor(router, port);
+    const NodeId nb = mesh_.neighbor(router, port);
     return nb != kInvalidNode && routerDead(nb);
-}
-
-bool
-FaultMap::linkDeadExplicit(NodeId router, int port) const
-{
-    NOX_ASSERT(port >= kPortNorth && port <= kPortWest,
-               "linkDeadExplicit on non-mesh port ", port);
-    return linkDead_[linkIndex(router, port)] != 0;
 }
 
 bool
 FaultMap::killLink(NodeId router, int port)
 {
-    NOX_ASSERT(mesh_ != nullptr, "FaultMap used before binding a mesh");
     if (port < kPortNorth || port > kPortWest)
         return false;
     if (routerDead(router))
         return false;
-    const NodeId nb = mesh_->neighbor(router, port);
+    const NodeId nb = mesh_.neighbor(router, port);
     if (nb == kInvalidNode || routerDead(nb))
         return false;
     if (linkDead_[linkIndex(router, port)] != 0)
@@ -82,7 +67,6 @@ FaultMap::killLink(NodeId router, int port)
 bool
 FaultMap::killRouter(NodeId router)
 {
-    NOX_ASSERT(mesh_ != nullptr, "FaultMap used before binding a mesh");
     if (routerDead(router))
         return false;
     // The router's links go down *implicitly* (derived in linkDead()),
@@ -95,12 +79,11 @@ FaultMap::killRouter(NodeId router)
 bool
 FaultMap::healLink(NodeId router, int port)
 {
-    NOX_ASSERT(mesh_ != nullptr, "FaultMap used before binding a mesh");
     if (port < kPortNorth || port > kPortWest)
         return false;
     if (linkDead_[linkIndex(router, port)] == 0)
         return false;
-    const NodeId nb = mesh_->neighbor(router, port);
+    const NodeId nb = mesh_.neighbor(router, port);
     NOX_ASSERT(nb != kInvalidNode, "explicit kill on an edge port");
     linkDead_[linkIndex(router, port)] = 0;
     linkDead_[linkIndex(nb, Mesh::oppositePort(port))] = 0;
@@ -112,7 +95,6 @@ FaultMap::healLink(NodeId router, int port)
 bool
 FaultMap::healRouter(NodeId router)
 {
-    NOX_ASSERT(mesh_ != nullptr, "FaultMap used before binding a mesh");
     if (!routerDead(router))
         return false;
     routerDead_[static_cast<std::size_t>(router)] = 0;
@@ -141,7 +123,7 @@ FaultMap::explicitDeadLinks() const
         for (int p = kPortNorth; p <= kPortWest; ++p) {
             if (linkDead_[linkIndex(r, p)] == 0)
                 continue;
-            const NodeId nb = mesh_->neighbor(r, p);
+            const NodeId nb = mesh_.neighbor(r, p);
             if (nb != kInvalidNode && r < nb)
                 out.emplace_back(r, p);
         }
@@ -166,46 +148,33 @@ FaultMap::explicitDeadLinkCount() const
 
 // ------------------------------------------------------------ RoutingTable
 
-RoutingTable::RoutingTable(const Mesh &mesh, RoutingAlgo algo)
-    : mesh_(mesh), algo_(algo), numRouters_(mesh.numRouters()),
+RoutingTable::RoutingTable(const FaultMap &map)
+    : mesh_(map.mesh()), map_(map), numRouters_(mesh_.numRouters()),
       table_(static_cast<std::size_t>(numRouters_) *
                  static_cast<std::size_t>(numRouters_),
-             -1),
-      routerDead_(static_cast<std::size_t>(numRouters_), 0),
-      linkDead_(static_cast<std::size_t>(numRouters_) * kMeshPorts, 0)
+             -1)
 {
-    buildFaultFree();
-    rebuilds_ = 1;
-    NOX_ASSERT(dependencyGraphAcyclic(),
-               "fault-free routing table has a channel-dependency "
-               "cycle");
+    rebuild();
 }
 
 void
-RoutingTable::rebuild(const FaultMap &map)
+RoutingTable::rebuild()
 {
-    for (NodeId r = 0; r < numRouters_; ++r) {
-        routerDead_[static_cast<std::size_t>(r)] =
-            map.routerDead(r) ? 1 : 0;
-        for (int p = kPortNorth; p <= kPortWest; ++p) {
-            linkDead_[linkIndex(r, p)] = map.linkDead(r, p) ? 1 : 0;
-        }
-    }
-    if (map.anyFault())
-        buildUpDown(map);
+    if (map_.anyFault())
+        buildUpDown();
     else
         buildFaultFree();
     ++rebuilds_;
     NOX_ASSERT(dependencyGraphAcyclic(),
-               "rebuilt routing table has a channel-dependency cycle");
+               "routing table has a channel-dependency cycle");
 }
 
 void
 RoutingTable::buildFaultFree()
 {
     upDown_ = false;
-    // Fill straight from the DOR functions: lookup() is then
-    // bit-identical to the paper's function-pointer baseline.
+    // Fill straight from dorRoute(): lookup() is then bit-identical
+    // to the paper's function-pointer baseline.
     const int conc = mesh_.concentration();
     for (NodeId r = 0; r < numRouters_; ++r) {
         for (NodeId dr = 0; dr < numRouters_; ++dr) {
@@ -217,22 +186,19 @@ RoutingTable::buildFaultFree()
                 table_[at] = -1; // lookup() resolves local ports
                 continue;
             }
-            const NodeId node = dr * conc;
-            const int port = algo_ == RoutingAlgo::DorYX
-                                 ? dorRouteYX(mesh_, r, node)
-                                 : dorRoute(mesh_, r, node);
-            table_[at] = static_cast<std::int8_t>(port);
+            table_[at] =
+                static_cast<std::int8_t>(dorRoute(mesh_, r, dr * conc));
         }
     }
 }
 
 void
-RoutingTable::buildUpDown(const FaultMap &map)
+RoutingTable::buildUpDown()
 {
     const int nr = numRouters_;
     const auto liveLink = [&](NodeId u, int p) {
         return mesh_.neighbor(u, p) != kInvalidNode &&
-               !map.linkDead(u, p);
+               !map_.linkDead(u, p);
     };
 
     // BFS spanning forest: per connected component, levels from the
@@ -244,7 +210,7 @@ RoutingTable::buildUpDown(const FaultMap &map)
     std::vector<int> &level = level_;
     std::deque<NodeId> queue;
     for (NodeId root = 0; root < nr; ++root) {
-        if (map.routerDead(root) ||
+        if (map_.routerDead(root) ||
             level[static_cast<std::size_t>(root)] >= 0)
             continue;
         level[static_cast<std::size_t>(root)] = 0;
@@ -276,7 +242,7 @@ RoutingTable::buildUpDown(const FaultMap &map)
     std::vector<NodeId> byKey;
     byKey.reserve(static_cast<std::size_t>(nr));
     for (NodeId u = 0; u < nr; ++u) {
-        if (!map.routerDead(u))
+        if (!map_.routerDead(u))
             byKey.push_back(u);
     }
     std::sort(byKey.begin(), byKey.end(),
@@ -286,7 +252,7 @@ RoutingTable::buildUpDown(const FaultMap &map)
     std::vector<std::uint8_t> inDown(static_cast<std::size_t>(nr));
     for (NodeId d = 0; d < nr; ++d) {
         std::int8_t *row = nullptr; // filled per source below
-        if (map.routerDead(d)) {
+        if (map_.routerDead(d)) {
             for (NodeId u = 0; u < nr; ++u) {
                 table_[static_cast<std::size_t>(u) *
                            static_cast<std::size_t>(nr) +
@@ -377,7 +343,7 @@ RoutingTable::buildUpDown(const FaultMap &map)
                 bestPort >= 0 ? bestPort : -1);
         }
         for (NodeId u = 0; u < nr; ++u) {
-            if (map.routerDead(u)) {
+            if (map_.routerDead(u)) {
                 table_[static_cast<std::size_t>(u) *
                            static_cast<std::size_t>(nr) +
                        static_cast<std::size_t>(d)] = -1;
@@ -396,10 +362,10 @@ RoutingTable::dependencyGraphAcyclic() const
     const std::size_t nc = static_cast<std::size_t>(nr) * kMeshPorts;
     std::vector<std::uint8_t> dep(nc * nc, 0);
     for (NodeId d = 0; d < nr; ++d) {
-        if (routerDead_[static_cast<std::size_t>(d)])
+        if (map_.routerDead(d))
             continue;
         for (NodeId u = 0; u < nr; ++u) {
-            if (routerDead_[static_cast<std::size_t>(u)] || u == d)
+            if (map_.routerDead(u) || u == d)
                 continue;
             const int pu =
                 table_[static_cast<std::size_t>(u) *

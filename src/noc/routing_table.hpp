@@ -8,8 +8,8 @@
  * traffic around *permanent* (fail-stop) link and router faults:
  *
  *  - On a fault-free mesh the table is filled directly from
- *    dorRoute()/dorRouteYX(), so lookup() is bit-identical to the
- *    paper's DOR baseline (verified pairwise by tests).
+ *    dorRoute(), so lookup() is bit-identical to the paper's X-then-Y
+ *    DOR baseline (verified pairwise by tests).
  *  - As soon as any hard fault exists, the affected topology is
  *    re-routed with up-down routing [Schroeder et al., Autonet]:
  *    a BFS spanning tree per connected component orients every live
@@ -37,12 +37,6 @@
 
 namespace nox {
 
-/** Baseline routing algorithm used while the mesh is fault-free. */
-enum class RoutingAlgo : std::uint8_t {
-    DorXY = 0, ///< X-then-Y dimension order (the paper's baseline)
-    DorYX = 1, ///< Y-then-X variant
-};
-
 /**
  * The set of fail-stop faults currently applied to a mesh. Links die
  * symmetrically (both directions at once — a fail-stop link takes its
@@ -58,8 +52,9 @@ enum class RoutingAlgo : std::uint8_t {
 class FaultMap
 {
   public:
-    FaultMap() = default;
     explicit FaultMap(const Mesh &mesh);
+
+    const Mesh &mesh() const { return mesh_; }
 
     /**
      * Kill the mesh link leaving @p router through @p port (and its
@@ -82,15 +77,16 @@ class FaultMap
      *  heal. Returns false if @p router is alive. */
     bool healRouter(NodeId router);
 
-    bool routerDead(NodeId router) const;
+    bool
+    routerDead(NodeId router) const
+    {
+        return routerDead_[static_cast<std::size_t>(router)] != 0;
+    }
+
     /** True when the link out of @p router through mesh direction
      *  @p port is dead — explicitly killed, or implied by a dead
      *  endpoint router. */
     bool linkDead(NodeId router, int port) const;
-
-    /** True only for links killed in their own right (not merely
-     *  implied dead by a dead endpoint). */
-    bool linkDeadExplicit(NodeId router, int port) const;
 
     /** Any hard fault applied at all? While false, routing stays on
      *  the bit-identical DOR fast path. */
@@ -108,7 +104,7 @@ class FaultMap
     int explicitDeadLinkCount() const;
 
   private:
-    const Mesh *mesh_ = nullptr;
+    const Mesh &mesh_;
     std::vector<std::uint8_t> routerDead_;
     /** Explicit link kills only: [router * 4 + port]. Links implied
      *  dead by a dead endpoint router are derived in linkDead(). */
@@ -118,7 +114,9 @@ class FaultMap
 
 /**
  * Per-router routing table: output port for every (current router,
- * destination router) pair, precomputed from a FaultMap.
+ * destination router) pair, precomputed from the FaultMap it is bound
+ * to. The table reads that map's dead routers directly, so rebuild()
+ * must follow every change to the map before the next lookup.
  *
  * One instance is shared by every router of a Network; a router's
  * "private" table is its row. Lookup is a flat array read — cheaper
@@ -127,15 +125,16 @@ class FaultMap
 class RoutingTable
 {
   public:
-    RoutingTable(const Mesh &mesh, RoutingAlgo algo);
+    /** Bind to @p map (which must outlive the table) and build. */
+    explicit RoutingTable(const FaultMap &map);
 
     /**
-     * Recompute every entry for the given fault map. Fault-free maps
-     * reproduce dorRoute()/dorRouteYX() exactly; any hard fault
-     * switches the affected topology to up-down routing. Asserts
-     * the resulting channel-dependency graph is acyclic.
+     * Recompute every entry from the bound fault map. A fault-free
+     * map reproduces dorRoute() exactly; any hard fault switches the
+     * affected topology to up-down routing. Asserts the resulting
+     * channel-dependency graph is acyclic.
      */
-    void rebuild(const FaultMap &map);
+    void rebuild();
 
     /**
      * Output port at @p router for a flit addressed to terminal
@@ -147,11 +146,8 @@ class RoutingTable
     lookup(NodeId router, NodeId dest_node) const
     {
         const NodeId dr = mesh_.routerOf(dest_node);
-        if (dr == router) {
-            return routerDead_[static_cast<std::size_t>(router)]
-                       ? -1
-                       : mesh_.localPortOf(dest_node);
-        }
+        if (dr == router)
+            return map_.routerDead(router) ? -1 : mesh_.localPortOf(dest_node);
         return table_[static_cast<std::size_t>(router) *
                           static_cast<std::size_t>(numRouters_) +
                       static_cast<std::size_t>(dr)];
@@ -162,19 +158,11 @@ class RoutingTable
     reachable(NodeId src_node, NodeId dest_node) const
     {
         const NodeId sr = mesh_.routerOf(src_node);
-        if (routerDead_[static_cast<std::size_t>(sr)])
-            return false;
-        return lookup(sr, dest_node) >= 0;
+        return !map_.routerDead(sr) && lookup(sr, dest_node) >= 0;
     }
 
-    bool
-    routerDead(NodeId router) const
-    {
-        return routerDead_[static_cast<std::size_t>(router)] != 0;
-    }
-
-    /** Number of rebuild() calls so far (the fault-free build in the
-     *  constructor counts as the first). */
+    /** Number of builds so far (the constructor's counts as the
+     *  first). */
     std::uint64_t rebuilds() const { return rebuilds_; }
 
     /** Overwrite the rebuild counter (checkpoint restore only: the
@@ -191,27 +179,21 @@ class RoutingTable
      * mid-run rebuild purges exactly these flits — every later wait
      * they could cause is then a table edge, covered by the CDG
      * acyclicity argument. A fault-free (DOR) table applies its own
-     * turn rule instead (XY never turns a vertical channel into a
-     * horizontal one; YX the transpose), so healing back to an empty
-     * fault map purges the up-down stragglers the restored DOR table
-     * could never have produced. Channels touching dead routers are
-     * exempt (their flits are condemned outright).
+     * turn rule instead (X-then-Y never turns a vertical channel into
+     * a horizontal one), so healing back to an empty fault map purges
+     * the up-down stragglers the restored DOR table could never have
+     * produced. Channels touching dead routers are exempt (their
+     * flits are condemned outright).
      */
     bool
     forbiddenTurn(NodeId from, NodeId at, NodeId to) const
     {
-        if (routerDead_[static_cast<std::size_t>(from)] ||
-            routerDead_[static_cast<std::size_t>(at)] ||
-            routerDead_[static_cast<std::size_t>(to)])
+        if (map_.routerDead(from) || map_.routerDead(at) ||
+            map_.routerDead(to))
             return false;
         if (!upDown_) {
-            const bool inVertical =
-                mesh_.coordOf(from).x == mesh_.coordOf(at).x;
-            const bool outVertical =
-                mesh_.coordOf(to).x == mesh_.coordOf(at).x;
-            return algo_ == RoutingAlgo::DorYX
-                       ? (!inVertical && outVertical)
-                       : (inVertical && !outVertical);
+            const int x = mesh_.coordOf(at).x;
+            return mesh_.coordOf(from).x == x && mesh_.coordOf(to).x != x;
         }
         return chanKey(at) > chanKey(from) && // arrived going down
                chanKey(to) < chanKey(at);     // would next go up
@@ -228,7 +210,7 @@ class RoutingTable
 
   private:
     void buildFaultFree();
-    void buildUpDown(const FaultMap &map);
+    void buildUpDown();
 
     /** Up-down ordering key: (BFS level, id) lexicographic. An
      *  u -> v channel is "up" iff chanKey(v) < chanKey(u). */
@@ -242,12 +224,10 @@ class RoutingTable
     }
 
     const Mesh &mesh_;
-    RoutingAlgo algo_;
+    const FaultMap &map_;
     int numRouters_;
     /** Output port per (router, destRouter); -1 = unreachable. */
     std::vector<std::int8_t> table_;
-    std::vector<std::uint8_t> routerDead_;
-    std::vector<std::uint8_t> linkDead_;
     std::vector<int> level_;   ///< BFS levels of the up-down forest
     bool upDown_ = false;      ///< last build used up-down routing
     std::uint64_t rebuilds_ = 0;

@@ -188,23 +188,44 @@ compareStrides(const std::vector<DigestStride> &a,
                const std::vector<DigestStride> &b)
 {
     DigestDivergence d;
-    const std::size_t n = std::min(a.size(), b.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        if (a[i].cycle != b[i].cycle) {
+    if (a.empty() || b.empty())
+        return d;
+    // The later-starting ledger's first cycle (a resumed run's ledger
+    // starts at its checkpoint).
+    const Cycle start = std::max(a.front().cycle, b.front().cycle);
+    const auto from = [start](const std::vector<DigestStride> &v) {
+        std::size_t i = 0;
+        while (i < v.size() && v[i].cycle < start)
+            ++i;
+        return i;
+    };
+    std::size_t i = from(a);
+    std::size_t j = from(b);
+    if (i == a.size() || j == b.size()) {
+        d.comparable = false;
+        d.error = "the ledgers share no stride cycle (A " +
+                  std::to_string(a.front().cycle) + ".." +
+                  std::to_string(a.back().cycle) + ", B " +
+                  std::to_string(b.front().cycle) + ".." +
+                  std::to_string(b.back().cycle) + ")";
+        return d;
+    }
+    d.firstComparedCycle = static_cast<std::int64_t>(start);
+    for (; i < a.size() && j < b.size(); ++i, ++j) {
+        if (a[i].cycle != b[j].cycle) {
             d.comparable = false;
-            d.error = "stride " + std::to_string(i) +
-                      " cycles misaligned (A=" +
+            d.error = "stride cycles misaligned (A=" +
                       std::to_string(a[i].cycle) +
-                      " B=" + std::to_string(b[i].cycle) +
+                      " B=" + std::to_string(b[j].cycle) +
                       "); were the ledgers written with the same "
                       "digest_interval?";
             return d;
         }
-        d.stridesCompared = i + 1;
-        if (a[i] != b[i]) {
+        d.stridesCompared += 1;
+        if (a[i] != b[j]) {
             d.diverged = true;
             d.cycle = a[i].cycle;
-            d.components = divergentComponents(a[i], b[i]);
+            d.components = divergentComponents(a[i], b[j]);
             return d;
         }
         d.lastAgreeCycle = static_cast<std::int64_t>(a[i].cycle);

@@ -172,14 +172,19 @@ struct DigestDivergence
 
     bool diverged = false;
     Cycle cycle = 0; ///< first divergent stride's cycle
+    std::int64_t firstComparedCycle = -1; ///< -1 = nothing compared
     std::int64_t lastAgreeCycle = -1; ///< -1 = none agreed
     std::vector<std::string> components; ///< differing at first stride
     std::size_t stridesCompared = 0;
 };
 
 /**
- * First divergent stride between two ledgers. Strides are matched by
- * position and must carry equal cycles (else not comparable). Extra
+ * First divergent stride between two ledgers. Strides are paired from
+ * the first cycle both ledgers hold, so a run resumed from a
+ * checkpoint (whose ledger starts there) compares against the
+ * uninterrupted run; from there on the pairs must carry equal cycles.
+ * Not comparable: different intervals, a misaligned cycle inside the
+ * overlap, or two non-empty ledgers with no cycle in common. Extra
  * trailing strides on the longer ledger are ignored: a shorter run is
  * a prefix, not a divergence.
  */

@@ -93,7 +93,6 @@ class RunTelemetry
      *  runner sets warmup+measure, so the ETA covers the timed run
      *  up to the drain). */
     void setTargetCycles(Cycle target) { targetCycles_ = target; }
-    Cycle targetCycles() const { return targetCycles_; }
 
     /** Called by the Network after every checkpoint write. */
     void

@@ -58,8 +58,6 @@ class AreaModel
      *  0.172). */
     double noxOverheadFraction() const;
 
-    double tileHeightUm() const { return heightUm_; }
-
   private:
     double sramColumnWidthUm() const;
     double xbarWidthUm() const;

@@ -35,7 +35,6 @@ class SramModel
     double areaUm2() const;
 
     int words() const { return words_; }
-    int bitsPerWord() const { return bits_; }
 
   private:
     Technology tech_;

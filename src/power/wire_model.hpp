@@ -43,9 +43,6 @@ class WireModel
     /** Repeaters per wire at optimal spacing (for the area model). */
     int repeatersPerWire() const;
 
-    double lengthMm() const { return lengthMm_; }
-    int widthBits() const { return widthBits_; }
-
   private:
     Technology tech_;
     double lengthMm_;

@@ -46,8 +46,6 @@ class BernoulliSource : public TrafficSource
     void serialize(snap::Writer &w, Cycle clock) const override;
     void restore(snap::Reader &r) override;
 
-    double offeredLoad() const { return flitsPerCycle_; }
-
   private:
     /** Draw the trials of cycles @p from onward up to the first
      *  success, at most kMaxAhead of them; next_ and armed_ say where

@@ -258,35 +258,5 @@ TEST(Histogram, QuantileStableAcrossAutoWiden)
     EXPECT_NEAR(h.quantile(0.9), before90, w);
 }
 
-TEST(Counter, IncrementAndReset)
-{
-    Counter c("flits");
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    EXPECT_EQ(c.name(), "flits");
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Ewma, ConvergesToConstant)
-{
-    Ewma e(0.25);
-    EXPECT_FALSE(e.valid());
-    for (int i = 0; i < 100; ++i)
-        e.add(3.0);
-    EXPECT_TRUE(e.valid());
-    EXPECT_NEAR(e.value(), 3.0, 1e-9);
-}
-
-TEST(Ewma, FirstSamplePrimes)
-{
-    Ewma e(0.5);
-    e.add(10.0);
-    EXPECT_DOUBLE_EQ(e.value(), 10.0);
-    e.add(0.0);
-    EXPECT_DOUBLE_EQ(e.value(), 5.0);
-}
-
 } // namespace
 } // namespace nox

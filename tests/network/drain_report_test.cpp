@@ -50,7 +50,6 @@ TEST(DrainReport, CleanDrainReportsNothingStuck)
 
     const DrainReport &r = net->lastDrainReport();
     EXPECT_TRUE(r.drained);
-    EXPECT_EQ(r.packetsInFlight, 0u);
     EXPECT_EQ(r.stalledPackets, 0u);
     EXPECT_EQ(r.undeliverablePackets, 0u);
     EXPECT_TRUE(r.busyRouters.empty());
@@ -140,7 +139,6 @@ TEST(DrainReport, UnprotectedDropWedgesAsStalled)
     EXPECT_EQ(r.stalledPackets, 1u);
     EXPECT_EQ(r.undeliverablePackets, 0u)
         << "no hard faults ran, nothing was written off";
-    EXPECT_EQ(r.packetsInFlight, 1u);
     EXPECT_FALSE(r.busyRouters.empty() && r.busyNics.empty())
         << "a wedged network must name at least one busy component";
     EXPECT_NE(r.summary().find("stalled"), std::string::npos)

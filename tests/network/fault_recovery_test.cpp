@@ -219,7 +219,7 @@ TEST_P(RecoverySweep, ExactlyOnceDeliveryUnderRateFaults)
     // A successful drain leaves a clean report behind.
     const DrainReport &report = net->lastDrainReport();
     EXPECT_TRUE(report.drained);
-    EXPECT_EQ(report.packetsInFlight, 0u);
+    EXPECT_EQ(report.stalledPackets, 0u);
     EXPECT_TRUE(report.busyRouters.empty());
     EXPECT_TRUE(report.partialPackets.empty());
 }
@@ -303,7 +303,7 @@ TEST(DrainReport, DiagnosesStrandedPacketWithRecoveryOff)
 
     const DrainReport &report = net->lastDrainReport();
     EXPECT_FALSE(report.drained);
-    EXPECT_EQ(report.packetsInFlight, 1u);
+    EXPECT_EQ(report.stalledPackets, 1u);
     EXPECT_FALSE(report.summary().empty());
     EXPECT_NE(report.summary().find("packet"), std::string::npos);
 }

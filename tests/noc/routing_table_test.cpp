@@ -4,13 +4,13 @@
  * correctness under random hard-fault maps.
  *
  * The fault-free table must be *bit-identical* to the functional DOR
- * baseline — every (current router, destination node) pair, both
- * dimension orders, including concentrated meshes — because the paper
- * reproduction runs through the table even when no fault machinery is
- * configured. Under random fault maps the rebuilt up-down table must
- * stay provably deadlock-free (acyclic channel-dependency graph),
- * route every still-connected pair to its destination in bounded
- * hops, and report exactly the BFS-disconnected pairs unreachable.
+ * baseline — every (current router, destination node) pair, including
+ * concentrated meshes — because the paper reproduction runs through
+ * the table even when no fault machinery is configured. Under random
+ * fault maps the rebuilt up-down table must stay provably
+ * deadlock-free (acyclic channel-dependency graph), route every
+ * still-connected pair to its destination in bounded hops, and report
+ * exactly the BFS-disconnected pairs unreachable.
  */
 
 #include <gtest/gtest.h>
@@ -27,15 +27,14 @@ namespace nox {
 namespace {
 
 void
-expectMatchesFunction(const Mesh &mesh, RoutingAlgo algo,
-                      RoutingFunction fn)
+expectMatchesDorRoute(const Mesh &mesh)
 {
-    RoutingTable table(mesh, algo);
+    const FaultMap map(mesh);
+    const RoutingTable table(map);
     for (NodeId r = 0; r < mesh.numRouters(); ++r) {
         for (NodeId d = 0; d < mesh.numNodes(); ++d) {
-            ASSERT_EQ(table.lookup(r, d), fn(mesh, r, d))
-                << "algo " << static_cast<int>(algo) << " router "
-                << r << " dest " << d;
+            ASSERT_EQ(table.lookup(r, d), dorRoute(mesh, r, d))
+                << "router " << r << " dest " << d;
         }
     }
     EXPECT_TRUE(table.dependencyGraphAcyclic());
@@ -43,14 +42,7 @@ expectMatchesFunction(const Mesh &mesh, RoutingAlgo algo,
 
 TEST(RoutingTableFaultFree, DorXyTableMatchesDorRoute)
 {
-    const Mesh mesh(8, 8);
-    expectMatchesFunction(mesh, RoutingAlgo::DorXY, &dorRoute);
-}
-
-TEST(RoutingTableFaultFree, DorYxTableMatchesDorRouteYX)
-{
-    const Mesh mesh(8, 8);
-    expectMatchesFunction(mesh, RoutingAlgo::DorYX, &dorRouteYX);
+    expectMatchesDorRoute(Mesh(8, 8));
 }
 
 TEST(RoutingTableFaultFree, RectangularAndConcentratedMeshes)
@@ -58,10 +50,8 @@ TEST(RoutingTableFaultFree, RectangularAndConcentratedMeshes)
     // Non-square shape and a concentrated mesh (several terminals per
     // router) exercise routerOf/localPortOf in the table fill.
     for (const Mesh &mesh :
-         {Mesh(6, 3), Mesh(4, 4, 2), Mesh(2, 5, 4)}) {
-        expectMatchesFunction(mesh, RoutingAlgo::DorXY, &dorRoute);
-        expectMatchesFunction(mesh, RoutingAlgo::DorYX, &dorRouteYX);
-    }
+         {Mesh(6, 3), Mesh(4, 4, 2), Mesh(2, 5, 4)})
+        expectMatchesDorRoute(mesh);
 }
 
 TEST(RoutingTableFaultFree, EmptyFaultMapRebuildStaysOnDor)
@@ -69,8 +59,10 @@ TEST(RoutingTableFaultFree, EmptyFaultMapRebuildStaysOnDor)
     // A rebuild with a fault-free map must stay on the DOR fast path
     // (not switch to up-down, whose routes differ).
     const Mesh mesh(8, 8);
-    RoutingTable table(mesh, RoutingAlgo::DorXY);
-    table.rebuild(FaultMap(mesh));
+    const FaultMap map(mesh);
+    RoutingTable table(map);
+    table.rebuild();
+    EXPECT_EQ(table.rebuilds(), 2u);
     for (NodeId r = 0; r < mesh.numRouters(); ++r) {
         for (NodeId d = 0; d < mesh.numNodes(); ++d)
             ASSERT_EQ(table.lookup(r, d), dorRoute(mesh, r, d));
@@ -139,6 +131,7 @@ TEST(RoutingTableFuzz, RandomFaultMapsStayDeadlockFreeAndExact)
 
     for (int trial = 0; trial < 100; ++trial) {
         FaultMap map(mesh);
+        RoutingTable table(map);
         const int router_kills =
             static_cast<int>(rng.nextBounded(3)); // 0..2
         const int link_kills =
@@ -154,9 +147,7 @@ TEST(RoutingTableFuzz, RandomFaultMapsStayDeadlockFreeAndExact)
                 static_cast<int>(rng.nextBounded(4)));
         }
 
-        RoutingTable table(mesh, trial % 2 == 0 ? RoutingAlgo::DorXY
-                                                : RoutingAlgo::DorYX);
-        table.rebuild(map);
+        table.rebuild();
 
         // Deadlock freedom: the channel-dependency graph of the
         // rebuilt table must be acyclic, whatever the fault map.
@@ -215,8 +206,7 @@ TEST(RoutingTableFuzz, SplitMeshRoutesWithinEachComponent)
     for (int y = 0; y < 4; ++y)
         ASSERT_TRUE(map.killLink(mesh.nodeAt({1, y}), kPortEast));
 
-    RoutingTable table(mesh, RoutingAlgo::DorXY);
-    table.rebuild(map);
+    const RoutingTable table(map);
     ASSERT_TRUE(table.dependencyGraphAcyclic());
 
     for (NodeId r = 0; r < mesh.numRouters(); ++r) {

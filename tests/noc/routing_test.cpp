@@ -71,31 +71,5 @@ TEST(DorRoute, XYNeverTurnsFromYToX)
     }
 }
 
-TEST(DorRouteYX, YBeforeX)
-{
-    const Mesh m(8, 8);
-    EXPECT_EQ(dorRouteYX(m, m.nodeAt({0, 0}), m.nodeAt({3, 5})),
-              kPortSouth);
-    EXPECT_EQ(dorRouteYX(m, m.nodeAt({0, 5}), m.nodeAt({3, 5})),
-              kPortEast);
-    EXPECT_EQ(dorRouteYX(m, 20, 20), kPortLocal);
-}
-
-TEST(DorRouteYX, EveryPairTerminates)
-{
-    const Mesh m(4, 4);
-    for (NodeId s = 0; s < m.numNodes(); ++s) {
-        for (NodeId d = 0; d < m.numNodes(); ++d) {
-            NodeId cur = s;
-            int hops = 0;
-            while (cur != d) {
-                cur = m.neighbor(cur, dorRouteYX(m, cur, d));
-                ASSERT_NE(cur, kInvalidNode);
-                ASSERT_LE(++hops, 6);
-            }
-        }
-    }
-}
-
 } // namespace
 } // namespace nox

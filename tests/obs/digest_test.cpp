@@ -321,6 +321,59 @@ TEST(CompareStridesTest, CycleMisalignmentIsNotComparable)
     EXPECT_FALSE(d.error.empty());
 }
 
+TEST(CompareStridesTest, ResumedLedgerPairsFromFirstSharedCycle)
+{
+    // An 8x8 run digesting every 500 cycles writes strides 500..10000;
+    // its resume from a cycle-3,700 checkpoint writes 4000..10000.
+    const auto ref = strideSeq(500, 20);
+    const std::vector<DigestStride> resumed(ref.begin() + 7, ref.end());
+    for (const bool resumed_is_b : {true, false}) {
+        const DigestDivergence d = resumed_is_b
+                                       ? compareStrides(ref, resumed)
+                                       : compareStrides(resumed, ref);
+        ASSERT_TRUE(d.comparable) << d.error;
+        EXPECT_FALSE(d.diverged);
+        EXPECT_EQ(d.firstComparedCycle, 4000);
+        EXPECT_EQ(d.stridesCompared, 13u);
+        EXPECT_EQ(d.lastAgreeCycle, 10000);
+    }
+
+    auto damaged = resumed;
+    damaged[2].nics[0] ^= 1; // cycle 5000
+    const DigestDivergence d = compareStrides(ref, damaged);
+    ASSERT_TRUE(d.comparable) << d.error;
+    ASSERT_TRUE(d.diverged);
+    EXPECT_EQ(d.cycle, 5000u);
+    EXPECT_EQ(d.lastAgreeCycle, 4500);
+    EXPECT_EQ(d.stridesCompared, 3u);
+}
+
+TEST(CompareStridesTest, OverlapMustAlign)
+{
+    // No cycle in common: nothing was compared, which is not a pass.
+    const auto early = strideSeq(100, 3); // 100..300
+    auto late = strideSeq(100, 6);
+    late.erase(late.begin(), late.begin() + 3); // 400..600
+    DigestDivergence d = compareStrides(early, late);
+    EXPECT_FALSE(d.comparable);
+    EXPECT_NE(d.error.find("no stride cycle"), std::string::npos)
+        << d.error;
+
+    // A later start that no stride of the other ledger holds.
+    const auto tail = strideSeq(100, 3); // 100..300
+    std::vector<DigestStride> offset = {makeStride(150), makeStride(250)};
+    d = compareStrides(tail, offset);
+    EXPECT_FALSE(d.comparable);
+    EXPECT_NE(d.error.find("misaligned"), std::string::npos) << d.error;
+
+    // An empty ledger (a run shorter than one interval) compares
+    // nothing and passes, as before.
+    d = compareStrides(tail, {});
+    EXPECT_TRUE(d.comparable);
+    EXPECT_EQ(d.stridesCompared, 0u);
+    EXPECT_EQ(d.firstComparedCycle, -1);
+}
+
 TEST(CompareLedgersTest, IntervalMismatchIsNotComparable)
 {
     LedgerFile a, b;

@@ -29,9 +29,11 @@
  * Exits nonzero with a structured reason on any corruption.
  *
  * `diff` compares two digest ledgers (digest_file= runs) stride by
- * stride and reports the first divergent stride's cycle plus the
- * exact set of differing components. Exit 0 = identical, 1 =
- * diverged, fatal on unreadable/incomparable ledgers.
+ * stride from the first cycle both hold (a run resumed from a
+ * checkpoint digests only the strides after it) and reports that
+ * cycle, the first divergent stride's cycle and the exact set of
+ * differing components. Exit 0 = identical, 1 = diverged, fatal on
+ * unreadable/incomparable ledgers.
  *
  * `bisect` narrows a coarse-stride ledger divergence to the exact
  * cycle and component: it restores both runs from their last agreeing
@@ -434,6 +436,8 @@ cmdDiff(const Config &config)
     t.addRow({"interval", std::to_string(a.interval)});
     t.addRow({"strides_a", std::to_string(a.strides.size())});
     t.addRow({"strides_b", std::to_string(b.strides.size())});
+    t.addRow({"first_compared_cycle",
+              std::to_string(d.firstComparedCycle)});
     t.addRow({"strides_compared",
               std::to_string(d.stridesCompared)});
     t.addRow({"diverged", d.diverged ? "1" : "0"});
