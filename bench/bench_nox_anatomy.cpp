@@ -9,15 +9,10 @@
  */
 
 #include <iostream>
-#include <memory>
 
 #include "bench_util.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
-#include "noc/network.hpp"
-#include "routers/factory.hpp"
 #include "routers/nox_router.hpp"
-#include "traffic/bernoulli_source.hpp"
 
 namespace nox {
 namespace {
@@ -25,39 +20,40 @@ namespace {
 struct AnatomyPoint
 {
     NoxStats stats;
-    EnergyEvents events;
     std::uint64_t specMisspecs = 0;
 };
+
+/** Build and run @p arch for warmup + measure cycles of uniform
+ *  Bernoulli traffic at @p mbps, each node seeded from seed 7. */
+SyntheticNet
+runUniform(RouterArch arch, double mbps, int packet_flits,
+           const Config &config)
+{
+    SyntheticConfig c;
+    c.arch = arch;
+    c.injectionMBps = mbps;
+    c.packetFlits = packet_flits;
+    c.seed = 7;
+    c.warmupCycles = config.getUint("warmup", 5000);
+    c.measureCycles = config.getUint("measure", 20000);
+    SyntheticNet built = buildSyntheticNetwork(c);
+    built.net->run(c.warmupCycles + c.measureCycles);
+    return built;
+}
 
 AnatomyPoint
 measure(double mbps, int packet_flits, const Config &config)
 {
-    const Cycle warm = config.getUint("warmup", 5000);
-    const Cycle run = config.getUint("measure", 20000);
-
     AnatomyPoint point;
-    // NoX network.
     {
-        NetworkParams params;
-        auto net = makeNetwork(params, RouterArch::Nox);
-        const DestinationPattern pattern(PatternKind::UniformRandom,
-                                         net->mesh());
-        const double fpc =
-            mbpsToFlitsPerCycle(mbps, 0.7576);
-        Rng seeder(7);
-        for (NodeId n = 0; n < net->numNodes(); ++n) {
-            net->addSource(std::make_unique<BernoulliSource>(
-                n, pattern, fpc, packet_flits, seeder.next()));
-        }
-        net->run(warm + run);
-        for (NodeId n = 0; n < net->numNodes(); ++n) {
-            const auto &r =
-                static_cast<const NoxRouter &>(net->router(n));
+        const SyntheticNet built =
+            runUniform(RouterArch::Nox, mbps, packet_flits, config);
+        const Network &net = *built.net;
+        for (NodeId n = 0; n < net.numNodes(); ++n) {
+            const auto &r = static_cast<const NoxRouter &>(net.router(n));
             const NoxStats &s = r.noxStats();
-            for (std::size_t i = 0; i < s.collisionsBySize.size();
-                 ++i)
-                point.stats.collisionsBySize[i] +=
-                    s.collisionsBySize[i];
+            for (std::size_t i = 0; i < s.collisionsBySize.size(); ++i)
+                point.stats.collisionsBySize[i] += s.collisionsBySize[i];
             point.stats.recoveryCycles += s.recoveryCycles;
             point.stats.scheduledCycles += s.scheduledCycles;
             point.stats.lockedCycles += s.lockedCycles;
@@ -65,23 +61,12 @@ measure(double mbps, int packet_flits, const Config &config)
             point.stats.prescheduled += s.prescheduled;
             point.stats.aborts += s.aborts;
         }
-        point.events = net->totalEnergyEvents();
     }
     // Spec-Accurate reference for the misspeculation comparison.
-    {
-        NetworkParams params;
-        auto net = makeNetwork(params, RouterArch::SpecAccurate);
-        const DestinationPattern pattern(PatternKind::UniformRandom,
-                                         net->mesh());
-        const double fpc = mbpsToFlitsPerCycle(mbps, 0.7201);
-        Rng seeder(7);
-        for (NodeId n = 0; n < net->numNodes(); ++n) {
-            net->addSource(std::make_unique<BernoulliSource>(
-                n, pattern, fpc, packet_flits, seeder.next()));
-        }
-        net->run(warm + run);
-        point.specMisspecs = net->totalEnergyEvents().misspecCycles;
-    }
+    point.specMisspecs =
+        runUniform(RouterArch::SpecAccurate, mbps, packet_flits, config)
+            .net->totalEnergyEvents()
+            .misspecCycles;
     return point;
 }
 

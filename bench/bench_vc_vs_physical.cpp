@@ -10,7 +10,9 @@
  * networks (request + reply) of non-speculative routers — against a
  * single physical network whose non-speculative routers carry two
  * virtual channels (same per-class buffering: 4 flits/VC). Both are
- * driven by the same coherence trace. Reported: per-class latency,
+ * driven by the same coherence trace: the pair is runApplication's,
+ * the VC network one replayTrace() of the whole trace, so both rows
+ * come from the one replay loop. Reported: per-class latency,
  * energy per packet, and power, quantifying the §2.8 trade-off:
  * the VC network halves link/crossbar hardware but serializes both
  * classes over one link; the physical pair burns more idle clock
@@ -21,113 +23,9 @@
 
 #include "bench_util.hpp"
 #include "coherence/trace_generator.hpp"
+#include "common/log.hpp"
 #include "common/table.hpp"
-#include "noc/network.hpp"
 #include "power/energy_model.hpp"
-#include "power/timing_model.hpp"
-#include "routers/factory.hpp"
-#include "traffic/replay_source.hpp"
-
-namespace nox {
-namespace {
-
-struct Outcome
-{
-    double reqLatNs = 0.0;
-    double repLatNs = 0.0;
-    double netLatNs = 0.0;
-    double energyPerPacketPj = 0.0;
-    double powerW = 0.0;
-    bool drained = true;
-};
-
-/** The paper's two-physical-network configuration. */
-Outcome
-runPhysicalPair(const Trace &trace, double period_ns,
-                const EnergyModel &energy)
-{
-    Outcome out;
-    EnergyEvents events;
-    Cycle span = 0;
-    SampleStats all;
-    std::uint64_t packets = 0;
-    for (std::uint8_t netid : {std::uint8_t{0}, std::uint8_t{1}}) {
-        NetworkParams params;
-        auto net =
-            makeNetwork(params, RouterArch::NonSpeculative);
-        auto src = std::make_unique<ReplaySource>(
-            trace.forNetwork(netid), period_ns);
-        ReplaySource *replay = src.get();
-        net->addSource(std::move(src));
-        Cycle guard = 0;
-        while ((!replay->done() || net->packetsInFlight() > 0) &&
-               guard++ < 4000000) {
-            net->step();
-        }
-        out.drained &= (net->packetsInFlight() == 0);
-        (netid == 0 ? out.reqLatNs : out.repLatNs) =
-            net->stats().latency.mean() * period_ns;
-        all.merge(net->stats().netLatency);
-        packets += net->stats().packetsEjected;
-        events.merge(net->totalEnergyEvents());
-        span = std::max(span, net->now());
-    }
-    out.netLatNs = all.mean() * period_ns;
-    out.energyPerPacketPj =
-        energy.energyOf(events).totalPj() /
-        static_cast<double>(packets);
-    out.powerW = energy.powerW(events, period_ns, span);
-    return out;
-}
-
-/** One physical network, two virtual channels. */
-Outcome
-runVcNetwork(const Trace &trace, double period_ns,
-             const EnergyModel &energy)
-{
-    NetworkParams params;
-    params.router.vcCount = 2;
-    auto net = makeNetwork(params, RouterArch::NonSpeculative);
-
-    // Merge both trace classes onto the single network; injectPacket
-    // maps Reply to VC1.
-    std::vector<TraceRecord> all = trace.records;
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceRecord &a, const TraceRecord &b) {
-                         return a.timeNs < b.timeNs;
-                     });
-    auto src =
-        std::make_unique<ReplaySource>(std::move(all), period_ns);
-    ReplaySource *replay = src.get();
-    net->addSource(std::move(src));
-
-    Outcome out;
-    Cycle guard = 0;
-    while ((!replay->done() || net->packetsInFlight() > 0) &&
-           guard++ < 4000000) {
-        net->step();
-    }
-    out.drained = (net->packetsInFlight() == 0);
-    const NetworkStats &s = net->stats();
-    out.reqLatNs =
-        s.latencyByClass[static_cast<int>(TrafficClass::Request)]
-            .mean() *
-        period_ns;
-    out.repLatNs =
-        s.latencyByClass[static_cast<int>(TrafficClass::Reply)]
-            .mean() *
-        period_ns;
-    out.netLatNs = s.netLatency.mean() * period_ns;
-    const EnergyEvents events = net->totalEnergyEvents();
-    out.energyPerPacketPj =
-        energy.energyOf(events).totalPj() /
-        static_cast<double>(s.packetsEjected);
-    out.powerW = energy.powerW(events, period_ns, net->now());
-    return out;
-}
-
-} // namespace
-} // namespace nox
 
 int
 main(int argc, char **argv)
@@ -147,12 +45,10 @@ main(int argc, char **argv)
     const double warmup =
         config.getDouble("trace_warmup_ns", quick ? 20000.0 : 50000.0);
 
-    const Technology tech = Technology::tsmc65();
-    const PhysicalParams phys;
-    const TimingModel tm(tech, phys);
-    const double period =
-        tm.clockPeriodNs(RouterArch::NonSpeculative);
-    const EnergyModel energy(tech, RouterArch::NonSpeculative, phys);
+    // The paper's pair: runApplication's request and reply networks.
+    AppConfig app;
+    app.arch = RouterArch::NonSpeculative;
+    const EnergyModel energy(app.tech, app.arch, app.phys);
 
     // Per-class columns are total latency (including source-queue
     // time): the honest signal when one class saturates its channel.
@@ -165,21 +61,38 @@ main(int argc, char **argv)
         CoherenceTraceGenerator gen(params, findWorkload(name), 99);
         const Trace trace = gen.generate(horizon, warmup);
 
-        const Outcome phys_pair =
-            runPhysicalPair(trace, period, energy);
-        const Outcome vc = runVcNetwork(trace, period, energy);
-
+        const AppResult pair = runApplication(app, trace);
         t.addRow({name, "2 physical",
-                  Table::num(phys_pair.reqLatNs, 2),
-                  Table::num(phys_pair.repLatNs, 2),
-                  Table::num(phys_pair.netLatNs, 2),
-                  Table::num(phys_pair.energyPerPacketPj, 1),
-                  Table::num(phys_pair.powerW, 3)});
-        t.addRow({name, "1 net, 2 VCs", Table::num(vc.reqLatNs, 2),
-                  Table::num(vc.repLatNs, 2),
-                  Table::num(vc.netLatNs, 2),
-                  Table::num(vc.energyPerPacketPj, 1),
-                  Table::num(vc.powerW, 3)});
+                  Table::num(pair.avgTotalLatencyNsRequest, 2),
+                  Table::num(pair.avgTotalLatencyNsReply, 2),
+                  Table::num(pair.avgLatencyNs, 2),
+                  Table::num(pair.energyPerPacketPj, 1),
+                  Table::num(pair.powerW, 3)});
+
+        // One network, both classes: injectPacket maps Reply to VC1.
+        NetworkParams vcNet;
+        vcNet.router.vcCount = 2;
+        const double period = pair.periodNs;
+        const ReplayOutcome vc =
+            replayTrace(vcNet, app.arch, trace.records, period,
+                        app.drainLimitCycles);
+        if (!vc.drained)
+            warn("the 2-VC replay of ", name, " did not drain");
+        const NetworkStats &s = vc.stats;
+        const auto classNs = [&](TrafficClass cls) {
+            return s.latencyByClass[static_cast<std::size_t>(cls)]
+                       .mean() *
+                   period;
+        };
+        t.addRow({name, "1 net, 2 VCs",
+                  Table::num(classNs(TrafficClass::Request), 2),
+                  Table::num(classNs(TrafficClass::Reply), 2),
+                  Table::num(s.netLatency.mean() * period, 2),
+                  Table::num(energy.energyOf(vc.events).totalPj() /
+                                 static_cast<double>(s.packetsEjected),
+                             1),
+                  Table::num(energy.powerW(vc.events, period, vc.cycles),
+                             3)});
     }
     t.print(std::cout);
     bench::writeCsv(config, "vc_vs_physical", t);

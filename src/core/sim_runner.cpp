@@ -48,8 +48,8 @@ parseSyntheticConfig(const Config &config)
         fatal("rate_mbps=0 is out of range (valid: above 0 with "
               "selfsimilar=true)");
     }
-    // A flit's uid keeps 8 bits of sequence (flitUid).
-    c.packetFlits = config.getInt("packet_flits", c.packetFlits, 1, 256);
+    c.packetFlits =
+        config.getInt("packet_flits", c.packetFlits, 1, kMaxPacketFlits);
 
     c.net = networkParamsFromConfig(config);
     const Mesh mesh(c.net.width, c.net.height, c.net.concentration);
@@ -418,37 +418,21 @@ runSynthetic(const SyntheticConfig &config)
     return res;
 }
 
-namespace {
-
-/** Replay one physical network's records to completion. */
-struct PhysNetOutcome
+ReplayOutcome
+replayTrace(const NetworkParams &params, RouterArch arch,
+            std::vector<TraceRecord> records, double period_ns,
+            Cycle cycle_limit)
 {
-    NetworkStats stats;
-    EnergyEvents events;
-    Cycle cycles = 0;
-    bool drained = true;
-};
-
-PhysNetOutcome
-replayOne(const AppConfig &config, std::vector<TraceRecord> records,
-          double period_ns)
-{
-    NetworkParams params;
-    params.width = config.width;
-    params.height = config.height;
-    params.router.bufferDepth = config.bufferDepth;
-    params.sinkBufferDepth = config.sinkBufferDepth;
-    auto net = makeNetwork(params, config.arch);
-
+    auto net = makeNetwork(params, arch);
     auto source =
         std::make_unique<ReplaySource>(std::move(records), period_ns);
     ReplaySource *replay = source.get();
     net->addSource(std::move(source));
 
-    PhysNetOutcome out;
+    ReplayOutcome out;
     Cycle guard = 0;
     while ((!replay->done() || net->packetsInFlight() > 0) &&
-           guard < config.drainLimitCycles) {
+           guard < cycle_limit) {
         net->step();
         ++guard;
     }
@@ -459,17 +443,20 @@ replayOne(const AppConfig &config, std::vector<TraceRecord> records,
     return out;
 }
 
-} // namespace
-
 AppResult
 runApplication(const AppConfig &config, const Trace &trace)
 {
     AppResult res;
     res.arch = config.arch;
 
+    const TimingModel timing(config.tech, config.phys);
+    res.periodNs = timing.clockPeriodNs(config.arch);
+
     // Trace files are untrusted input: every endpoint must be a node
-    // of this mesh before any record reaches a network.
+    // of this mesh, and every injection a cycle count, before any
+    // record reaches a network.
     const int nodes = config.width * config.height;
+    constexpr double kCycleRange = 0x1p64;
     for (std::size_t i = 0; i < trace.records.size(); ++i) {
         const TraceRecord &r = trace.records[i];
         if (r.src < 0 || r.src >= nodes || r.dst < 0 || r.dst >= nodes) {
@@ -478,17 +465,28 @@ runApplication(const AppConfig &config, const Trace &trace)
                   config.width, "x", config.height, " mesh (valid: 0..",
                   nodes - 1, ")");
         }
+        // ReplaySource's injection cycle, before its cast to Cycle.
+        const double cycle = std::ceil(r.timeNs / res.periodNs);
+        if (!(cycle >= 0.0 && cycle < kCycleRange)) {
+            fatal("trace record ", i, " (time_ns ", r.timeNs,
+                  ") injects outside the cycle range of a ",
+                  res.periodNs, " ns clock (valid: cycle 0..2^64-1)");
+        }
     }
-
-    const TimingModel timing(config.tech, config.phys);
-    res.periodNs = timing.clockPeriodNs(config.arch);
 
     // Two physical 64-bit wormhole networks isolate the request and
     // reply coherence classes (§5.2 / Table 1).
-    const PhysNetOutcome req =
-        replayOne(config, trace.forNetwork(0), res.periodNs);
-    const PhysNetOutcome rep =
-        replayOne(config, trace.forNetwork(1), res.periodNs);
+    NetworkParams params;
+    params.width = config.width;
+    params.height = config.height;
+    params.router.bufferDepth = config.bufferDepth;
+    params.sinkBufferDepth = config.sinkBufferDepth;
+    const ReplayOutcome req =
+        replayTrace(params, config.arch, trace.forNetwork(0),
+                    res.periodNs, config.drainLimitCycles);
+    const ReplayOutcome rep =
+        replayTrace(params, config.arch, trace.forNetwork(1),
+                    res.periodNs, config.drainLimitCycles);
     res.drained = req.drained && rep.drained;
     if (!res.drained) {
         warn("application replay did not drain for ",
@@ -507,6 +505,10 @@ runApplication(const AppConfig &config, const Trace &trace)
         req.stats.netLatency.mean() * res.periodNs;
     res.avgLatencyNsReply =
         rep.stats.netLatency.mean() * res.periodNs;
+    res.avgTotalLatencyNsRequest =
+        req.stats.latency.mean() * res.periodNs;
+    res.avgTotalLatencyNsReply =
+        rep.stats.latency.mean() * res.periodNs;
 
     const EnergyModel energy(config.tech, config.arch, config.phys);
     EnergyEvents events = req.events;

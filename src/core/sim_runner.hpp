@@ -10,7 +10,8 @@
  *
  * runApplication() replays a packet trace (Figure 10/11): the same
  * nanosecond-domain trace drives each architecture at its own clock,
- * on two physical networks (request + reply) as in §5.2.
+ * on two physical networks (request + reply) as in §5.2, each through
+ * replayTrace().
  */
 
 #ifndef NOX_CORE_SIM_RUNNER_HPP
@@ -223,6 +224,9 @@ struct AppResult
     double avgTotalLatencyNs = 0.0;
     double avgLatencyNsRequest = 0.0;
     double avgLatencyNsReply = 0.0;
+    /** Total latency of the request and of the reply network. */
+    double avgTotalLatencyNsRequest = 0.0;
+    double avgTotalLatencyNsReply = 0.0;
 
     bool drained = true;
     EnergyBreakdown energy; ///< both physical networks, full run
@@ -232,8 +236,27 @@ struct AppResult
 };
 
 /** Replay @p trace through request+reply networks of @p config.
- *  Fatal, naming the record, when an endpoint is not a mesh node. */
+ *  Fatal, naming the record, when an endpoint is not a mesh node or
+ *  the injection cycle at the architecture's clock is 2^64 or more. */
 AppResult runApplication(const AppConfig &config, const Trace &trace);
+
+/** One network's replay: its statistics and energy events over the
+ *  whole run, the cycles it ran and whether it drained. */
+struct ReplayOutcome
+{
+    NetworkStats stats;
+    EnergyEvents events;
+    Cycle cycles = 0;
+    bool drained = true;
+};
+
+/** Replay time-sorted @p records through one @p arch network built
+ *  from @p params and clocked at @p period_ns (always-tick). Stops
+ *  when every record is injected and every packet delivered, or
+ *  after @p cycle_limit cycles (then drained is false). */
+ReplayOutcome replayTrace(const NetworkParams &params, RouterArch arch,
+                          std::vector<TraceRecord> records,
+                          double period_ns, Cycle cycle_limit);
 
 /** MB/s/node -> flits/node/cycle at a clock period [ns] with 8-byte
  *  flits (Table 1). */

@@ -8,6 +8,7 @@
 #ifndef NOX_NOC_ENERGY_EVENTS_HPP
 #define NOX_NOC_ENERGY_EVENTS_HPP
 
+#include <array>
 #include <cstdint>
 
 namespace nox {
@@ -33,51 +34,39 @@ struct EnergyEvents
     std::uint64_t cycles = 0;         ///< router clock cycles elapsed
 
     /** Accumulate another counter block into this one. */
-    void
-    merge(const EnergyEvents &o)
-    {
-        bufferWrites += o.bufferWrites;
-        bufferReads += o.bufferReads;
-        xbarInputDrives += o.xbarInputDrives;
-        xbarOutputCycles += o.xbarOutputCycles;
-        linkFlits += o.linkFlits;
-        linkWastedCycles += o.linkWastedCycles;
-        localLinkFlits += o.localLinkFlits;
-        localLinkWasted += o.localLinkWasted;
-        arbDecisions += o.arbDecisions;
-        allocEvals += o.allocEvals;
-        decodeOps += o.decodeOps;
-        decodeLatches += o.decodeLatches;
-        maskUpdates += o.maskUpdates;
-        abortCycles += o.abortCycles;
-        misspecCycles += o.misspecCycles;
-        cycles += o.cycles;
-    }
+    void merge(const EnergyEvents &o);
 };
+
+/** Every counter, in declaration (and snapshot) order: merge(), diff()
+ *  and the snapshot codec walk this one list. */
+inline constexpr std::array kEnergyEventCounters{
+    &EnergyEvents::bufferWrites,    &EnergyEvents::bufferReads,
+    &EnergyEvents::xbarInputDrives, &EnergyEvents::xbarOutputCycles,
+    &EnergyEvents::linkFlits,       &EnergyEvents::linkWastedCycles,
+    &EnergyEvents::localLinkFlits,  &EnergyEvents::localLinkWasted,
+    &EnergyEvents::arbDecisions,    &EnergyEvents::allocEvals,
+    &EnergyEvents::decodeOps,       &EnergyEvents::decodeLatches,
+    &EnergyEvents::maskUpdates,     &EnergyEvents::abortCycles,
+    &EnergyEvents::misspecCycles,   &EnergyEvents::cycles,
+};
+static_assert(sizeof(EnergyEvents) ==
+                  kEnergyEventCounters.size() * sizeof(std::uint64_t),
+              "a counter missing from kEnergyEventCounters");
+
+inline void
+EnergyEvents::merge(const EnergyEvents &o)
+{
+    for (std::uint64_t EnergyEvents::*c : kEnergyEventCounters)
+        this->*c += o.*c;
+}
 
 /** Counter delta between two snapshots (later - earlier). */
 inline EnergyEvents
 diff(const EnergyEvents &later, const EnergyEvents &earlier)
 {
     EnergyEvents d;
-    d.bufferWrites = later.bufferWrites - earlier.bufferWrites;
-    d.bufferReads = later.bufferReads - earlier.bufferReads;
-    d.xbarInputDrives = later.xbarInputDrives - earlier.xbarInputDrives;
-    d.xbarOutputCycles =
-        later.xbarOutputCycles - earlier.xbarOutputCycles;
-    d.linkFlits = later.linkFlits - earlier.linkFlits;
-    d.linkWastedCycles =
-        later.linkWastedCycles - earlier.linkWastedCycles;
-    d.localLinkFlits = later.localLinkFlits - earlier.localLinkFlits;
-    d.localLinkWasted = later.localLinkWasted - earlier.localLinkWasted;
-    d.arbDecisions = later.arbDecisions - earlier.arbDecisions;
-    d.allocEvals = later.allocEvals - earlier.allocEvals;
-    d.decodeOps = later.decodeOps - earlier.decodeOps;
-    d.decodeLatches = later.decodeLatches - earlier.decodeLatches;
-    d.maskUpdates = later.maskUpdates - earlier.maskUpdates;
-    d.abortCycles = later.abortCycles - earlier.abortCycles;
-    d.misspecCycles = later.misspecCycles - earlier.misspecCycles;
-    d.cycles = later.cycles - earlier.cycles;
+    for (std::uint64_t EnergyEvents::*c : kEnergyEventCounters)
+        d.*c = later.*c - earlier.*c;
     return d;
 }
 

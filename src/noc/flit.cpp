@@ -19,7 +19,8 @@ flitUid(PacketId packet, std::uint32_t seq)
 {
     // Packet ids are dense from 1; 8 bits of sequence is plenty since
     // the largest packet in the paper's system is 9 flits.
-    NOX_ASSERT(seq < 256, "flit sequence too large for uid encoding");
+    NOX_ASSERT(seq < kMaxPacketFlits,
+               "flit sequence too large for uid encoding");
     return (packet << 8) | seq;
 }
 

@@ -120,7 +120,10 @@ class PartsVec
 /** Deterministic payload for (packet, seq), checkable at the sink. */
 std::uint64_t expectedPayload(PacketId packet, std::uint32_t seq);
 
-/** Deterministic uid for (packet, seq). */
+/** Most flits a packet may have: flitUid numbers them in 8 bits. */
+inline constexpr int kMaxPacketFlits = 256;
+
+/** Deterministic uid for (packet, seq), seq < kMaxPacketFlits. */
 std::uint64_t flitUid(PacketId packet, std::uint32_t seq);
 
 /** Inverse of flitUid: the owning packet id. */

@@ -66,11 +66,8 @@ template <typename Ar>
 void
 io(Ar &ar, Field<Ar, EnergyEvents> e)
 {
-    fields(ar, e.bufferWrites, e.bufferReads, e.xbarInputDrives,
-           e.xbarOutputCycles, e.linkFlits, e.linkWastedCycles,
-           e.localLinkFlits, e.localLinkWasted, e.arbDecisions,
-           e.allocEvals, e.decodeOps, e.decodeLatches, e.maskUpdates,
-           e.abortCycles, e.misspecCycles, e.cycles);
+    for (std::uint64_t EnergyEvents::*c : kEnergyEventCounters)
+        io(ar, e.*c);
 }
 
 template <typename Ar>

@@ -7,13 +7,15 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "noc/flit.hpp"
 
 namespace nox {
 
 namespace {
 
-/** Largest packet a trace record may carry (8,192 64-bit flits). */
-constexpr long long kMaxPacketBytes = 65536;
+/** Largest packet a trace record may carry: kMaxPacketFlits 8-byte
+ *  flits (Table 1's link width). */
+constexpr long long kMaxPacketBytes = kMaxPacketFlits * 8LL;
 
 } // namespace
 
@@ -106,16 +108,17 @@ readTrace(std::istream &is, const std::string &name)
             ls >> extra) {
             fatal("malformed trace line ", lineno, ": '", line, "'");
         }
-        const char *bad = nullptr;
+        std::string bad;
         if (!std::isfinite(r.timeNs) || r.timeNs < 0.0)
             bad = "time_ns must be finite and non-negative";
         else if (size < 1 || size > kMaxPacketBytes)
-            bad = "size_bytes must be in 1..65536";
+            bad = "size_bytes must be in 1.." +
+                  std::to_string(kMaxPacketBytes);
         else if (network != 0 && network != 1)
             bad = "network must be 0 (request) or 1 (reply)";
         else if (cls < 0 || cls > static_cast<int>(TrafficClass::Reply))
             bad = "class must be 0 (synthetic), 1 (request) or 2 (reply)";
-        if (bad)
+        if (!bad.empty())
             fatal("bad trace line ", lineno, ": ", bad, ": '", line, "'");
         r.sizeBytes = static_cast<std::uint32_t>(size);
         r.network = static_cast<std::uint8_t>(network);

@@ -64,9 +64,9 @@ void writeTraceFile(const std::string &path, const Trace &trace);
 
 /** Read a trace back. Fatal, naming the line, on a malformed line or
  *  a field out of range: a negative or non-finite time or duration,
- *  a size outside 1..65536 bytes, a network other than 0 or 1, or a
- *  class outside TrafficClass. Node ids are checked against the mesh
- *  by runApplication(). */
+ *  a size outside 1..2048 bytes (kMaxPacketFlits 8-byte flits), a
+ *  network other than 0 or 1, or a class outside TrafficClass. Node
+ *  ids and injection cycles are checked by runApplication(). */
 Trace readTrace(std::istream &is, const std::string &name = "trace");
 Trace readTraceFile(const std::string &path);
 

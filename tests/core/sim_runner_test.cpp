@@ -267,5 +267,105 @@ TEST(RunApplication, RejectsNodesOutsideTheMesh)
                 "trace record 1 \\(time_ns 2, src -1, dst 4\\)");
 }
 
+TEST(RunApplication, RejectsInjectionsPastTheCycleRange)
+{
+    // A time whose cycle does not fit a Cycle used to cast to cycle 0
+    // and replay at once; it is refused, naming the record.
+    AppConfig config;
+    Trace trace;
+    trace.records = {{1.5, 0, 5, 8, 0, TrafficClass::Request},
+                     {1e30, 0, 5, 8, 0, TrafficClass::Request}};
+    EXPECT_EXIT(runApplication(config, trace),
+                ::testing::ExitedWithCode(1),
+                "trace record 1 \\(time_ns 1e\\+30\\) injects outside "
+                "the cycle range of a 0\\.75.* ns clock");
+    trace.records[1].timeNs = -5.0; // only readTrace refuses this
+    EXPECT_EXIT(runApplication(config, trace),
+                ::testing::ExitedWithCode(1),
+                "trace record 1 \\(time_ns -5\\) injects outside");
+
+    // Cycle 2^63 is in range: the replay accepts it and stops at the
+    // cycle limit, undrained.
+    const double period =
+        TimingModel(config.tech, config.phys).clockPeriodNs(config.arch);
+    trace.records[1].timeNs = 0x1p63 * period;
+    config.drainLimitCycles = 50;
+    EXPECT_FALSE(runApplication(config, trace).drained);
+}
+
+TEST(RunApplication, ReplaysTheLargestPacket)
+{
+    // 2,048 bytes is kMaxPacketFlits 8-byte flits, the most a flit
+    // uid numbers; readTrace refuses a byte more.
+    Trace trace;
+    trace.records = {{1.0, 0, 63, 2048, 1, TrafficClass::Reply}};
+    ASSERT_EQ(trace.records[0].flits(), kMaxPacketFlits);
+    const AppResult r = runApplication(AppConfig{}, trace);
+    EXPECT_TRUE(r.drained);
+    EXPECT_EQ(r.packets, 1u);
+}
+
+TEST(RunApplication, PerNetworkTotalsAreEachReplaysMean)
+{
+    CmpParams params;
+    CoherenceTraceGenerator gen(params, findWorkload("fft"), 5);
+    const Trace trace = gen.generate(1500.0, 3000.0);
+    AppConfig config;
+    config.arch = RouterArch::SpecAccurate;
+    const AppResult r = runApplication(config, trace);
+
+    NetworkParams net; // AppConfig's mesh and buffers
+    for (std::uint8_t physNet : {0, 1}) {
+        const ReplayOutcome one =
+            replayTrace(net, config.arch, trace.forNetwork(physNet),
+                        r.periodNs, config.drainLimitCycles);
+        ASSERT_TRUE(one.drained);
+        ASSERT_GT(one.stats.latency.count(), 0u);
+        EXPECT_EQ(physNet == 0 ? r.avgTotalLatencyNsRequest
+                               : r.avgTotalLatencyNsReply,
+                  one.stats.latency.mean() * r.periodNs);
+        EXPECT_EQ(physNet == 0 ? r.avgLatencyNsRequest
+                               : r.avgLatencyNsReply,
+                  one.stats.netLatency.mean() * r.periodNs);
+    }
+}
+
+TEST(ReplayTrace, TwoVirtualChannelsCarryBothClasses)
+{
+    // §2.8's alternative: one 2-VC network replays the whole trace and
+    // delivers what the request/reply pair delivers, class by class.
+    CmpParams params;
+    CoherenceTraceGenerator gen(params, findWorkload("water"), 11);
+    const Trace trace = gen.generate(1500.0, 3000.0);
+    const AppConfig app;
+    const RouterArch arch = RouterArch::NonSpeculative;
+    const double period =
+        TimingModel(app.tech, app.phys).clockPeriodNs(arch);
+
+    NetworkParams pair;
+    const ReplayOutcome req = replayTrace(
+        pair, arch, trace.forNetwork(0), period, app.drainLimitCycles);
+    const ReplayOutcome rep = replayTrace(
+        pair, arch, trace.forNetwork(1), period, app.drainLimitCycles);
+    NetworkParams vc;
+    vc.router.vcCount = 2;
+    const ReplayOutcome one = replayTrace(vc, arch, trace.records, period,
+                                          app.drainLimitCycles);
+
+    ASSERT_TRUE(req.drained);
+    ASSERT_TRUE(rep.drained);
+    ASSERT_TRUE(one.drained);
+    EXPECT_EQ(one.stats.packetsEjected,
+              req.stats.packetsEjected + rep.stats.packetsEjected);
+    const auto &byClass = one.stats.latencyByClass;
+    const auto count = [&](TrafficClass cls) {
+        return byClass[static_cast<std::size_t>(cls)].count();
+    };
+    EXPECT_GT(count(TrafficClass::Request), 0u);
+    EXPECT_GT(count(TrafficClass::Reply), 0u);
+    EXPECT_EQ(count(TrafficClass::Request), req.stats.latency.count());
+    EXPECT_EQ(count(TrafficClass::Reply), rep.stats.latency.count());
+}
+
 } // namespace
 } // namespace nox

@@ -7,12 +7,16 @@
  *   - buffer writes equal flit arrivals; reads never exceed writes;
  *   - only speculative routers and NoX multi-flit aborts produce
  *     wasted link drives; NoX single-flit traffic never wastes;
- *   - the non-speculative router never drives invalid values.
+ *   - the non-speculative router never drives invalid values;
+ *   - merge() and diff() cover every counter.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
@@ -197,6 +201,63 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return "Unknown";
     });
+
+/** Counter i (in declaration order) set by name to (i + 1) * scale. */
+EnergyEvents
+numbered(std::uint64_t scale)
+{
+    EnergyEvents e;
+    e.bufferWrites = 1 * scale;
+    e.bufferReads = 2 * scale;
+    e.xbarInputDrives = 3 * scale;
+    e.xbarOutputCycles = 4 * scale;
+    e.linkFlits = 5 * scale;
+    e.linkWastedCycles = 6 * scale;
+    e.localLinkFlits = 7 * scale;
+    e.localLinkWasted = 8 * scale;
+    e.arbDecisions = 9 * scale;
+    e.allocEvals = 10 * scale;
+    e.decodeOps = 11 * scale;
+    e.decodeLatches = 12 * scale;
+    e.maskUpdates = 13 * scale;
+    e.abortCycles = 14 * scale;
+    e.misspecCycles = 15 * scale;
+    e.cycles = 16 * scale;
+    return e;
+}
+
+/** Every counter by name, spelled out apart from the field list. */
+std::vector<std::pair<std::string, std::uint64_t>>
+byName(const EnergyEvents &e)
+{
+    return {{"bufferWrites", e.bufferWrites},
+            {"bufferReads", e.bufferReads},
+            {"xbarInputDrives", e.xbarInputDrives},
+            {"xbarOutputCycles", e.xbarOutputCycles},
+            {"linkFlits", e.linkFlits},
+            {"linkWastedCycles", e.linkWastedCycles},
+            {"localLinkFlits", e.localLinkFlits},
+            {"localLinkWasted", e.localLinkWasted},
+            {"arbDecisions", e.arbDecisions},
+            {"allocEvals", e.allocEvals},
+            {"decodeOps", e.decodeOps},
+            {"decodeLatches", e.decodeLatches},
+            {"maskUpdates", e.maskUpdates},
+            {"abortCycles", e.abortCycles},
+            {"misspecCycles", e.misspecCycles},
+            {"cycles", e.cycles}};
+}
+
+TEST(EnergyEventsCounters, MergeAndDiffCoverEveryCounter)
+{
+    // Distinct values per counter: a counter merged or diffed into
+    // its neighbour, or left out, shows up by name.
+    EnergyEvents sum = numbered(1000);
+    sum.merge(numbered(10));
+    EXPECT_EQ(byName(sum), byName(numbered(1010)));
+    EXPECT_EQ(byName(diff(numbered(1000), numbered(10))),
+              byName(numbered(990)));
+}
 
 } // namespace
 } // namespace nox

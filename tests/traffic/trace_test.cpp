@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "noc/flit.hpp"
 #include "traffic/replay_source.hpp"
 #include "traffic/trace.hpp"
 
@@ -99,9 +100,18 @@ TEST(TraceReject, NonFiniteTime)
 TEST(TraceReject, ZeroSize)
 {
     expectRejected(std::string(kGoodLine) + "2.0 0 5 0 0 1\n",
-                   "line 2: size_bytes must be in 1\\.\\.65536");
+                   "line 2: size_bytes must be in 1\\.\\.2048");
     expectRejected(std::string(kGoodLine) + "2.0 0 5 -8 0 1\n",
                    "line 2: size_bytes");
+}
+
+TEST(TraceReject, PacketOverMaxFlits)
+{
+    // 2,049 bytes is 257 8-byte flits; flitUid numbers 256.
+    expectRejected(std::string(kGoodLine) + "2.0 0 5 2049 0 1\n",
+                   "line 2: size_bytes must be in 1\\.\\.2048");
+    std::stringstream ss(std::string(kGoodLine) + "2.0 0 5 2048 0 1\n");
+    EXPECT_EQ(readTrace(ss).records.back().flits(), kMaxPacketFlits);
 }
 
 TEST(TraceReject, NetworkOutOfRange)
